@@ -17,10 +17,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.special import exp1
 
 from .grid import SampledFunction
+
+# scipy is imported inside the functions that integrate with it: importing
+# scipy.integrate takes several times as long as numpy, and only the
+# transform, moment and criterion-10 paths need it.
 
 __all__ = [
     "RegularizedFamily",
@@ -155,6 +157,10 @@ def sokhotski_plemelj(f: SampledFunction, eta: float) -> PrincipalValueResult:
     the origin and applies the Richardson combination (4 P(n) - P(2n)) / 3 to
     cancel the leading window dependence.  The residual column is
     |full - (P - i pi f(0))|.
+
+    Each P(n) sums the two contiguous slices of the grid outside the
+    window, so its temporaries are two complex arrays of at most the grid's
+    length (about 51 MB for 1.6M points).
     """
     if not eta > 0:
         raise ValueError("eta must be positive")
@@ -179,9 +185,12 @@ def sokhotski_plemelj(f: SampledFunction, eta: float) -> PrincipalValueResult:
     n1 = max(5, int(np.ceil(eta / (10 * spacing))))
 
     def pv(n_excl: int) -> complex:
-        keep = np.abs(np.arange(x.size) - i0) >= n_excl
-        keep &= x != 0.0
-        return complex(np.sum(w[keep] * v[keep] / x[keep]))
+        # the kept points are those at least n_excl indices from i0; the
+        # window holds i0 itself, the only point that can sit at x = 0 on a
+        # strictly increasing grid
+        left = slice(0, max(i0 - n_excl + 1, 0))
+        right = slice(i0 + n_excl, None)
+        return complex(sum(np.sum(w[s] * v[s] / x[s]) for s in (left, right)))
 
     principal = (4 * pv(n1) - pv(2 * n1)) / 3
     delta_part = -1j * np.pi * f0
@@ -191,6 +200,8 @@ def sokhotski_plemelj(f: SampledFunction, eta: float) -> PrincipalValueResult:
 
 def _complex_quad(func, lo, hi, k, oscillatory: bool, points=None, **kw) -> complex:
     """int func(x) e^{i k x} dx via cos/sin-weighted quadrature."""
+    from scipy.integrate import quad
+
     kw.setdefault("limit", 800)
     if oscillatory and k != 0:
         epsabs = kw.get("epsabs", 1.49e-8)
@@ -275,6 +286,8 @@ def _lorentzian_half_ft(eta: float, s: complex, continued: bool = False) -> comp
     rotating s counterclockwise to arg ~ pi/2 carries the i*eta pole term
     across E1's branch cut, hence the -2*pi*i sheet correction.
     """
+    from scipy.special import exp1
+
     a, b = -1j * s * eta, 1j * s * eta
     e1b = exp1(b) - (2j * np.pi if continued else 0.0)
     return complex((np.exp(a) * exp1(a) - np.exp(b) * e1b) / (2j * np.pi))
@@ -355,6 +368,8 @@ def moment_report(family: RegularizedFamily, orders=(0, 1, 2, 3, 4)) -> list:
         half = 60 * eta
     else:
         half = eta / 2
+
+    from scipy.integrate import IntegrationWarning, quad
 
     def moment(n: int, h: float) -> float:
         if family.flavor == "linear":

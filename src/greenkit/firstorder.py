@@ -164,6 +164,7 @@ def kernel_entry(basis: EigenSystem, i: int, j: int, tau: complex, convention: s
     (Abel regularization), which is how the slowly converging spectral sums
     are compared against the analytic closed forms.
     """
+    basis.check_point_indices(i, j)
     ph = _phase_weights(basis, tau)
     val = np.sum(basis.mode_values[:, i] * np.conj(basis.mode_values[:, j]) * ph)
     return complex(-1j * val if convention == "minus-i" else val)

@@ -93,8 +93,10 @@ def spectral_density(basis: EigenSystem, i: int, j: int, order: str = "first") -
     order "first": one line per mode at E_n/hbar with weight phi_n(x_i)
     phi_n*(x_j).  order "second": mirrored pair at +-sqrt(E_n) c with
     weights +-c phi phi* / (2 i sqrt(E_n)); zero modes have no finite-
-    frequency line and are rejected here.
+    frequency line and are rejected here.  Indices outside the grid raise
+    ValueError.
     """
+    basis.check_point_indices(i, j)
     phi = basis.mode_values[:, i] * np.conj(basis.mode_values[:, j])
     if order == "first":
         om = basis.energies / basis.constants.hbar
@@ -110,6 +112,13 @@ def spectral_density(basis: EigenSystem, i: int, j: int, order: str = "first") -
         sg = np.concatenate([np.ones(root.size, dtype=int), -np.ones(root.size, dtype=int)])
         return SpectralDensity(om, wt, sg, label=f"x{i}-x{j}")
     raise ValueError(f"unknown order {order!r}")
+
+
+# Chunk sizes: few enough rows that a chunk's temporaries stay small (flat
+# peak memory, cache-resident convolution rows), enough that every numpy call
+# still covers many thousand elements.
+_CONV_ROWS = 8  # v values per convolution chunk
+_TAU_ROWS = 2  # |tau| values per inverse-transform chunk
 
 
 def _pole_sum(omega, poles):
@@ -150,6 +159,16 @@ def convolution_response(
     eta_b, so the total regularization matches the pole form exactly in the
     continuum and the residual against response_from_density is pure
     quadrature error.
+
+    The integral J(v) = int L(u) / (v - u + i sgn eta_k) du depends only on
+    v = omega - omega_l.  Every (omega, line) pair gets its own two-scale
+    trapezoid grid: fine patches |u| <= 40 eta_b and |u| <= 60 eta around
+    the line, geometric legs out to 60 (max(|v|, eta) + eta), and a +-40
+    eta_k cluster at the kernel pole u = v when that lies outside the
+    40 eta_b patch.  The pairs are evaluated _CONV_ROWS at a time, each as
+    one row of a sorted node array (about 8k nodes a row, under 4 MB of
+    temporaries a chunk, whatever the number of lines or omega samples);
+    the response is then J(omega - omega_l) @ weights.
     """
     if not eta > 0:
         raise ValueError("eta must be positive")
@@ -165,26 +184,34 @@ def convolution_response(
     eta_k = eta - eta_b
     omega = np.asarray(omega, dtype=float)
 
-    # J(v) = int L_{eta_b}(u) / (v - u + i eta_k) du on a two-scale grid:
-    # fine near the line (u ~ eta_b) and near the kernel pole (u ~ v).
-    def j_integral(v: float) -> complex:
-        nodes = [
-            np.linspace(-40 * eta_b, 40 * eta_b, 3201),
-            np.linspace(-60 * eta, 60 * eta, 1601),
-            np.geomspace(40 * eta_b, 60 * max(abs(v), eta) + 60 * eta, 800),
-        ]
-        nodes.append(-nodes[-1])
-        if abs(v) > 40 * eta_b:
-            nodes.append(v + np.linspace(-40 * eta_k, 40 * eta_k, 1601))
-        u = np.unique(np.concatenate(nodes))
-        lor = (eta_b / np.pi) / (eta_b**2 + u**2)
-        integrand = lor / (v - u + 1j * sgn * eta_k)
-        return complex(np.trapezoid(integrand, u))
-
-    vals = np.zeros(omega.size, dtype=complex)
-    for om_l, w_l in zip(density.omegas, density.weights):
-        for idx, om in enumerate(omega):
-            vals[idx] += w_l * j_integral(om - om_l)
+    v_all = (omega[:, None] - density.omegas[None, :]).ravel()
+    patch = np.unique(np.concatenate([
+        np.linspace(-40 * eta_b, 40 * eta_b, 3201),
+        np.linspace(-60 * eta, 60 * eta, 1601),
+    ]))
+    cluster = np.linspace(-40 * eta_k, 40 * eta_k, 1601)
+    j_vals = np.empty(v_all.size, dtype=complex)
+    for lo in range(0, v_all.size, _CONV_ROWS):
+        v = v_all[lo:lo + _CONV_ROWS, None]
+        leg = np.geomspace(40 * eta_b, 60 * np.maximum(np.abs(v[:, 0]), eta) + 60 * eta, 800, axis=1)
+        # a v inside the line patch has no pole cluster; repeating a node
+        # there keeps the row length, and a repeated node only adds a
+        # zero-width panel, which leaves the trapezoid sum unchanged
+        pole = np.where(np.abs(v) > 40 * eta_b, v + cluster, patch[0])
+        u = np.concatenate([np.broadcast_to(patch, (v.shape[0], patch.size)), -leg[:, ::-1], leg, pole], axis=1)
+        u.sort(axis=1, kind="stable")  # merges the pre-sorted runs
+        d = v - u
+        # trapezoid node weights: (u[k+1] - u[k-1]) / 2, one-sided at the ends
+        w = np.empty_like(u)
+        np.subtract(u[:, 2:], u[:, :-2], out=w[:, 1:-1])
+        w[:, 0] = u[:, 1] - u[:, 0]
+        w[:, -1] = u[:, -1] - u[:, -2]
+        # L(u) / (d + i sgn eta_k) = L(u) (d - i sgn eta_k) / (d^2 + eta_k^2),
+        # in real arithmetic; L's constant eta_b / pi and the 1/2 come last
+        g = w / ((eta_b**2 + u**2) * (d**2 + eta_k**2))
+        j_vals[lo:lo + _CONV_ROWS] = np.vecdot(g, d) - 1j * sgn * eta_k * g.sum(axis=1)
+    j_vals *= eta_b / (2 * np.pi)
+    vals = j_vals.reshape(omega.size, density.omegas.size) @ density.weights
     ref = response_from_density(density, omega, eta, direction)
     return FreqResponse(omega, vals, eta, direction, ref.poles)
 
@@ -251,6 +278,12 @@ def inverse_transform_roundtrip(response: FreqResponse, tau: np.ndarray) -> dict
     retarded poles, +i theta(-tau) for advanced.  Reports the peak magnitude,
     the worst mismatch on the supported side and the worst leakage on the
     suppressed side (relative to the peak).
+
+    The sums run as real matrix products: cos(omega |tau|) and
+    sin(omega |tau|) rows for _TAU_ROWS distinct |tau| at a time against
+    [Re, Im] of the weighted response, which gives both g(|tau|) and
+    g(-|tau|).  A chunk's temporaries are 32 B per omega sample and |tau|
+    (10 MB for a 320k-sample grid).
     """
     if not response.poles:
         raise ValueError("roundtrip needs the pole inventory")
@@ -266,10 +299,22 @@ def inverse_transform_roundtrip(response: FreqResponse, tau: np.ndarray) -> dict
         )
     tau = np.asarray(tau, dtype=float)
     weighted = np.gradient(om) * response.values / (2 * np.pi)
-    g_tau = np.empty(tau.size, dtype=complex)
-    for i, t in enumerate(tau):  # per-sample to keep the phase matrix small
-        g_tau[i] = np.sum(np.exp(-1j * om * t) * weighted)
-
+    w_ri = np.stack([weighted.real, weighted.imag], axis=1)
+    # e^{-i omega (-t)} = conj(e^{-i omega t}) for real omega and t, so one
+    # cos/sin pair per distinct |tau| serves both signs
+    mags, which = np.unique(np.abs(tau), return_inverse=True)
+    sums = np.empty((mags.size, 2, 2))
+    trig = np.empty((min(_TAU_ROWS, mags.size), 2, om.size))
+    for lo in range(0, mags.size, _TAU_ROWS):
+        chunk = mags[lo:lo + _TAU_ROWS]
+        cs = trig[:chunk.size]
+        np.multiply(chunk[:, None], om, out=cs[:, 1])
+        np.cos(cs[:, 1], out=cs[:, 0])
+        np.sin(cs[:, 1], out=cs[:, 1])
+        sums[lo:lo + chunk.size] = (cs.reshape(-1, om.size) @ w_ri).reshape(-1, 2, 2)
+    (c_re, c_im), (s_re, s_im) = sums[which].transpose(1, 2, 0)
+    side = np.where(tau < 0, -1.0, 1.0)
+    g_tau = (c_re + side * s_im) + 1j * (c_im - side * s_re)
     ref = np.zeros(tau.size, dtype=complex)
     for p, r in response.poles:
         if p.imag < 0:

@@ -82,6 +82,13 @@ class EigenSystem:
     def mode(self, n: int) -> SampledFunction:
         return SampledFunction(self.grid, self.mode_values[n])
 
+    def check_point_indices(self, *indices: int) -> None:
+        """Raise ValueError unless 0 <= index < grid.size for every index;
+        a negative index would otherwise wrap silently to the far end."""
+        for k in indices:
+            if not 0 <= k < self.grid.size:
+                raise ValueError(f"grid index {k} outside 0..{self.grid.size - 1}")
+
 
 @dataclass(frozen=True)
 class Coefficients:

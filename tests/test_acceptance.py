@@ -5,9 +5,22 @@ report shows one pass/fail line per criterion, with the measured value and
 tolerance printed alongside.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from greenkit.validation import CRITERIA, run_acceptance
+
+# Criterion values recorded from the original per-element implementation; a
+# faster evaluation must reproduce them to floating-point noise.  Same rule
+# and constants as the benchmark's value check: relative noise on substantive
+# values plus an absolute floor for values that are themselves round-off.
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference_validate.json").read_text()
+)
+VALUE_RTOL = 1e-9
+VALUE_ATOL = 1e-12
 
 IDS = [
     "c01-initial-condition",
@@ -38,6 +51,13 @@ def test_criterion(results, number):
     r = results[number]
     print(r.line())
     assert r.passed, r.line()
+
+
+@pytest.mark.parametrize("number", range(1, 12), ids=IDS)
+def test_criterion_value_is_pinned(results, number):
+    ref = REFERENCE[str(number)]
+    r = results[number]
+    assert abs(r.value - ref["value"]) <= VALUE_RTOL * abs(ref["value"]) + VALUE_ATOL, r.line()
 
 
 def test_negative_control_eta_sign_flip():

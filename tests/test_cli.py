@@ -94,6 +94,12 @@ def test_freq_exports_response_and_poles(tmp_path):
     assert len(lines) == 12
 
 
+@pytest.mark.parametrize("index", ["999", "-1"])
+def test_freq_index_off_the_grid_exits_2(tmp_path, index):
+    code, _ = run(tmp_path, "freq", "--model", "well", "--n", "5", "--i", index, "--j", "0")
+    assert code == 2
+
+
 def test_distcheck_passes(tmp_path):
     code, out = run(tmp_path, "distcheck", "--flavor", "linear", "--eta", "0.01")
     assert code == 0

@@ -1,10 +1,14 @@
 """Regularized step/delta families: derivatives, splits, transforms, moments."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import greenkit
 from greenkit import (
     Grid1D,
     RegularizedFamily,
@@ -76,6 +80,45 @@ def test_sokhotski_plemelj_split():
     assert abs(res.principal) < 1e-6
     # residual is the finite-eta offset, proportional to eta
     assert res.residual < 5 * np.sqrt(np.pi) * eta
+
+
+def _principal_loop(f, eta):
+    """Per-element reference for the principal part: boolean masks over the
+    full grid, excluding the index window around the origin and x = 0."""
+    x, w, v = f.grid.points, f.grid.weights, f.values
+    i0 = int(np.argmin(np.abs(x)))
+    n1 = max(5, int(np.ceil(eta / (10 * f.grid.spacing))))
+
+    def pv(n_excl):
+        keep = np.abs(np.arange(x.size) - i0) >= n_excl
+        keep &= x != 0.0
+        return complex(np.sum(w[keep] * v[keep] / x[keep]))
+
+    return (4 * pv(n1) - pv(2 * n1)) / 3
+
+
+@pytest.mark.parametrize(
+    "grid, center, eta, has_zero",
+    [
+        (Grid1D.uniform(-16.0, 16.0, 2**16 + 1), 0.3, 1e-3, True),  # spacing 2^-11
+        (Grid1D.uniform(-16.0, 16.0, 2**16), 0.3, 1e-3, False),
+        # the exclusion window runs past the left end of the grid
+        (Grid1D.uniform(-0.01, 19.99, 2001), 5.0, 1.0, True),
+    ],
+)
+def test_principal_part_matches_masked_loop(grid, center, eta, has_zero):
+    assert bool(np.any(grid.points == 0.0)) == has_zero
+    f = SampledFunction(grid, np.exp(-4 * (grid.points - center) ** 2))
+    res = sokhotski_plemelj(f, eta)
+    ref = _principal_loop(f, eta)
+    assert abs(res.principal - ref) <= 1e-12 * abs(ref)
+
+
+def test_import_greenkit_defers_scipy():
+    src = os.path.dirname(os.path.dirname(greenkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import greenkit, sys; assert 'scipy.integrate' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_sokhotski_plemelj_input_checks():

@@ -72,6 +72,13 @@ def test_kernel_entry_matches_block_and_damps_at_complex_tau():
     assert damped < plain
 
 
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, 8), (8, 8)])
+def test_kernel_entry_rejects_indices_off_the_grid(i, j):
+    basis = build_well_basis(1.0, 8)
+    with pytest.raises(ValueError, match="grid index"):
+        kernel_entry(basis, i, j, 0.7)
+
+
 def test_propagate_preserves_norm_and_checks_inputs():
     basis = build_well_basis(1.0, 16)
     window = TimeWindow(np.linspace(0.0, 1.0, 3))

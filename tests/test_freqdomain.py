@@ -16,6 +16,43 @@ from greenkit import (
 )
 
 
+# Per-element reference implementations: one trapezoid integral per
+# (omega, line) pair on its own deduplicated node set, and one complex
+# exponential sum per tau.  The vectorised code must agree with them to
+# floating-point noise.
+
+
+def _convolution_loop(density, omega, eta, direction, broadening=None):
+    eta_b = eta / 10 if broadening is None else broadening
+    sgn = 1 if direction == "retarded" else -1
+    eta_k = eta - eta_b
+
+    def j_integral(v):
+        nodes = [
+            np.linspace(-40 * eta_b, 40 * eta_b, 3201),
+            np.linspace(-60 * eta, 60 * eta, 1601),
+            np.geomspace(40 * eta_b, 60 * max(abs(v), eta) + 60 * eta, 800),
+        ]
+        nodes.append(-nodes[-1])
+        if abs(v) > 40 * eta_b:
+            nodes.append(v + np.linspace(-40 * eta_k, 40 * eta_k, 1601))
+        u = np.unique(np.concatenate(nodes))
+        lor = (eta_b / np.pi) / (eta_b**2 + u**2)
+        return complex(np.trapezoid(lor / (v - u + 1j * sgn * eta_k), u))
+
+    vals = np.zeros(omega.size, dtype=complex)
+    for om_l, w_l in zip(density.omegas, density.weights):
+        for idx, om in enumerate(omega):
+            vals[idx] += w_l * j_integral(om - om_l)
+    return vals
+
+
+def _transform_loop(response, tau):
+    om = response.omega
+    weighted = np.gradient(om) * response.values / (2 * np.pi)
+    return np.array([np.sum(np.exp(-1j * om * t) * weighted) for t in tau])
+
+
 def test_first_order_density_one_line_per_mode():
     basis = build_well_basis(1.0, 1, n_points=3)
     dens = spectral_density(basis, 0, 0, order="first")
@@ -72,6 +109,19 @@ def test_convolution_route_matches_pole_form():
     assert np.max(np.abs(conv.values - ref.values)) / peak < 1e-5
 
 
+@pytest.mark.parametrize("direction, broadening", [("retarded", None), ("advanced", 0.02)])
+def test_convolution_matches_per_element_loop(direction, broadening):
+    basis = build_well_basis(1.0, 3)
+    dens = spectral_density(basis, 0, 1)
+    eta = 0.05
+    # omega sitting on a line or within 40 eta_b of one: no pole cluster
+    near = dens.omegas[:2] + np.array([0.0, 0.1 * eta])
+    omega = np.concatenate([np.linspace(0.0, 60.0, 5), near])
+    conv = convolution_response(dens, omega, eta, direction, broadening=broadening)
+    loop = _convolution_loop(dens, omega, eta, direction, broadening)
+    assert np.max(np.abs(conv.values - loop)) <= 1e-12 * np.max(np.abs(loop))
+
+
 def test_convolution_broadening_budget_is_validated():
     basis = build_well_basis(1.0, 2)
     dens = spectral_density(basis, 0, 0)
@@ -108,6 +158,27 @@ def test_inverse_transform_confines_retarded_support():
     assert rt["leakage"] < 1e-2
     assert rt["mismatch"] < 1e-2
     assert np.all(rt["reference"][tau < 0] == 0)
+
+
+@pytest.mark.parametrize("direction", ["retarded", "advanced"])
+def test_inverse_transform_matches_per_tau_loop(direction):
+    eta = 0.5
+    # non-uniform grid, densest near the poles at +-sqrt(2)
+    omega = 200.0 * np.sinh(np.linspace(-4.0, 4.0, 6001)) / np.sinh(4.0)
+    resp = momentum_response_relativistic(1.0, omega, eta, direction)
+    # tau = 0, a +-0.5 pair, and unpaired values on either side
+    tau = np.array([0.0, 0.5, -0.5, 1.25, -2.0, 3.0])
+    rt = inverse_transform_roundtrip(resp, tau)
+    loop = _transform_loop(resp, tau)
+    assert np.max(np.abs(rt["transform"] - loop)) <= 1e-12 * np.max(np.abs(loop))
+
+
+def test_spectral_density_rejects_indices_off_the_grid():
+    basis = build_well_basis(1.0, 4)
+    with pytest.raises(ValueError, match="grid index"):
+        spectral_density(basis, -1, 0)
+    with pytest.raises(ValueError, match="grid index"):
+        spectral_density(basis, 0, 4, order="second")
 
 
 def test_inverse_transform_span_precondition():
