@@ -46,7 +46,6 @@ from .secondorder import (
     em_kernel_closed_form,
     em_point_charge_field,
     field_from_source,
-    kg_auxiliary_kernel,
     point_charge_potential,
     wave_auxiliary_kernel,
     wave_pde_residual,

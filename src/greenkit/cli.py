@@ -103,7 +103,6 @@ def cmd_kernel(args) -> int:
         io.response_rows(kern.times, kern.values[:, mid, mid]),
     )
     t = kern.times
-    w = basis.grid.weights
     report = {
         "kind": kern.kind,
         "order": kern.order,
@@ -114,11 +113,8 @@ def cmd_kernel(args) -> int:
         ),
     }
     if args.order == "first":
-        ic = auxiliary_kernel(basis, TimeWindow(np.array([0.0])), convention=args.convention).values[0]
-        pref = -1j if args.convention == "minus-i" else 1.0
-        report["initial_condition_residual"] = float(
-            np.max(np.abs(ic - pref * np.diag(1.0 / w))) * np.min(w)
-        )
+        # K(0) is the completeness sum, times exactly -i under minus-i
+        report["initial_condition_residual"] = completeness_residual(basis)
         if args.t1 > 0:
             split = min(args.t1, max(args.t1 / 3, args.t0 if args.t0 > 0 else args.t1 / 3))
             report["composition_residual"] = composition_residual(aux, split / 2, split / 2)

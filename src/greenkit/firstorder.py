@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import SampledFunction
-from .spectra import EigenSystem, PhysicalConstants
+from .spectra import Coefficients, EigenSystem, PhysicalConstants, mode_sum, project_state, reconstruct
 
 __all__ = [
     "TimeWindow",
@@ -130,12 +130,9 @@ def auxiliary_kernel(basis: EigenSystem, window: TimeWindow, convention: str = "
         raise ValueError(f"model {basis.model!r} is not a first-order model")
     if basis.size == 0:
         raise ValueError("empty basis")
-    pref = -1j if convention == "minus-i" else 1.0
-    blocks = np.empty((window.samples.size, basis.grid.size, basis.grid.size), dtype=complex)
-    conj_modes = np.conj(basis.mode_values)
-    for i, tau in enumerate(window.samples):
-        ph = _phase_weights(basis, tau)
-        blocks[i] = pref * (basis.mode_values.T * ph) @ conj_modes
+    blocks = mode_sum(basis.mode_values, _phase_weights(basis, window.samples[:, None]))
+    if convention == "minus-i":
+        blocks *= -1j
     return Kernel(basis, window.samples, blocks, kind="auxiliary", order="first", convention=convention)
 
 
@@ -147,6 +144,12 @@ def step_factor_kernel(aux: Kernel, direction: str) -> Kernel:
     """
     if aux.kind != "auxiliary":
         raise ValueError("step factor applies to auxiliary kernels only")
+    return _step_factor(aux, direction)
+
+
+def _step_factor(aux: Kernel, direction: str) -> Kernel:
+    """theta(tau) aux (retarded) or -theta(-tau) aux (advanced), for an
+    auxiliary kernel of either order."""
     if direction == "retarded":
         fac = theta(aux.times)
     elif direction == "advanced":
@@ -183,11 +186,8 @@ def propagate(kernel: Kernel, psi0: SampledFunction, tau: float) -> SampledFunct
     if not kernel.times[0] <= tau <= kernel.times[-1]:
         raise ValueError("tau outside the kernel window")
     basis = kernel.basis
-    if psi0.grid != basis.grid:
-        raise ValueError("state must live on the kernel grid")
-    c = np.conj(basis.mode_values) @ (basis.grid.weights * psi0.values)
-    c = c * _phase_weights(basis, tau) * theta(tau)
-    return SampledFunction(basis.grid, c @ basis.mode_values)
+    c = project_state(basis, psi0).values * _phase_weights(basis, tau) * theta(tau)
+    return reconstruct(Coefficients(c, basis))
 
 
 def composition_residual(kernel: Kernel, tau1: float, tau2: float) -> float:
@@ -202,14 +202,9 @@ def composition_residual(kernel: Kernel, tau1: float, tau2: float) -> float:
     if not kernel.times[0] <= tau1 + tau2 <= kernel.times[-1]:
         raise ValueError("tau1 + tau2 outside the kernel window")
     basis = kernel.basis
-    w = basis.grid.weights
-
-    def block(tau):
-        ph = _phase_weights(basis, tau)
-        return (basis.mode_values.T * ph) @ np.conj(basis.mode_values)
-
-    lhs = block(tau1 + tau2)
-    rhs = block(tau1) @ (w[:, None] * block(tau2))
+    taus = np.array([tau1 + tau2, tau1, tau2])
+    lhs, k1, k2 = mode_sum(basis.mode_values, _phase_weights(basis, taus[:, None]))
+    rhs = k1 @ (basis.grid.weights[:, None] * k2)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -274,16 +269,10 @@ def pde_jump_residual(basis: EigenSystem, convention: str, dtau: float) -> float
     hbar = basis.constants.hbar
     w = basis.grid.weights
     pref = -1j if convention == "minus-i" else 1.0
-    conj_modes = np.conj(basis.mode_values)
-
-    def block(tau, energy_weight=False):
-        ph = _phase_weights(basis, tau)
-        if energy_weight:
-            ph = ph * basis.energies
-        return pref * (basis.mode_values.T * ph) @ conj_modes
-
+    amps = np.stack([_phase_weights(basis, dtau), _phase_weights(basis, 0.0) * basis.energies])
+    k_dtau, h_k0 = pref * mode_sum(basis.mode_values, amps)
     # G^R(+dtau) = K(+dtau), G^R(-dtau) = 0, G^R(0) = K(0)/2
-    ddt = block(dtau) / (2 * dtau)
-    h_term = block(0.0, energy_weight=True) / 2
+    ddt = k_dtau / (2 * dtau)
+    h_term = h_k0 / 2
     rhs = 1j * hbar * np.diag(1.0 / w) / (2 * dtau)
     return float(np.max(np.abs(1j * hbar * ddt - h_term - rhs)))

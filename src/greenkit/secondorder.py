@@ -14,16 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .firstorder import Kernel, TimeWindow, theta
+from .firstorder import Kernel, TimeWindow, _step_factor, theta
 from .grid import Grid1D
-from .spectra import EigenSystem, PhysicalConstants
+from .spectra import EigenSystem, PhysicalConstants, mode_sum
 
 __all__ = [
     "SourceField",
     "PulseDescriptor",
     "wave_auxiliary_kernel",
     "wave_step_factor_kernel",
-    "kg_auxiliary_kernel",
     "em_kernel_closed_form",
     "field_from_source",
     "em_point_charge_field",
@@ -74,19 +73,32 @@ class PulseDescriptor:
         return self.amplitude * g / (self.width * np.sqrt(2 * np.pi))
 
 
-def _wave_frequencies(basis: EigenSystem, constants: PhysicalConstants) -> np.ndarray:
-    """sqrt(E_n) for the spectral wave kernel; rejects negative eigenvalues."""
+def _wave_modes(basis: EigenSystem) -> tuple:
+    """(modes, sqrt(E_n)) of the spectral wave kernel; rejects negative eigenvalues.
+
+    The relativistic two-branch basis is the Klein-Gordon case: it repeats
+    each momentum at +-E_k, so one copy per momentum is kept, with E = E_k^2.
+    """
+    modes = basis.mode_values
     if basis.model == "helmholtz":
         e = basis.energies
     elif basis.model == "relativistic":
         if not (basis.constants.hbar == 1.0 and basis.constants.c == 1.0):
             raise ValueError("Klein-Gordon kernel assumes hbar = c = 1 units")
-        e = basis.energies**2
+        keep = basis.branches > 0
+        modes, e = modes[keep], basis.energies[keep] ** 2
     else:
         raise ValueError(f"model {basis.model!r} is not a second-order model")
     if np.any(e < 0):
         raise ValueError("second-order kernel needs non-negative eigenvalues")
-    return np.sqrt(e)
+    return modes, np.sqrt(e)
+
+
+def _wave_amplitude(root_e: np.ndarray, c: float, tau) -> np.ndarray:
+    """c sin(sqrt(E) c tau) / sqrt(E), with the zero-mode limit c tau; tau
+    broadcasts against root_e."""
+    zero = root_e == 0
+    return np.where(zero, c * tau, c * np.sin(root_e * c * tau) / np.where(zero, 1.0, root_e))
 
 
 def wave_auxiliary_kernel(
@@ -97,25 +109,13 @@ def wave_auxiliary_kernel(
     """G = c sum_n phi_n phi_n* sin(sqrt(E_n) c tau) / sqrt(E_n).
 
     The zero mode uses the removable-singularity limit sin(0 * )/0 -> c tau.
-    Odd in tau by construction, zero at tau = 0 exactly.
+    Odd in tau by construction, zero at tau = 0 exactly.  On the relativistic
+    two-branch basis this is the Klein-Gordon kernel, a box-normalized sum of
+    e^{ik dx} sin(E_k tau)/E_k with E_k = +sqrt(k^2 + m^2) (hbar = c = 1).
     """
     constants = constants if constants is not None else basis.constants
-    c = constants.c
-    root_e = _wave_frequencies(basis, constants)
-    if basis.model == "relativistic":
-        # the two-branch basis duplicates each |E_k|; keep one copy per momentum
-        keep = basis.branches > 0
-        modes = basis.mode_values[keep]
-        root_e = root_e[keep]
-    else:
-        modes = basis.mode_values
-    conj_modes = np.conj(modes)
-    zero = root_e == 0
-    safe = np.where(zero, 1.0, root_e)
-    blocks = np.empty((window.samples.size, basis.grid.size, basis.grid.size), dtype=complex)
-    for i, tau in enumerate(window.samples):
-        amp = np.where(zero, c * tau, c * np.sin(root_e * c * tau) / safe)
-        blocks[i] = (modes.T * amp) @ conj_modes
+    modes, root_e = _wave_modes(basis)
+    blocks = mode_sum(modes, _wave_amplitude(root_e, constants.c, window.samples[:, None]))
     return Kernel(basis, window.samples, blocks, kind="auxiliary", order="second", convention="eq24")
 
 
@@ -123,22 +123,7 @@ def wave_step_factor_kernel(aux: Kernel, direction: str) -> Kernel:
     """theta(tau) G (retarded) or -theta(-tau) G (advanced) for wave kernels."""
     if aux.order != "second" or aux.kind != "auxiliary":
         raise ValueError("needs a second-order auxiliary kernel")
-    if direction not in ("retarded", "advanced"):
-        raise ValueError(f"unknown direction {direction!r}")
-    fac = theta(aux.times) if direction == "retarded" else -theta(-aux.times)
-    vals = aux.values * fac[:, None, None]
-    return Kernel(aux.basis, aux.times, vals, kind=direction, order="second", convention="eq24")
-
-
-def kg_auxiliary_kernel(basis: EigenSystem, window: TimeWindow) -> Kernel:
-    """Klein-Gordon auxiliary kernel from the two-branch relativistic basis.
-
-    Box-normalized sum over momenta of e^{ik dx} sin(E_k tau)/E_k with
-    E_k = +sqrt(k^2 + m^2), in hbar = c = 1 units.
-    """
-    if basis.model != "relativistic":
-        raise ValueError("needs the relativistic two-branch basis")
-    return wave_auxiliary_kernel(basis, window)
+    return _step_factor(aux, direction)
 
 
 def em_kernel_closed_form(
@@ -173,8 +158,13 @@ def field_from_source(kernel: Kernel, source: SourceField, eval_times: np.ndarra
     if source.grid != basis.grid:
         raise ValueError("source must live on the kernel grid")
     ts = source.times
-    if ts[0] < kernel.times[0] - (kernel.times[-1] - kernel.times[0]):
-        raise ValueError("source window extends outside the kernel window")
+    eval_times = np.asarray(eval_times, dtype=float)
+    if eval_times.size:
+        # the largest lag t - t' evaluated must lie inside the kernel window
+        # (same slack as Kernel.at)
+        lag = eval_times.max() - ts[0]
+        if lag - kernel.times[-1] > 1e-9 * max(1.0, abs(lag)):
+            raise ValueError(f"lag t - t' = {lag:g} exceeds the kernel window end {kernel.times[-1]:g}")
     if ts.size > 1:
         wt = np.empty_like(ts)
         dt = np.diff(ts)
@@ -183,25 +173,15 @@ def field_from_source(kernel: Kernel, source: SourceField, eval_times: np.ndarra
         wt[1:-1] = (dt[:-1] + dt[1:]) / 2
     else:
         wt = np.array([1.0])
-    eval_times = np.asarray(eval_times, dtype=float)
     out = np.zeros((eval_times.size, basis.grid.size), dtype=complex)
-    root_e = _wave_frequencies(basis, basis.constants)
-    if basis.model == "relativistic":
-        keep = basis.branches > 0
-        modes, root_e = basis.mode_values[keep], root_e[keep]
-    else:
-        modes = basis.mode_values
-    c = basis.constants.c
-    zero = root_e == 0
-    safe = np.where(zero, 1.0, root_e)
+    modes, root_e = _wave_modes(basis)
     w = basis.grid.weights
     # project the source once: s_n(t') = <phi_n, f(., t')>
     s_modes = np.conj(modes) @ (w[:, None] * source.values.T)  # (n_modes, nt')
     for i, t in enumerate(eval_times):
         tau = t - ts
-        step = theta(tau)
-        amp = np.where(zero[:, None], c * tau[None, :], c * np.sin(np.outer(safe, c * tau)) / safe[:, None])
-        coeff = np.sum(amp * step[None, :] * s_modes * wt[None, :], axis=1)
+        amp = _wave_amplitude(root_e[:, None], basis.constants.c, tau)
+        coeff = np.sum(amp * theta(tau)[None, :] * s_modes * wt[None, :], axis=1)
         out[i] = coeff @ modes
     return out
 
@@ -264,22 +244,10 @@ def wave_pde_residual(basis: EigenSystem, tau_grid: np.ndarray, constants: Physi
     t = kern.times
     if t.size < 3:
         raise ValueError("need at least three time samples")
-    c2 = constants.c**2
-    root_e = _wave_frequencies(basis, constants)
-    if basis.model == "relativistic":
-        keep = basis.branches > 0
-        modes, root_e = basis.mode_values[keep], root_e[keep]
-    else:
-        modes = basis.mode_values
-    conj_modes = np.conj(modes)
-    worst = 0.0
-    for i in range(1, t.size - 1):
-        dt1, dt2 = t[i] - t[i - 1], t[i + 1] - t[i]
-        d2 = (kern.values[i + 1] - kern.values[i]) / dt2 - (kern.values[i] - kern.values[i - 1]) / dt1
-        d2 /= (dt1 + dt2) / 2
-        zero = root_e == 0
-        safe = np.where(zero, 1.0, root_e)
-        amp = np.where(zero, 0.0, root_e**2 * constants.c * np.sin(root_e * constants.c * t[i]) / safe)
-        h_g = (modes.T * amp) @ conj_modes
-        worst = max(worst, float(np.max(np.abs(-d2 / c2 - h_g))))
-    return worst
+    modes, root_e = _wave_modes(basis)
+    # H G on the interior times: the wave amplitude weighted by E = root_e^2
+    h_g = mode_sum(modes, root_e**2 * _wave_amplitude(root_e, constants.c, t[1:-1, None]))
+    g = kern.values
+    dt = np.diff(t)[:, None, None]
+    d2 = ((g[2:] - g[1:-1]) / dt[1:] - (g[1:-1] - g[:-2]) / dt[:-1]) / ((dt[:-1] + dt[1:]) / 2)
+    return float(np.max(np.abs(-d2 / constants.c**2 - h_g)))

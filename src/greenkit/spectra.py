@@ -294,16 +294,33 @@ def orthonormality_residual(basis: EigenSystem) -> float:
     )
 
 
+def mode_sum(modes: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """Dense spectral sum S_ij = sum_n phi_n(x_i) a_n phi_n*(x_j).
+
+    modes is (n, m), one grid-sampled mode per row.  Amplitudes of shape (n,)
+    give one (m, m) block; shape (k, n) gives k blocks, (k, m, m).  Each block
+    is written in place, so no (k, m, n) temporary is ever held.
+    """
+    rows = np.atleast_2d(amplitudes)
+    conj = np.conj(modes)
+    out = np.empty((rows.shape[0], modes.shape[1], modes.shape[1]), dtype=complex)
+    for k, a in enumerate(rows):
+        np.matmul(modes.T * a, conj, out=out[k])
+    return out if np.ndim(amplitudes) == 2 else out[0]
+
+
+def delta_residual(block: np.ndarray, weights: np.ndarray) -> float:
+    """max_ij |B_ij - delta_ij / w_j| * min(w): the distance of a block from
+    the grid delta, 0 for an exact delta and about 1 for a poor one."""
+    return float(np.max(np.abs(block - np.diag(1.0 / weights))) * np.min(weights))
+
+
 def completeness_residual(basis: EigenSystem) -> float:
     """Normalized distance of sum_n phi_n(x_i) phi_n*(x_j) from the grid delta.
 
-    Returns max_ij |S_ij - delta_ij / w_j| * min(w): 0 for a discretely
-    complete set, approaching 1 for a badly truncated one.
+    0 for a discretely complete set, approaching 1 for a badly truncated one.
     """
-    w = basis.grid.weights
-    s = basis.mode_values.T @ np.conj(basis.mode_values)
-    target = np.diag(1.0 / w)
-    return float(np.max(np.abs(s - target)) * np.min(w))
+    return delta_residual(mode_sum(basis.mode_values, np.ones(basis.size)), basis.grid.weights)
 
 
 def project_state(basis: EigenSystem, psi0: SampledFunction) -> Coefficients:

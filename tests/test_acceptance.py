@@ -65,11 +65,16 @@ def test_negative_control_eta_sign_flip():
     assert len(flipped) == 1
     print(flipped[0].line())
     assert not flipped[0].passed
+    # the flag reaches the pole audit only
+    assert all(r.passed for r in run_acceptance(only="kernel", eta_sign_flip=True))
 
 
 def test_only_filter_by_tag():
-    kernel_only = run_acceptance(only="kernel")
-    assert {r.number for r in kernel_only} == {1, 2, 3, 4, 11}
+    for tag, numbers in (("kernel", {1, 2, 3, 4, 11}), ("secondorder", {5, 6}),
+                         ("freq", {7, 8, 9}), ("distlab", {10})):
+        selected = run_acceptance(only=tag)
+        assert {r.number for r in selected} == numbers
+        assert all(r.tag == tag for r in selected)
 
 
 def test_only_filter_rejects_unknown():

@@ -13,7 +13,6 @@ from greenkit import (
     em_kernel_closed_form,
     em_point_charge_field,
     field_from_source,
-    kg_auxiliary_kernel,
     point_charge_potential,
     wave_auxiliary_kernel,
     wave_pde_residual,
@@ -61,11 +60,14 @@ def test_wave_kernel_rejects_first_order_models():
 
 def test_kg_kernel_uses_two_branch_basis():
     basis = build_relativistic_branches(PhysicalConstants(), 4, 10.0)
-    kern = kg_auxiliary_kernel(basis, TimeWindow(np.array([0.0, 0.5])))
+    kern = wave_auxiliary_kernel(basis, TimeWindow(np.array([0.0, 0.5])))
     assert np.all(kern.at(0.0) == 0)
-    other = build_helmholtz_basis(L, 4)
-    with pytest.raises(ValueError, match="relativistic"):
-        kg_auxiliary_kernel(other, TimeWindow(np.array([0.0, 0.5])))
+    # one copy per momentum: sum_k e^{ik dx} sin(E_k tau) / (E_k L), E_k^2 = k^2 + 1
+    k = 2 * np.pi * np.arange(-4, 5) / 10.0
+    e_k = np.sqrt(k**2 + 1.0)
+    dx = basis.grid.points[:, None, None] - basis.grid.points[None, :, None]
+    ref = np.sum(np.exp(1j * k * dx) * np.sin(0.5 * e_k) / e_k, axis=-1) / 10.0
+    assert np.allclose(kern.at(0.5), ref, rtol=0, atol=1e-13)
 
 
 def test_em_closed_form_pulse():
@@ -128,6 +130,18 @@ def test_field_from_source_requires_retarded_kernel():
     src = SourceField(basis.grid, np.array([0.0, 0.5]), np.ones((2, basis.grid.size), dtype=complex))
     with pytest.raises(ValueError, match="retarded"):
         field_from_source(aux, src, np.array([1.0]))
+
+
+def test_field_from_source_rejects_lags_past_the_window():
+    basis = build_helmholtz_basis(L, 4)
+    window = TimeWindow(np.linspace(-1.0, 1.0, 5))
+    ret = wave_step_factor_kernel(wave_auxiliary_kernel(basis, window), "retarded")
+    src = SourceField(basis.grid, np.array([0.0, 0.5]), np.ones((2, basis.grid.size), dtype=complex))
+    # largest lag t - t' on the window end, and within Kernel.at's slack of it
+    assert np.all(np.isfinite(field_from_source(ret, src, np.array([0.25, 1.0]))))
+    field_from_source(ret, src, np.array([1.0 + 1e-12]))
+    with pytest.raises(ValueError, match="window"):
+        field_from_source(ret, src, np.array([0.5, 1.0 + 1e-6]))
 
 
 def test_source_field_validation():
