@@ -88,6 +88,8 @@ def cmd_basis(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    if args.model is None:  # well is first-order only
+        args.model = "helmholtz" if args.order == "second" else "well"
     basis = _build_basis(args)
     window = TimeWindow(np.linspace(args.t0, args.t1, args.nt))
     if args.order == "second":
@@ -235,6 +237,7 @@ def _add_common(p):
 
 def _add_model(p, default_model="well"):
     p.add_argument("--model", default=default_model,
+                   help=f"basis model (default: {default_model or 'well, or helmholtz with --order second'})",
                    choices=["well", "free", "oscillator", "relativistic", "helmholtz"])
     p.add_argument("--a", type=float, default=1.0, help="well width")
     p.add_argument("--length", "--L", dest="length", type=float, default=10.0, help="box length")
@@ -254,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_basis)
 
     p = sub.add_parser("kernel", help="assemble a kernel and export its report")
-    _add_model(p)
+    _add_model(p, default_model=None)
     _add_common(p)
     p.add_argument("--order", default="first", choices=["first", "second"])
     p.add_argument("--direction", default="retarded", choices=["auxiliary", "retarded", "advanced"])

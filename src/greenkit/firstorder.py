@@ -12,11 +12,12 @@ default convention is the one whose discrete PDE residual actually closes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .grid import SampledFunction
-from .spectra import Coefficients, EigenSystem, PhysicalConstants, mode_sum, project_state, reconstruct
+from .spectra import Coefficients, EigenSystem, PhysicalConstants, mode_blocks, project_state, reconstruct
 
 __all__ = [
     "TimeWindow",
@@ -77,43 +78,63 @@ class TimeWindow:
 
 @dataclass(frozen=True)
 class Kernel:
-    """G(x_i, x_j; tau_k) blocks over a time window.
+    """G(x_i, x_j; tau_k) over a time window, stored as per-time mode amplitudes.
 
-    kind: auxiliary | retarded | advanced; order: first | second;
-    convention: "eq24" (no prefactor) or "minus-i" (printed literature form).
+    Block k is sum_n phi_n(x_i) amplitudes[k, n] phi_n*(x_j) over the basis
+    modes listed in `modes` (all of them by default), times -i under the
+    minus-i convention.  kind: auxiliary | retarded | advanced; order:
+    first | second; convention: "eq24" (no prefactor) or "minus-i" (printed
+    literature form); wave_speed: the c a second-order kernel was built with.
     """
 
     basis: EigenSystem
     times: np.ndarray
-    values: np.ndarray = field(repr=False)
+    amplitudes: np.ndarray = field(repr=False)
+    modes: np.ndarray | None = None
     kind: str = "auxiliary"
     order: str = "first"
     convention: str = "eq24"
+    wave_speed: float | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=complex)
+        a = np.asarray(self.amplitudes, dtype=complex)
+        modes = np.arange(self.basis.size) if self.modes is None else np.asarray(self.modes, dtype=int)
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
-        m = self.basis.grid.size
-        if v.shape != (t.size, m, m):
-            raise ValueError("values must be one grid-square block per time sample")
+        object.__setattr__(self, "amplitudes", a)
+        object.__setattr__(self, "modes", modes)
+        if modes.ndim != 1 or np.any((modes < 0) | (modes >= self.basis.size)):
+            raise ValueError("modes must index rows of the basis")
+        if a.shape != (t.size, modes.size):
+            raise ValueError("amplitudes must be one row per time sample, one column per mode")
         if self.kind not in ("auxiliary", "retarded", "advanced"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.convention not in ("eq24", "minus-i"):
             raise ValueError(f"unknown convention {self.convention!r}")
-        # support law: exact zeros outside the causal half-line
-        if self.kind == "retarded" and np.any(v[t < 0] != 0):
+        # support law: zero amplitudes build exact zero blocks
+        if self.kind == "retarded" and np.any(a[t < 0] != 0):
             raise ValueError("retarded kernel must vanish identically for tau < 0")
-        if self.kind == "advanced" and np.any(v[t > 0] != 0):
+        if self.kind == "advanced" and np.any(a[t > 0] != 0):
             raise ValueError("advanced kernel must vanish identically for tau > 0")
 
+    def _blocks(self, amplitudes: np.ndarray) -> np.ndarray:
+        blocks = mode_blocks(self.basis, amplitudes, self.modes)
+        if self.convention == "minus-i":
+            blocks *= -1j
+        return blocks
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Dense (nt, m, m) blocks, built on first access and then kept."""
+        return self._blocks(self.amplitudes)
+
     def at(self, tau: float) -> np.ndarray:
-        """Stored block at the time sample closest to tau (must match closely)."""
+        """Block at the time sample closest to tau (must match closely); builds
+        that one block only."""
         i = int(np.argmin(np.abs(self.times - tau)))
         if abs(self.times[i] - tau) > 1e-9 * max(1.0, abs(tau)):
             raise ValueError(f"tau={tau} is not a stored time sample")
-        return self.values[i]
+        return self._blocks(self.amplitudes[i])
 
 
 def _phase_weights(basis: EigenSystem, tau: complex) -> np.ndarray:
@@ -130,10 +151,8 @@ def auxiliary_kernel(basis: EigenSystem, window: TimeWindow, convention: str = "
         raise ValueError(f"model {basis.model!r} is not a first-order model")
     if basis.size == 0:
         raise ValueError("empty basis")
-    blocks = mode_sum(basis.mode_values, _phase_weights(basis, window.samples[:, None]))
-    if convention == "minus-i":
-        blocks *= -1j
-    return Kernel(basis, window.samples, blocks, kind="auxiliary", order="first", convention=convention)
+    amps = _phase_weights(basis, window.samples[:, None])
+    return Kernel(basis, window.samples, amps, kind="auxiliary", order="first", convention=convention)
 
 
 def step_factor_kernel(aux: Kernel, direction: str) -> Kernel:
@@ -156,8 +175,8 @@ def _step_factor(aux: Kernel, direction: str) -> Kernel:
         fac = -theta(-aux.times)
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    vals = aux.values * fac[:, None, None]
-    return Kernel(aux.basis, aux.times, vals, kind=direction, order=aux.order, convention=aux.convention)
+    return Kernel(aux.basis, aux.times, aux.amplitudes * fac[:, None], aux.modes, kind=direction,
+                  order=aux.order, convention=aux.convention, wave_speed=aux.wave_speed)
 
 
 def kernel_entry(basis: EigenSystem, i: int, j: int, tau: complex, convention: str = "eq24") -> complex:
@@ -203,7 +222,7 @@ def composition_residual(kernel: Kernel, tau1: float, tau2: float) -> float:
         raise ValueError("tau1 + tau2 outside the kernel window")
     basis = kernel.basis
     taus = np.array([tau1 + tau2, tau1, tau2])
-    lhs, k1, k2 = mode_sum(basis.mode_values, _phase_weights(basis, taus[:, None]))
+    lhs, k1, k2 = mode_blocks(basis, _phase_weights(basis, taus[:, None]))
     rhs = k1 @ (basis.grid.weights[:, None] * k2)
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -270,7 +289,7 @@ def pde_jump_residual(basis: EigenSystem, convention: str, dtau: float) -> float
     w = basis.grid.weights
     pref = -1j if convention == "minus-i" else 1.0
     amps = np.stack([_phase_weights(basis, dtau), _phase_weights(basis, 0.0) * basis.energies])
-    k_dtau, h_k0 = pref * mode_sum(basis.mode_values, amps)
+    k_dtau, h_k0 = pref * mode_blocks(basis, amps)
     # G^R(+dtau) = K(+dtau), G^R(-dtau) = 0, G^R(0) = K(0)/2
     ddt = k_dtau / (2 * dtau)
     h_term = h_k0 / 2

@@ -16,7 +16,7 @@ import numpy as np
 
 from .firstorder import Kernel, TimeWindow, _step_factor, theta
 from .grid import Grid1D
-from .spectra import EigenSystem, PhysicalConstants, mode_sum
+from .spectra import EigenSystem, PhysicalConstants, mode_blocks
 
 __all__ = [
     "SourceField",
@@ -74,24 +74,25 @@ class PulseDescriptor:
 
 
 def _wave_modes(basis: EigenSystem) -> tuple:
-    """(modes, sqrt(E_n)) of the spectral wave kernel; rejects negative eigenvalues.
+    """(mode indices, sqrt(E_n)) of the spectral wave kernel; rejects negative
+    eigenvalues.
 
     The relativistic two-branch basis is the Klein-Gordon case: it repeats
     each momentum at +-E_k, so one copy per momentum is kept, with E = E_k^2.
     """
-    modes = basis.mode_values
     if basis.model == "helmholtz":
+        index = np.arange(basis.size)
         e = basis.energies
     elif basis.model == "relativistic":
         if not (basis.constants.hbar == 1.0 and basis.constants.c == 1.0):
             raise ValueError("Klein-Gordon kernel assumes hbar = c = 1 units")
-        keep = basis.branches > 0
-        modes, e = modes[keep], basis.energies[keep] ** 2
+        index = np.flatnonzero(basis.branches > 0)
+        e = basis.energies[index] ** 2
     else:
         raise ValueError(f"model {basis.model!r} is not a second-order model")
     if np.any(e < 0):
         raise ValueError("second-order kernel needs non-negative eigenvalues")
-    return modes, np.sqrt(e)
+    return index, np.sqrt(e)
 
 
 def _wave_amplitude(root_e: np.ndarray, c: float, tau) -> np.ndarray:
@@ -113,10 +114,10 @@ def wave_auxiliary_kernel(
     two-branch basis this is the Klein-Gordon kernel, a box-normalized sum of
     e^{ik dx} sin(E_k tau)/E_k with E_k = +sqrt(k^2 + m^2) (hbar = c = 1).
     """
-    constants = constants if constants is not None else basis.constants
-    modes, root_e = _wave_modes(basis)
-    blocks = mode_sum(modes, _wave_amplitude(root_e, constants.c, window.samples[:, None]))
-    return Kernel(basis, window.samples, blocks, kind="auxiliary", order="second", convention="eq24")
+    c = (constants if constants is not None else basis.constants).c
+    index, root_e = _wave_modes(basis)
+    amps = _wave_amplitude(root_e, c, window.samples[:, None])
+    return Kernel(basis, window.samples, amps, index, kind="auxiliary", order="second", wave_speed=c)
 
 
 def wave_step_factor_kernel(aux: Kernel, direction: str) -> Kernel:
@@ -148,12 +149,14 @@ def field_from_source(kernel: Kernel, source: SourceField, eval_times: np.ndarra
     """psi(x, t) = sum over (x', t') of weights * G^R(x, x'; t - t') f(x', t').
 
     Spatial contraction uses the grid weights, time integration the trapezoid
-    rule over the source samples.  Contributions with t' > t vanish through
-    the retarded step factor, so a source in the future yields exactly zero.
-    Returns an array of shape (eval_times, grid points).
+    rule over the source samples, at the wave speed the kernel was built
+    with.  Contributions with t' > t vanish through the retarded step factor,
+    so a source in the future yields exactly zero, and so does the field at
+    the source's first time.  Returns an array of shape (eval_times, grid
+    points).
     """
-    if kernel.kind != "retarded":
-        raise ValueError("field convolution uses the retarded kernel")
+    if kernel.kind != "retarded" or kernel.order != "second":
+        raise ValueError("field convolution uses the retarded second-order kernel")
     basis = kernel.basis
     if source.grid != basis.grid:
         raise ValueError("source must live on the kernel grid")
@@ -173,17 +176,25 @@ def field_from_source(kernel: Kernel, source: SourceField, eval_times: np.ndarra
         wt[1:-1] = (dt[:-1] + dt[1:]) / 2
     else:
         wt = np.array([1.0])
-    out = np.zeros((eval_times.size, basis.grid.size), dtype=complex)
-    modes, root_e = _wave_modes(basis)
-    w = basis.grid.weights
-    # project the source once: s_n(t') = <phi_n, f(., t')>
-    s_modes = np.conj(modes) @ (w[:, None] * source.values.T)  # (n_modes, nt')
-    for i, t in enumerate(eval_times):
-        tau = t - ts
-        amp = _wave_amplitude(root_e[:, None], basis.constants.c, tau)
-        coeff = np.sum(amp * theta(tau)[None, :] * s_modes * wt[None, :], axis=1)
-        out[i] = coeff @ modes
-    return out
+    index, root_e = _wave_modes(basis)
+    modes = basis.mode_values[index]
+    c = kernel.wave_speed
+    # project the source once: s_n(t') = <phi_n, f(., t')>, one row per t'
+    s_modes = source.values @ (basis.grid.weights[:, None] * np.conj(modes.T))
+    # sin(r c (t - t')) = sin(r c t) cos(r c t') - cos(r c t) sin(r c t'), and
+    # c (t - t') for the zero mode, with both times measured from ts[0] so
+    # that the lag-0 terms at the onset are exact zeros
+    t, tp = eval_times[:, None] - ts[0], ts[:, None] - ts[0]
+    zero = root_e == 0
+    r = np.where(zero, 1.0, root_e)
+    early = np.where(zero, c * t, c * np.sin(r * c * t) / r)
+    late = np.where(zero, -c, -c * np.cos(r * c * t) / r)
+    src = np.concatenate([np.where(zero, 1.0, np.cos(r * c * tp)) * s_modes,
+                          np.where(zero, tp, np.sin(r * c * tp)) * s_modes], axis=1)
+    causal = theta(t - tp.T) * wt  # (eval, source): theta(t - t') w_t'
+    both = (causal @ src.view(float)).view(complex)
+    n = index.size
+    return (early * both[:, :n] + late * both[:, n:]) @ modes
 
 
 def point_charge_potential(q: float, eps0: float, r: float, t: float, c: float) -> float:
@@ -244,9 +255,9 @@ def wave_pde_residual(basis: EigenSystem, tau_grid: np.ndarray, constants: Physi
     t = kern.times
     if t.size < 3:
         raise ValueError("need at least three time samples")
-    modes, root_e = _wave_modes(basis)
+    index, root_e = _wave_modes(basis)
     # H G on the interior times: the wave amplitude weighted by E = root_e^2
-    h_g = mode_sum(modes, root_e**2 * _wave_amplitude(root_e, constants.c, t[1:-1, None]))
+    h_g = mode_blocks(basis, root_e**2 * _wave_amplitude(root_e, constants.c, t[1:-1, None]), index)
     g = kern.values
     dt = np.diff(t)[:, None, None]
     d2 = ((g[2:] - g[1:-1]) / dt[1:] - (g[1:-1] - g[:-2]) / dt[:-1]) / ((dt[:-1] + dt[1:]) / 2)

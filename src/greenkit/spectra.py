@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Grid1D, SampledFunction
 
@@ -53,6 +54,14 @@ class EigenSystem:
     the relativistic two-branch spectrum, None otherwise.  For the two-branch
     case the spatial plane waves repeat across branches, so orthonormality
     only holds within a branch.
+
+    The model name promises a structure that mode_blocks relies on.  "free",
+    "relativistic" and "helmholtz" promise plane waves e^{ikx} with k a
+    multiple of 2 pi / L on the periodic grid of period L, so every mode sum
+    is circulant.  "well" promises the sine modes sqrt(2/a) sin(n pi x / a),
+    n = 1, 2, ... in row order, on the open-interval grid of (0, a), so every
+    mode sum is Toeplitz minus Hankel.  Any other model ("oscillator") is
+    summed densely.
     """
 
     grid: Grid1D
@@ -309,6 +318,46 @@ def mode_sum(modes: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     return out if np.ndim(amplitudes) == 2 else out[0]
 
 
+PERIODIC_MODELS = ("free", "relativistic", "helmholtz")
+
+
+def mode_blocks(basis: EigenSystem, amplitudes: np.ndarray, index=slice(None)) -> np.ndarray:
+    """mode_sum over basis.mode_values[index], built from the basis structure.
+
+    Each block comes from one generating row, O(m^2) per block instead of
+    O(m^2 n) (see EigenSystem for the structure each model promises):
+    periodic plane waves give the circulant block[i, j] = c[(i - j) mod m]
+    with c[d] = block[d, 0]; the well's sine modes give
+    block[i, j] = g[|i - j|] - g[i + j + 2] with
+    g[d] = (1/a) sum_n a_n cos(n pi d / (m + 1)).  Other models use mode_sum.
+    Rows of all-zero amplitudes are left as exact zero blocks.
+    """
+    rows = np.atleast_2d(amplitudes)
+    m = basis.grid.size
+    out = np.zeros((rows.shape[0], m, m), dtype=complex)
+    live = np.flatnonzero(np.any(rows != 0, axis=1))
+    modes = basis.mode_values[index]
+    if basis.model in PERIODIC_MODELS:
+        gen = (rows[live] * np.conj(modes[:, 0])) @ modes
+        # row i of the block is the window of the reversed, wrapped
+        # generating row that starts at m - 1 - i
+        wrapped = np.concatenate([gen[:, ::-1], gen[:, :0:-1]], axis=1)
+        for k, w in zip(live, wrapped):
+            out[k] = sliding_window_view(w, m)[::-1]
+    elif basis.model == "well":
+        n = np.arange(1, basis.size + 1)[index]
+        width = (m + 1) * basis.grid.weights[0]
+        # n d reduced mod 2(m + 1) keeps the cosine arguments below 2 pi
+        d = np.arange(2 * m + 1)
+        g = rows[live] @ np.cos(np.pi / (m + 1) * (np.outer(n, d) % (2 * m + 2))) / width
+        toeplitz = np.concatenate([g[:, m - 1:0:-1], g[:, :m]], axis=1)  # g[|p - (m - 1)|]
+        for k, t, h in zip(live, toeplitz, g[:, 2:]):
+            np.subtract(sliding_window_view(t, m)[::-1], sliding_window_view(h, m), out=out[k])
+    else:
+        out[live] = mode_sum(modes, rows[live])
+    return out if np.ndim(amplitudes) == 2 else out[0]
+
+
 def delta_residual(block: np.ndarray, weights: np.ndarray) -> float:
     """max_ij |B_ij - delta_ij / w_j| * min(w): the distance of a block from
     the grid delta, 0 for an exact delta and about 1 for a poor one."""
@@ -320,7 +369,7 @@ def completeness_residual(basis: EigenSystem) -> float:
 
     0 for a discretely complete set, approaching 1 for a badly truncated one.
     """
-    return delta_residual(mode_sum(basis.mode_values, np.ones(basis.size)), basis.grid.weights)
+    return delta_residual(mode_blocks(basis, np.ones(basis.size)), basis.grid.weights)
 
 
 def project_state(basis: EigenSystem, psi0: SampledFunction) -> Coefficients:

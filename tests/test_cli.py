@@ -64,6 +64,16 @@ def test_kernel_second_order(tmp_path):
     assert report["support_violation"] == 0.0
 
 
+def test_kernel_second_order_defaults_to_helmholtz(tmp_path):
+    code, out = run(tmp_path / "default", "kernel", "--order", "second", "--n", "4")
+    assert code == 0
+    report = json.loads((out / "kernel_report.json").read_text())
+    assert report["order"] == "second"
+    assert report["zero_time_value"] == 0.0
+    code, _ = run(tmp_path / "well", "kernel", "--model", "well", "--order", "second")
+    assert code == 2
+
+
 def test_propagate_preserves_norm(tmp_path):
     code, out = run(tmp_path, "propagate", "--model", "oscillator", "--n", "32",
                     "--grid-kind", "gauss", "--tau", "0.4")

@@ -58,9 +58,13 @@ def test_retarded_kernel_support_and_half_value():
 def test_kernel_constructor_enforces_support_law():
     basis = build_well_basis(1.0, 4)
     times = np.array([-1.0, 1.0])
-    vals = np.ones((2, 4, 4), dtype=complex)
+    amps = np.ones((2, basis.size), dtype=complex)  # nonzero at tau < 0
     with pytest.raises(ValueError, match="vanish"):
-        Kernel(basis, times, vals, kind="retarded")
+        Kernel(basis, times, amps, kind="retarded")
+    with pytest.raises(ValueError, match="vanish"):
+        Kernel(basis, times, amps, kind="advanced")
+    amps[0] = 0
+    assert np.all(Kernel(basis, times, amps, kind="retarded").values[0] == 0)
 
 
 def test_kernel_entry_matches_block_and_damps_at_complex_tau():

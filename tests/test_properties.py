@@ -11,6 +11,7 @@ from greenkit import (
     auxiliary_kernel,
     build_free_basis,
     build_helmholtz_basis,
+    build_oscillator_basis,
     build_relativistic_branches,
     build_well_basis,
     composition_residual,
@@ -20,7 +21,7 @@ from greenkit import (
     wave_auxiliary_kernel,
     wave_step_factor_kernel,
 )
-from greenkit.spectra import mode_sum
+from greenkit.spectra import mode_blocks, mode_sum
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 
@@ -47,6 +48,23 @@ def wave_bases(draw):
     return build_helmholtz_basis(draw(st.floats(1.0, 20.0)), draw(st.integers(1, 11)), cst)
 
 
+@st.composite
+def any_bases(draw):
+    """A basis from every builder, on its default grid or on n_points points."""
+    model = draw(st.sampled_from(["free", "well", "oscillator", "relativistic", "helmholtz"]))
+    n = draw(st.integers(1, 12))
+    points = draw(st.one_of(st.none(), st.integers(max(n, 2), 30)))
+    if model == "free":
+        return build_free_basis(draw(st.floats(1.0, 20.0)), n, draw(constants), points)
+    if model == "well":
+        return build_well_basis(draw(st.floats(0.5, 3.0)), n, draw(constants), points)
+    if model == "oscillator":
+        return build_oscillator_basis(draw(constants), n, points, grid_kind="gauss")
+    if model == "relativistic":  # hbar = c = 1 keeps it a Klein-Gordon (wave) basis too
+        return build_relativistic_branches(PhysicalConstants(mass=draw(positive)), n, draw(st.floats(1.0, 20.0)), points)
+    return build_helmholtz_basis(draw(st.floats(1.0, 20.0)), n, PhysicalConstants(c=draw(positive)), points)
+
+
 def reference_mode_sum(modes, amplitudes):
     """sum_n a_n phi_n(x_i) phi_n*(x_j), one mode at a time."""
     out = np.zeros((modes.shape[1], modes.shape[1]), dtype=complex)
@@ -71,6 +89,25 @@ def test_mode_sum_matches_per_mode_loop(seed, n, m, k):
         ref = reference_mode_sum(modes, a)
         assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.array_equal(mode_sum(modes, a), block)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(basis=any_bases(), seed=seeds, t_max=st.floats(0.1, 3.0), n=st.integers(1, 3))
+def test_structured_blocks_match_mode_sum(basis, seed, t_max, n):
+    rng = np.random.default_rng(seed)
+    cases = [(rng.normal(size=(3, basis.size)) + 1j * rng.normal(size=(3, basis.size)), np.arange(basis.size))]
+    if basis.model != "helmholtz":
+        aux = auxiliary_kernel(basis, window(t_max, n))
+        cases.append((aux.amplitudes, aux.modes))
+    if basis.model in ("helmholtz", "relativistic"):  # relativistic: the positive-branch subset
+        aux = wave_auxiliary_kernel(basis, window(t_max, n))
+        cases.append((aux.amplitudes, aux.modes))
+    for amps, index in cases:
+        blocks = mode_blocks(basis, amps, index)
+        for a, block in zip(amps, blocks):
+            ref = mode_sum(basis.mode_values[index], a)
+            assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert np.max(np.abs(mode_blocks(basis, a, index) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @PROPERTY

@@ -14,6 +14,7 @@ from greenkit import (
     em_point_charge_field,
     field_from_source,
     point_charge_potential,
+    theta,
     wave_auxiliary_kernel,
     wave_pde_residual,
     wave_step_factor_kernel,
@@ -121,6 +122,86 @@ def test_future_source_yields_exact_zero():
     src = SourceField(basis.grid, src_times, vals)
     field = field_from_source(ret, src, np.array([0.0, 0.5]))
     assert np.all(field == 0)
+
+
+def reference_field(basis, c, source, eval_times):
+    """The per-evaluation-time loop field_from_source used before its causal
+    contraction, kept as the reference."""
+    if basis.model == "relativistic":  # one copy per momentum, E = E_k^2
+        keep = basis.branches > 0
+        modes, root_e = basis.mode_values[keep], basis.energies[keep]
+    else:
+        modes, root_e = basis.mode_values, np.sqrt(basis.energies)
+    root_e = root_e[:, None]
+    ts = source.times
+    if ts.size > 1:
+        wt = np.empty_like(ts)
+        dt = np.diff(ts)
+        wt[0] = dt[0] / 2
+        wt[-1] = dt[-1] / 2
+        wt[1:-1] = (dt[:-1] + dt[1:]) / 2
+    else:
+        wt = np.array([1.0])
+    out = np.zeros((eval_times.size, basis.grid.size), dtype=complex)
+    w = basis.grid.weights
+    s_modes = np.conj(modes) @ (w[:, None] * source.values.T)
+    zero = root_e == 0
+    for i, t in enumerate(eval_times):
+        tau = t - ts
+        amp = np.where(zero, c * tau, c * np.sin(root_e * c * tau) / np.where(zero, 1.0, root_e))
+        coeff = np.sum(amp * theta(tau)[None, :] * s_modes * wt[None, :], axis=1)
+        out[i] = coeff @ modes
+    return out
+
+
+def _source(basis, times, seed, zero_mode_only=False):
+    rng = np.random.default_rng(seed)
+    shape = (times.size, basis.grid.size)
+    if zero_mode_only:  # a uniform density excites the k = 0 mode alone
+        vals = np.broadcast_to(rng.normal(size=(times.size, 1)), shape)
+    else:
+        vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return SourceField(basis.grid, times, vals)
+
+
+@pytest.mark.parametrize("case", ["non-uniform", "single-sample", "zero-mode", "relativistic"])
+def test_field_from_source_matches_the_loop(case):
+    rng = np.random.default_rng(11)
+    if case == "relativistic":
+        basis = build_relativistic_branches(PhysicalConstants(mass=0.8), 6, 9.0)
+    else:
+        basis = build_helmholtz_basis(7.0, 6, PhysicalConstants(c=1.7))
+    if case == "single-sample":
+        times = np.array([0.37])
+    else:
+        times = np.sort(rng.uniform(0.37, 2.5, 23))
+        times[0] = 0.37
+    eval_times = np.concatenate([[0.1, 0.37], np.sort(rng.uniform(0.0, 2.8, 17))])
+    src = _source(basis, times, 5, zero_mode_only=case == "zero-mode")
+    ret = wave_step_factor_kernel(wave_auxiliary_kernel(basis, TimeWindow(np.linspace(-3.0, 3.0, 7))), "retarded")
+    field = field_from_source(ret, src, eval_times)
+    ref = reference_field(basis, basis.constants.c, src, eval_times)
+    assert np.max(np.abs(field - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # before and at the source's first time the field is exactly zero
+    assert np.all(field[eval_times <= times[0]] == 0)
+    future = SourceField(basis.grid, times + 3.0, src.values)
+    assert np.all(field_from_source(ret, future, eval_times) == 0)
+
+
+def test_field_uses_the_kernel_wave_speed():
+    basis = build_helmholtz_basis(L, 6)  # c = 1
+    window = TimeWindow(np.linspace(-2.0, 2.0, 5))
+    src = _source(basis, np.linspace(0.0, 1.0, 11), 3)
+    eval_times = np.linspace(0.0, 2.0, 9)
+
+    def field(b, constants=None):
+        ret = wave_step_factor_kernel(wave_auxiliary_kernel(b, window, constants), "retarded")
+        return field_from_source(ret, src, eval_times)
+
+    slow, fast = field(basis), field(basis, PhysicalConstants(c=3.0))
+    assert not np.allclose(slow, fast)
+    ref = field(build_helmholtz_basis(L, 6, PhysicalConstants(c=3.0)))
+    assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_field_from_source_requires_retarded_kernel():
