@@ -185,20 +185,22 @@ def cmd_distcheck(args) -> int:
     k = np.concatenate([-np.geomspace(0.1, 10.0, 7), np.geomspace(0.1, 10.0, 7)])
     reports = []
     for flavor in flavors:
+        # built first, so a bad eta is rejected before it sizes the derivative grid
+        step, delta = RegularizedFamily("step", flavor, eta), RegularizedFamily("delta", flavor, eta)
         xg = np.linspace(-40 * eta, 40 * eta, 2001)
         d = derivative_identity_residual(flavor, eta, xg)
         reports.append({"flavor": flavor, "eta": eta, "metric": "derivative_identity",
                         "value": d["analytic_residual"], "tolerance": 1e-12,
                         "pass": d["analytic_residual"] < 1e-12})
-        ft = regularized_ft(RegularizedFamily("step", flavor, eta), k)
+        ft = regularized_ft(step, k)
         reports.append({"flavor": flavor, "eta": eta, "metric": "step_ft_deviation",
                         "value": ft["max_deviation"], "tolerance": 1.05 * eta,
                         "pass": ft["max_deviation"] < 1.05 * eta})
-        dk = delta_ft_check(RegularizedFamily("delta", flavor, eta), np.linspace(0.0, 1.0 / (10 * eta), 9))
+        dk = delta_ft_check(delta, np.linspace(0.0, 1.0 / (10 * eta), 9))
         reports.append({"flavor": flavor, "eta": eta, "metric": "delta_ft_deviation",
                         "value": dk["max_deviation"], "tolerance": 0.2,
                         "pass": dk["max_deviation"] < 0.2})
-        m = moment_report(RegularizedFamily("delta", flavor, eta), orders=(0, 1, 2))
+        m = moment_report(delta, orders=(0, 1, 2))
         reports.append({"flavor": flavor, "eta": eta, "metric": "moment_0",
                         "value": m[0], "tolerance": 1e-6, "pass": abs(m[0] - 1) < 1e-6})
     io.write_json(os.path.join(args.out, "distcheck.json"), reports)

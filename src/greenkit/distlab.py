@@ -13,16 +13,11 @@ silently).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import SampledFunction
-
-# scipy is imported inside the functions that integrate with it: importing
-# scipy.integrate takes several times as long as numpy, and only the
-# transform, moment and criterion-10 paths need it.
 
 __all__ = [
     "RegularizedFamily",
@@ -52,8 +47,8 @@ class RegularizedFamily:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.flavor not in _FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
+        if not 0 < self.eta < math.inf:
+            raise ValueError("eta must be positive and finite")
         if self.domain is not None:
             lo, hi = self.domain
             if not lo < 0 < hi:
@@ -119,14 +114,14 @@ def derivative_identity_residual(flavor: str, eta: float, x: np.ndarray) -> dict
     eta * sup step_eta of the width-proportional correction term retained
     when the step is differentiated at finite eta.
     """
+    step_fam = RegularizedFamily("step", flavor, eta)
+    delta_fam = RegularizedFamily("delta", flavor, eta)
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 5 or not np.all(np.diff(x) > 0):
         raise ValueError("need an increasing grid with at least five points")
     spacing = float(np.max(np.diff(x)))
     if spacing >= eta / 4:
         raise ValueError(f"grid spacing {spacing:.3g} must be < eta/4 = {eta / 4:.3g}")
-    step_fam = RegularizedFamily("step", flavor, eta)
-    delta_fam = RegularizedFamily("delta", flavor, eta)
     step = family_eval(step_fam, x)
     delta = family_eval(delta_fam, x)
 
@@ -198,24 +193,6 @@ def sokhotski_plemelj(f: SampledFunction, eta: float) -> PrincipalValueResult:
     return PrincipalValueResult(principal, delta_part, eta, full, residual)
 
 
-def _complex_quad(func, lo, hi, k, oscillatory: bool, points=None, **kw) -> complex:
-    """int func(x) e^{i k x} dx via cos/sin-weighted quadrature."""
-    from scipy.integrate import quad
-
-    kw.setdefault("limit", 800)
-    if oscillatory and k != 0:
-        epsabs = kw.get("epsabs", 1.49e-8)
-        re = quad(func, lo, hi, weight="cos", wvar=k, limit=kw["limit"], epsabs=epsabs)[0]
-        im = quad(func, lo, hi, weight="sin", wvar=k, limit=kw["limit"], epsabs=epsabs)[0]
-    else:
-        if points is not None:
-            points = [p for p in points if lo < p < hi]
-            kw["points"] = points or None
-        re = quad(lambda x: func(x) * math.cos(k * x), lo, hi, **kw)[0]
-        im = quad(lambda x: func(x) * math.sin(k * x), lo, hi, **kw)[0]
-    return re + 1j * im
-
-
 def _resolve_domain(family: RegularizedFamily, k: np.ndarray) -> tuple[float, float]:
     eta = family.eta
     if family.kind == "step":
@@ -232,65 +209,25 @@ def _resolve_domain(family: RegularizedFamily, k: np.ndarray) -> tuple[float, fl
     return (float(lo), float(hi))
 
 
-def _damped_delta_ft(flavor: str, eta: float, etap: float, k: float) -> complex:
-    """D(k) = int e^{(ik - eta') x} delta_eta(x) dx, evaluated by quadrature.
+def _damped_delta_ft(flavor: str, eta: float, etap: float, k: np.ndarray) -> np.ndarray:
+    """D(k) = int e^{s x} delta_eta(x) dx with s = ik - eta', in closed form.
 
-    The damped integrand decays absolutely on the positive side (Fourier
-    quadrature to infinity); on the negative side the damping factor grows,
-    so the slowly decaying Lorentzian is cut where its product with the
-    anti-damping is ~1e-10 (the box and two-sided exponential decay fast
-    enough to integrate over their natural ranges).  Real integrands give
-    D(-k) = conj(D(k)), which handles negative k.
+    Box: 2 sinh(s eta/2)/(s eta).  Two-sided exponential: the half-lines give
+    (1/2 eta)[1/(1/eta - s) + 1/(1/eta + s)], finite while eta' < 1/eta.
+    Lorentzian: its anti-damped half-line diverges as a plain integral, and
+    the Abel value is the analytic continuation of the Fourier transform
+    e^{-eta |k|} from k to k + i eta', that is e^{-eta(|k| + i eta')}.  Real
+    integrands give D(-k) = conj(D(k)), the conjugate taken for k < 0.
     """
-    if k < 0:
-        return np.conj(_damped_delta_ft(flavor, eta, etap, -k))
-    fam = RegularizedFamily("delta", flavor, eta)
-
-    def damped(x: float) -> float:
-        return family_eval(fam, x) * math.exp(-etap * x)
-
-    kw = {"limit": 800, "epsabs": 1e-11, "epsrel": 1e-11}
-    hints = [eta / 10, eta, 10 * eta, 100 * eta]
+    s = 1j * k - etap
     if flavor == "linear":
-        return _complex_quad(damped, -eta / 2, eta / 2, k, oscillatory=k * eta > 20,
-                             points=[-eta / 2, eta / 2], **kw)
-    if flavor == "arctan":
-        # Lorentzian: closed form through partial fractions and E1.  The
-        # anti-damped half-line (divergent as a plain integral) is defined by
-        # analytic continuation of the E1 formula, which is the Abel value of
-        # the jointly-driven limit.
-        return _lorentzian_half_ft(eta, etap - 1j * k) + _lorentzian_half_ft(
-            eta, 1j * k - etap, continued=True
-        )
-    # two-sided exponential: e^{-x (1/eta +- eta')}/(2 eta) on either side
-    if etap >= 0.5 / eta:
-        raise ValueError("damping must stay below the family decay rate 1/eta")
-    x_pos = 70 * eta
-    x_neg = 70.0 / (1.0 / eta - etap)
-    up = _complex_quad(damped, 0.0, x_pos, k, oscillatory=abs(k) * x_pos > 20, points=hints, **kw)
-
-    def reflected(x: float) -> float:
-        return damped(-x)
-
-    down = np.conj(_complex_quad(reflected, 0.0, x_neg, k, oscillatory=abs(k) * x_neg > 20,
-                                 points=hints, **kw))
-    return complex(up + down)
-
-
-def _lorentzian_half_ft(eta: float, s: complex, continued: bool = False) -> complex:
-    """int_0^inf e^{-s x} (eta/pi) / (eta^2 + x^2) dx by partial fractions.
-
-    Uses int_0^inf e^{-s x}/(x + a) dx = e^{s a} E1(s a).  For the
-    anti-damped half-line (Re s < 0, a plainly divergent integral) the Abel
-    value is the analytic continuation in s from the convergent half-plane;
-    rotating s counterclockwise to arg ~ pi/2 carries the i*eta pole term
-    across E1's branch cut, hence the -2*pi*i sheet correction.
-    """
-    from scipy.special import exp1
-
-    a, b = -1j * s * eta, 1j * s * eta
-    e1b = exp1(b) - (2j * np.pi if continued else 0.0)
-    return complex((np.exp(a) * exp1(a) - np.exp(b) * e1b) / (2j * np.pi))
+        return 2 * np.sinh(s * eta / 2) / (s * eta)
+    if flavor == "exponential":
+        if etap >= 1 / eta:
+            raise ValueError("damping must stay below the family decay rate 1/eta")
+        return (1 / (1 / eta - s) + 1 / (1 / eta + s)) / (2 * eta)
+    half = np.exp(-eta * (np.abs(k) + 1j * etap))
+    return np.where(k < 0, np.conj(half), half)
 
 
 def regularized_ft(family: RegularizedFamily, k: np.ndarray, eta_damp: float | None = None) -> dict:
@@ -313,10 +250,7 @@ def regularized_ft(family: RegularizedFamily, k: np.ndarray, eta_damp: float | N
     if not etap > 0:
         raise ValueError("damping must be positive")
     lo, hi = _resolve_domain(family, k)
-
-    vals = np.empty(k.size, dtype=complex)
-    for i, kk in enumerate(k):
-        vals[i] = 1j / (kk + 1j * etap) * _damped_delta_ft(family.flavor, eta, etap, kk)
+    vals = 1j / (k + 1j * etap) * _damped_delta_ft(family.flavor, eta, etap, k)
 
     reference = 1j / (k + 1j * eta)
     surface = np.abs(
@@ -344,7 +278,7 @@ def delta_ft_check(family: RegularizedFamily, k: np.ndarray, eta_damp: float | N
     if k_used.size == 0:
         raise ValueError("no k samples within |k| <= 1/(10 eta)")
     _resolve_domain(family, k_used)
-    vals = np.array([_damped_delta_ft(family.flavor, eta, etap, kk) for kk in k_used])
+    vals = _damped_delta_ft(family.flavor, eta, etap, k_used)
     return {
         "k": k_used,
         "transform": vals,
@@ -353,42 +287,26 @@ def delta_ft_check(family: RegularizedFamily, k: np.ndarray, eta_damp: float | N
 
 
 def moment_report(family: RegularizedFamily, orders=(0, 1, 2, 3, 4)) -> list:
-    """Quadrature moments int x^n delta_eta(x) dx per requested order.
+    """Closed-form moments int x^n delta_eta(x) dx per requested order.
 
-    Divergent moments (the Lorentzian's even orders >= 2) are detected by a
-    domain-growth test - the moment recomputed on a doubled domain keeps
-    growing - and reported as math.inf rather than a truncation artifact.
+    Odd orders vanish by symmetry.  Even orders are (eta/2)^n/(n+1) for the
+    box and n! eta^n for the two-sided exponential.  The Lorentzian's even
+    orders >= 2 diverge and are reported as math.inf rather than a
+    truncation artifact; its mass is taken on the domain +-2e7 eta,
+    (2/pi) arctan(2e7) = 1 - 3.2e-8, so the reported m0 carries that
+    truncation.
     """
     if family.kind != "delta":
         raise ValueError("moments are defined for delta families")
     eta = family.eta
-    if family.flavor == "arctan":
-        half = 1e7 * eta
-    elif family.flavor == "exponential":
-        half = 60 * eta
-    else:
-        half = eta / 2
-
-    from scipy.integrate import IntegrationWarning, quad
-
-    def moment(n: int, h: float) -> float:
-        if family.flavor == "linear":
-            pts = [-eta / 2, eta / 2]
-        else:
-            pts = [p for s in (-1, 1) for p in (s * eta, s * 10 * eta, s * 100 * eta) if abs(p) < h]
-        with warnings.catch_warnings():
-            # divergent moments are detected by the growth test below, so the
-            # quadrature's own slow-convergence complaint is expected noise
-            warnings.simplefilter("ignore", IntegrationWarning)
-            return quad(lambda x: x**n * family_eval(family, x), -h, h, points=sorted(pts), limit=800)[0]
-
     out = []
     for n in orders:
-        m1 = moment(n, half)
-        m2 = moment(n, 2 * half)
-        scale = max(abs(m1), eta**max(n, 1) * 1e-12, 1e-300)
-        if abs(m2) > 1.5 * scale and abs(m2 - m1) > 0.25 * abs(m2):
-            out.append(math.inf)
+        if n % 2:
+            out.append(0.0)
+        elif family.flavor == "linear":
+            out.append((eta / 2) ** n / (n + 1))
+        elif family.flavor == "exponential":
+            out.append(math.factorial(n) * eta**n)
         else:
-            out.append(float(m2))
+            out.append(2 / math.pi * math.atan(2e7) if n == 0 else math.inf)
     return out

@@ -118,6 +118,22 @@ def test_distcheck_passes(tmp_path):
     assert {r["metric"] for r in reports} >= {"derivative_identity", "step_ft_deviation"}
 
 
+def test_distcheck_exponential_at_large_eta_fails_its_checks(tmp_path):
+    # eta' = eta = 0.8 is below the exponential family's decay rate 1/eta, so
+    # the transforms are computed and the checks, not the input, fail
+    code, out = run(tmp_path, "distcheck", "--flavor", "exponential", "--eta", "0.8")
+    assert code == 1
+    reports = json.loads((out / "distcheck.json").read_text())
+    assert not all(r["pass"] for r in reports)
+
+
+@pytest.mark.parametrize("eta", ["0", "-1", "nan", "inf"])
+def test_distcheck_bad_eta_exits_2(tmp_path, capsys, eta):
+    code, _ = run(tmp_path, "distcheck", "--eta", eta)
+    assert code == 2
+    assert "eta must be positive and finite" in capsys.readouterr().err
+
+
 def test_validate_single_criterion(tmp_path):
     code, out = run(tmp_path, "validate", "--only", "9")
     assert code == 0
