@@ -23,7 +23,7 @@ from .distlab import (
     moment_report,
     regularized_ft,
 )
-from .firstorder import TimeWindow, auxiliary_kernel, composition_residual, propagate, step_factor_kernel
+from .firstorder import _SIGNS, TimeWindow, auxiliary_kernel, composition_residual, propagate, step_factor_kernel
 from .freqdomain import response_from_density, spectral_density
 from .grid import SampledFunction
 from .secondorder import SourceField, field_from_source, wave_auxiliary_kernel, wave_step_factor_kernel
@@ -109,10 +109,8 @@ def cmd_kernel(args) -> int:
         "kind": kern.kind,
         "order": kern.order,
         "convention": kern.convention,
-        "support_violation": float(
-            np.max(np.abs(kern.values[t < 0]), initial=0.0) if kern.kind == "retarded"
-            else np.max(np.abs(kern.values[t > 0]), initial=0.0) if kern.kind == "advanced" else 0.0
-        ),
+        # largest |G| where s tau < 0; s = 0 leaves the auxiliary kernel no such side
+        "support_violation": float(np.max(np.abs(kern.values[_SIGNS.get(kern.kind, 0) * t < 0]), initial=0.0)),
     }
     if args.order == "first":
         # K(0) is the completeness sum, times exactly -i under minus-i

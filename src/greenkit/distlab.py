@@ -35,12 +35,11 @@ _FLAVORS = ("arctan", "exponential", "linear")
 
 @dataclass(frozen=True)
 class RegularizedFamily:
-    """A step or delta family at width eta, with an optional evaluation domain."""
+    """A step or delta family at width eta."""
 
     kind: str
     flavor: str
     eta: float
-    domain: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.kind not in ("step", "delta"):
@@ -49,10 +48,6 @@ class RegularizedFamily:
             raise ValueError(f"unknown flavor {self.flavor!r}")
         if not 0 < self.eta < math.inf:
             raise ValueError("eta must be positive and finite")
-        if self.domain is not None:
-            lo, hi = self.domain
-            if not lo < 0 < hi:
-                raise ValueError("evaluation domain must straddle 0")
 
 
 @dataclass(frozen=True)
@@ -193,22 +188,6 @@ def sokhotski_plemelj(f: SampledFunction, eta: float) -> PrincipalValueResult:
     return PrincipalValueResult(principal, delta_part, eta, full, residual)
 
 
-def _resolve_domain(family: RegularizedFamily, k: np.ndarray) -> tuple[float, float]:
-    eta = family.eta
-    if family.kind == "step":
-        kmin = float(np.min(np.abs(k)))
-        need = max(50.0 / kmin, 50.0 * eta)
-    else:
-        need = 50.0 * eta
-    if family.domain is None:
-        half = need
-        return (-half, half)
-    lo, hi = family.domain
-    if hi - lo < need:
-        raise ValueError(f"domain span {hi - lo:.3g} too small: need >= {need:.3g} for this k grid and eta")
-    return (float(lo), float(hi))
-
-
 def _damped_delta_ft(flavor: str, eta: float, etap: float, k: np.ndarray) -> np.ndarray:
     """D(k) = int e^{s x} delta_eta(x) dx with s = ik - eta', in closed form.
 
@@ -236,8 +215,7 @@ def regularized_ft(family: RegularizedFamily, k: np.ndarray, eta_damp: float | N
     The limit-style transform int e^{(ik - eta') x} step_eta(x) dx is
     evaluated through its integration-by-parts form i/(k + i eta') * D(k),
     where D is the damped transform of the paired delta; the surface term
-    vanishes in the damped limit and its magnitude at the finite domain ends
-    is reported as `boundary_term`.  eta' defaults to eta (both regulators
+    vanishes in the damped limit.  eta' defaults to eta (both regulators
     driven jointly); eta_damp decouples them for order-of-limits studies.
     """
     if family.kind != "step":
@@ -249,19 +227,13 @@ def regularized_ft(family: RegularizedFamily, k: np.ndarray, eta_damp: float | N
     etap = eta if eta_damp is None else eta_damp
     if not etap > 0:
         raise ValueError("damping must be positive")
-    lo, hi = _resolve_domain(family, k)
     vals = 1j / (k + 1j * etap) * _damped_delta_ft(family.flavor, eta, etap, k)
-
     reference = 1j / (k + 1j * eta)
-    surface = np.abs(
-        family_eval(family, hi) * np.exp(-etap * hi) / (1j * k - etap)
-    ) + np.abs(family_eval(family, lo) * np.exp(-etap * lo) / (1j * k - etap))
     return {
         "k": k,
         "transform": vals,
         "reference": reference,
         "max_deviation": float(np.max(np.abs(vals - reference))),
-        "boundary_term": float(np.max(surface)),
     }
 
 
@@ -277,7 +249,6 @@ def delta_ft_check(family: RegularizedFamily, k: np.ndarray, eta_damp: float | N
     k_used = k[np.abs(k) <= 1.0 / (10 * eta)]
     if k_used.size == 0:
         raise ValueError("no k samples within |k| <= 1/(10 eta)")
-    _resolve_domain(family, k_used)
     vals = _damped_delta_ft(family.flavor, eta, etap, k_used)
     return {
         "k": k_used,

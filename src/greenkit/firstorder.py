@@ -43,6 +43,18 @@ def theta(tau):
     return np.where(tau > 0, 1.0, np.where(tau < 0, 0.0, 0.5))
 
 
+# The one sign s that separates the two directions: G_s = s theta(s tau) K in
+# time, poles at omega_n - i s eta in frequency, arrival at s R / c.
+_SIGNS = {"retarded": 1, "advanced": -1}
+
+
+def _sign(direction: str) -> int:
+    """s = +1 for retarded, -1 for advanced; any other direction raises."""
+    if direction not in _SIGNS:
+        raise ValueError(f"unknown direction {direction!r}")
+    return _SIGNS[direction]
+
+
 @dataclass(frozen=True)
 class TimeWindow:
     """Ordered tau = t - t' samples.
@@ -82,9 +94,9 @@ class Kernel:
 
     Block k is sum_n phi_n(x_i) amplitudes[k, n] phi_n*(x_j) over the basis
     modes listed in `modes` (all of them by default), times -i under the
-    minus-i convention.  kind: auxiliary | retarded | advanced; order:
-    first | second; convention: "eq24" (no prefactor) or "minus-i" (printed
-    literature form); wave_speed: the c a second-order kernel was built with.
+    minus-i convention.  kind: auxiliary | retarded | advanced; convention:
+    "eq24" (no prefactor) or "minus-i" (printed literature form); wave_speed:
+    the c a second-order kernel was built with, None for a first-order one.
     """
 
     basis: EigenSystem
@@ -92,7 +104,6 @@ class Kernel:
     amplitudes: np.ndarray = field(repr=False)
     modes: np.ndarray | None = None
     kind: str = "auxiliary"
-    order: str = "first"
     convention: str = "eq24"
     wave_speed: float | None = None
 
@@ -111,11 +122,17 @@ class Kernel:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.convention not in ("eq24", "minus-i"):
             raise ValueError(f"unknown convention {self.convention!r}")
+        if self.wave_speed is not None and not 0 < self.wave_speed < np.inf:
+            raise ValueError("wave speed must be positive and finite")
         # support law: zero amplitudes build exact zero blocks
-        if self.kind == "retarded" and np.any(a[t < 0] != 0):
-            raise ValueError("retarded kernel must vanish identically for tau < 0")
-        if self.kind == "advanced" and np.any(a[t > 0] != 0):
-            raise ValueError("advanced kernel must vanish identically for tau > 0")
+        s = _SIGNS.get(self.kind, 0)  # 0: the auxiliary kernel has no wrong side
+        if np.any(a[s * t < 0] != 0):
+            raise ValueError(f"{self.kind} kernel must vanish identically for tau {'<' if s > 0 else '>'} 0")
+
+    @property
+    def order(self) -> str:
+        """Second for a wave kernel (one built with a wave speed), else first."""
+        return "first" if self.wave_speed is None else "second"
 
     def _blocks(self, amplitudes: np.ndarray) -> np.ndarray:
         blocks = mode_blocks(self.basis, amplitudes, self.modes)
@@ -152,7 +169,7 @@ def auxiliary_kernel(basis: EigenSystem, window: TimeWindow, convention: str = "
     if basis.size == 0:
         raise ValueError("empty basis")
     amps = _phase_weights(basis, window.samples[:, None])
-    return Kernel(basis, window.samples, amps, kind="auxiliary", order="first", convention=convention)
+    return Kernel(basis, window.samples, amps, kind="auxiliary", convention=convention)
 
 
 def step_factor_kernel(aux: Kernel, direction: str) -> Kernel:
@@ -167,16 +184,12 @@ def step_factor_kernel(aux: Kernel, direction: str) -> Kernel:
 
 
 def _step_factor(aux: Kernel, direction: str) -> Kernel:
-    """theta(tau) aux (retarded) or -theta(-tau) aux (advanced), for an
-    auxiliary kernel of either order."""
-    if direction == "retarded":
-        fac = theta(aux.times)
-    elif direction == "advanced":
-        fac = -theta(-aux.times)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
+    """s theta(s tau) aux: theta(tau) aux (retarded) or -theta(-tau) aux
+    (advanced), for an auxiliary kernel of either order."""
+    s = _sign(direction)
+    fac = s * theta(s * aux.times)
     return Kernel(aux.basis, aux.times, aux.amplitudes * fac[:, None], aux.modes, kind=direction,
-                  order=aux.order, convention=aux.convention, wave_speed=aux.wave_speed)
+                  convention=aux.convention, wave_speed=aux.wave_speed)
 
 
 def kernel_entry(basis: EigenSystem, i: int, j: int, tau: complex, convention: str = "eq24") -> complex:

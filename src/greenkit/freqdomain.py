@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectra import EigenSystem, PhysicalConstants
+from .firstorder import _SIGNS, _sign
+from .spectra import EigenSystem, PhysicalConstants, _relativistic_energy
 
 __all__ = [
     "SpectralDensity",
@@ -76,15 +77,14 @@ class FreqResponse:
             raise ValueError("one value per omega sample")
         if not self.eta > 0:
             raise ValueError("eta must be positive")
-        if self.direction not in ("retarded", "advanced", "feynman"):
-            raise ValueError(f"unknown direction {self.direction!r}")
         ims = np.array([p.imag for p, _ in self.poles])
-        if self.direction == "retarded" and ims.size and np.any(ims != -self.eta):
-            raise ValueError("retarded poles must sit exactly at Im = -eta")
-        if self.direction == "advanced" and ims.size and np.any(ims != self.eta):
-            raise ValueError("advanced poles must sit exactly at Im = +eta")
-        if self.direction == "feynman" and ims.size and not (np.any(ims < 0) and np.any(ims > 0)):
-            raise ValueError("feynman response needs poles in both half-planes")
+        if self.direction == "feynman":
+            if ims.size and not (np.any(ims < 0) and np.any(ims > 0)):
+                raise ValueError("feynman response needs poles in both half-planes")
+            return
+        s = _sign(self.direction)
+        if ims.size and np.any(ims != -s * self.eta):
+            raise ValueError(f"{self.direction} poles must sit exactly at Im = {'-' if s > 0 else '+'}eta")
 
 
 def spectral_density(basis: EigenSystem, i: int, j: int, order: str = "first") -> SpectralDensity:
@@ -121,6 +121,13 @@ _CONV_ROWS = 8  # v values per convolution chunk
 _TAU_ROWS = 2  # |tau| values per inverse-transform chunk
 
 
+def _shifted_poles(omegas, residues, eta: float, direction: str) -> tuple:
+    """(omega_n - i s eta, r_n) per line: below the axis for retarded (s = +1),
+    above for advanced (s = -1)."""
+    shift = -1j * _sign(direction) * eta
+    return tuple((om + shift, r) for om, r in zip(omegas, residues))
+
+
 def _pole_sum(omega, poles):
     vals = np.zeros(omega.shape, dtype=complex)
     for p, r in poles:
@@ -131,18 +138,12 @@ def _pole_sum(omega, poles):
 def response_from_density(
     density: SpectralDensity, omega: np.ndarray, eta: float, direction: str
 ) -> FreqResponse:
-    """Closed pole form sum_n w_n / (omega - omega_n +- i eta)."""
+    """Closed pole form sum_n w_n / (omega - omega_n + i s eta)."""
     if not eta > 0:
         raise ValueError("eta must be positive")
-    if direction == "retarded":
-        shift = -1j * eta
-    elif direction == "advanced":
-        shift = 1j * eta
-    else:
-        raise ValueError("density responses are retarded or advanced")
-    poles = [(om + shift, w) for om, w in zip(density.omegas, density.weights)]
+    poles = _shifted_poles(density.omegas, density.weights, eta, direction)
     omega = np.asarray(omega, dtype=float)
-    return FreqResponse(omega, _pole_sum(omega, poles), eta, direction, tuple(poles))
+    return FreqResponse(omega, _pole_sum(omega, poles), eta, direction, poles)
 
 
 def convolution_response(
@@ -175,12 +176,7 @@ def convolution_response(
     eta_b = eta / 10 if broadening is None else broadening
     if not 0 < eta_b < eta:
         raise ValueError("broadening must lie strictly between 0 and eta")
-    if direction == "retarded":
-        sgn = +1
-    elif direction == "advanced":
-        sgn = -1
-    else:
-        raise ValueError("density responses are retarded or advanced")
+    sgn = _sign(direction)
     eta_k = eta - eta_b
     omega = np.asarray(omega, dtype=float)
 
@@ -216,11 +212,6 @@ def convolution_response(
     return FreqResponse(omega, vals, eta, direction, ref.poles)
 
 
-def _relativistic_line_frequency(k: float, constants: PhysicalConstants) -> float:
-    e_k = np.sqrt(constants.mass**2 * constants.c**4 + constants.c**2 * constants.hbar**2 * k**2)
-    return e_k / constants.hbar
-
-
 def momentum_response_relativistic(
     k: float,
     omega: np.ndarray,
@@ -228,23 +219,17 @@ def momentum_response_relativistic(
     direction: str,
     constants: PhysicalConstants = PhysicalConstants(),
 ) -> FreqResponse:
-    """Per-momentum two-branch response 1/(omega -+ E_k/hbar +- i eta).
+    """Per-momentum two-branch response 1/(omega -+ E_k/hbar + i s eta).
 
-    Retarded: both poles below the axis; advanced: both above.  Their sum
-    equals the combined rational form 2(omega +- i eta) / ((omega +- i
-    eta)^2 - (E_k/hbar)^2), which is the finite-eta statement of the
-    omega-squared regularization.
+    Retarded (s = +1): both poles below the axis; advanced (s = -1): both
+    above.  Their sum equals the combined rational form 2(omega + i s eta) /
+    ((omega + i s eta)^2 - (E_k/hbar)^2), which is the finite-eta statement
+    of the omega-squared regularization.
     """
     if not eta > 0:
         raise ValueError("eta must be positive")
-    w0 = _relativistic_line_frequency(k, constants)
-    if direction == "retarded":
-        shift = -1j * eta
-    elif direction == "advanced":
-        shift = 1j * eta
-    else:
-        raise ValueError("use feynman_combination for the mixed assembly")
-    poles = ((w0 + shift, 1.0 + 0j), (-w0 + shift, 1.0 + 0j))
+    w0 = _relativistic_energy(k, constants) / constants.hbar
+    poles = _shifted_poles((w0, -w0), (1.0 + 0j, 1.0 + 0j), eta, direction)
     omega = np.asarray(omega, dtype=float)
     return FreqResponse(omega, _pole_sum(omega, poles), eta, direction, poles)
 
@@ -263,8 +248,8 @@ def feynman_combination(
     """
     if not eta > 0:
         raise ValueError("eta must be positive")
-    w0 = _relativistic_line_frequency(k, constants)
-    poles = ((w0 - 1j * eta, 1.0 + 0j), (-w0 + 1j * eta, 1.0 + 0j))
+    w0 = _relativistic_energy(k, constants) / constants.hbar
+    poles = tuple((s * w0 - 1j * s * eta, 1.0 + 0j) for s in (1, -1))
     omega = np.asarray(omega, dtype=float)
     return FreqResponse(omega, _pole_sum(omega, poles), eta, "feynman", poles)
 
@@ -274,8 +259,8 @@ def inverse_transform_roundtrip(response: FreqResponse, tau: np.ndarray) -> dict
 
     Computes (1/2 pi) int domega e^{-i omega tau} G(omega) by the trapezoid
     rule over the stored omega grid (no pole-residue shortcut) and compares
-    against the residue-form reference: -i theta(tau) sum r e^{-i p tau} for
-    retarded poles, +i theta(-tau) for advanced.  Reports the peak magnitude,
+    against the residue-form reference: -i s theta(s tau) sum r e^{-i p tau},
+    s = +1 for poles below the axis, -1 above.  Reports the peak magnitude,
     the worst mismatch on the supported side and the worst leakage on the
     suppressed side (relative to the peak).
 
@@ -317,17 +302,11 @@ def inverse_transform_roundtrip(response: FreqResponse, tau: np.ndarray) -> dict
     g_tau = (c_re + side * s_im) + 1j * (c_im - side * s_re)
     ref = np.zeros(tau.size, dtype=complex)
     for p, r in response.poles:
-        if p.imag < 0:
-            ref += np.where(tau > 0, -1j * r * np.exp(-1j * p * tau), 0.0)
-        else:
-            ref += np.where(tau < 0, 1j * r * np.exp(-1j * p * tau), 0.0)
+        s = 1 if p.imag < 0 else -1
+        ref += np.where(s * tau > 0, -1j * s * r * np.exp(-1j * p * tau), 0.0)
     peak = float(np.max(np.abs(ref))) or 1.0
-    if response.direction == "retarded":
-        wrong = tau < 0
-    elif response.direction == "advanced":
-        wrong = tau > 0
-    else:
-        wrong = np.zeros(tau.shape, dtype=bool)
+    # s = 0 for a feynman response, which has no suppressed side
+    wrong = _SIGNS.get(response.direction, 0) * tau < 0
     right = ~wrong & (tau != 0)
     return {
         "peak": peak,

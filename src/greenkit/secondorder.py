@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .firstorder import Kernel, TimeWindow, _step_factor, theta
+from .firstorder import Kernel, TimeWindow, _sign, _step_factor, theta
 from .grid import Grid1D
 from .spectra import EigenSystem, PhysicalConstants, mode_blocks
 
@@ -117,7 +117,7 @@ def wave_auxiliary_kernel(
     c = (constants if constants is not None else basis.constants).c
     index, root_e = _wave_modes(basis)
     amps = _wave_amplitude(root_e, c, window.samples[:, None])
-    return Kernel(basis, window.samples, amps, index, kind="auxiliary", order="second", wave_speed=c)
+    return Kernel(basis, window.samples, amps, index, kind="auxiliary", wave_speed=c)
 
 
 def wave_step_factor_kernel(aux: Kernel, direction: str) -> Kernel:
@@ -135,13 +135,12 @@ def em_kernel_closed_form(
 ) -> PulseDescriptor:
     """Vacuum EM kernel between points a distance R apart.
 
-    Amplitude 1/(4 pi R), pulse at tau = R/c (retarded) or -R/c (advanced).
+    Amplitude 1/(4 pi R), pulse at tau = s R/c: R/c (retarded) or -R/c
+    (advanced).
     """
     if not separation > 0:
         raise ValueError("self-field is singular: separation must be positive")
-    if direction not in ("retarded", "advanced"):
-        raise ValueError(f"unknown direction {direction!r}")
-    arrival = separation / c if direction == "retarded" else -separation / c
+    arrival = _sign(direction) * separation / c
     return PulseDescriptor(1.0 / (4 * np.pi * separation), arrival, direction, width)
 
 

@@ -122,6 +122,23 @@ def _sort_by_abs_energy(energies, modes, branches=None):
     return energies[order], modes[order], branches[order]
 
 
+def _plane_waves(length: float, n_max: int, n_points: int | None) -> tuple:
+    """(grid, k, e^{ikx}/sqrt(L)) on the periodic box, k = 2 pi j / L for
+    |j| <= n_max, one wave per row, with the builders' shared checks."""
+    if not length > 0:
+        raise ValueError("box length must be positive")
+    if n_max < 1:
+        raise ValueError("mode cutoff must be >= 1")
+    grid = Grid1D.periodic(length, n_points if n_points is not None else 2 * n_max + 1)
+    k = 2 * np.pi * np.arange(-n_max, n_max + 1) / length
+    return grid, k, np.exp(1j * np.outer(k, grid.points)) / np.sqrt(length)
+
+
+def _relativistic_energy(k, constants: PhysicalConstants):
+    """E_k = sqrt(m^2 c^4 + c^2 hbar^2 k^2), the positive-branch energy."""
+    return np.sqrt(constants.mass**2 * constants.c**4 + constants.c**2 * constants.hbar**2 * k**2)
+
+
 def build_free_basis(
     length: float,
     n_max: int,
@@ -133,15 +150,7 @@ def build_free_basis(
     Kinetic energies hbar^2 k^2 / 2m.  The default grid has 2*n_max+1 points,
     making the retained set discretely complete (Fourier-complete grid).
     """
-    if not length > 0:
-        raise ValueError("box length must be positive")
-    if n_max < 1:
-        raise ValueError("mode cutoff must be >= 1")
-    m = n_points if n_points is not None else 2 * n_max + 1
-    grid = Grid1D.periodic(length, m)
-    j = np.arange(-n_max, n_max + 1)
-    k = 2 * np.pi * j / length
-    modes = np.exp(1j * np.outer(k, grid.points)) / np.sqrt(length)
+    grid, k, modes = _plane_waves(length, n_max, n_points)
     energies = constants.hbar**2 * k**2 / (2 * constants.mass)
     energies, modes, _ = _sort_by_abs_energy(energies, modes)
     return EigenSystem(grid, energies, modes, constants, "free")
@@ -241,19 +250,11 @@ def build_relativistic_branches(
     Plane waves on a periodic box; every momentum appears twice, tagged +1
     and -1.  Spatial modes repeat across branches by construction.
     """
-    if k_cutoff < 1:
-        raise ValueError("momentum cutoff must be >= 1")
-    if not length > 0:
-        raise ValueError("box length must be positive")
-    m = n_points if n_points is not None else 2 * k_cutoff + 1
-    grid = Grid1D.periodic(length, m)
-    j = np.arange(-k_cutoff, k_cutoff + 1)
-    k = 2 * np.pi * j / length
-    waves = np.exp(1j * np.outer(k, grid.points)) / np.sqrt(length)
-    e_k = np.sqrt(constants.mass**2 * constants.c**4 + constants.c**2 * constants.hbar**2 * k**2)
+    grid, k, waves = _plane_waves(length, k_cutoff, n_points)
+    e_k = _relativistic_energy(k, constants)
     energies = np.concatenate([e_k, -e_k])
     modes = np.concatenate([waves, waves])
-    branches = np.concatenate([np.ones_like(j), -np.ones_like(j)])
+    branches = np.repeat([1, -1], k.size)
     energies, modes, branches = _sort_by_abs_energy(energies, modes, branches)
     return EigenSystem(grid, energies, modes, constants, "relativistic", branches=branches)
 
@@ -269,15 +270,7 @@ def build_helmholtz_basis(
     These are H-eigenvalues of the wave operator, not energies; the zero mode
     (k = 0) is retained and handled as a limit by the wave kernels.
     """
-    if not length > 0:
-        raise ValueError("box length must be positive")
-    if n_max < 1:
-        raise ValueError("mode cutoff must be >= 1")
-    m = n_points if n_points is not None else 2 * n_max + 1
-    grid = Grid1D.periodic(length, m)
-    j = np.arange(-n_max, n_max + 1)
-    k = 2 * np.pi * j / length
-    modes = np.exp(1j * np.outer(k, grid.points)) / np.sqrt(length)
+    grid, k, modes = _plane_waves(length, n_max, n_points)
     energies = k**2
     energies, modes, _ = _sort_by_abs_energy(energies, modes)
     return EigenSystem(grid, energies, modes, constants, "helmholtz")

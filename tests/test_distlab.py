@@ -121,8 +121,6 @@ def test_family_validation():
         # the families are checked before the grid is compared with eta
         with pytest.raises(ValueError, match="eta must be positive and finite"):
             derivative_identity_residual("exponential", eta, np.linspace(-1.0, 1.0, 101))
-    with pytest.raises(ValueError, match="straddle"):
-        RegularizedFamily("step", "arctan", 0.1, domain=(1.0, 2.0))
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
@@ -232,7 +230,6 @@ def test_step_transform_deviation_is_order_eta(flavor):
     k = np.array([-2.0, -0.5, 0.5, 2.0])
     rep = regularized_ft(fam, k)
     assert rep["max_deviation"] < 1.05 * eta
-    assert np.isfinite(rep["boundary_term"])
 
 
 def test_step_transform_rejects_zero_k_and_delta_kind():
@@ -241,12 +238,6 @@ def test_step_transform_rejects_zero_k_and_delta_kind():
         regularized_ft(fam, np.array([0.0, 1.0]))
     with pytest.raises(ValueError, match="step family"):
         regularized_ft(RegularizedFamily("delta", "arctan", 1e-2), np.array([1.0]))
-
-
-def test_step_transform_domain_span_check():
-    fam = RegularizedFamily("step", "arctan", 1e-2, domain=(-1.0, 1.0))
-    with pytest.raises(ValueError, match="span"):
-        regularized_ft(fam, np.array([0.1]))
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
@@ -271,8 +262,7 @@ def test_exponential_damping_must_stay_below_decay_rate():
 
 
 def test_exponential_damping_up_to_the_decay_rate():
-    # |k| = 1 sits inside delta_ft_check's |k| <= 1/(10 eta) and keeps the
-    # anti-damped boundary term, of order e^{eta' 50/|k|}, finite
+    # |k| = 1 sits inside delta_ft_check's |k| <= 1/(10 eta)
     eta, k = 0.1, np.array([-1.0, 1.0])
     etap = 0.99 / eta
     s = 1j * k - etap

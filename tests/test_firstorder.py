@@ -4,27 +4,61 @@ import numpy as np
 import pytest
 
 from greenkit import (
+    FreqResponse,
     Kernel,
     SampledFunction,
     TimeWindow,
     auxiliary_kernel,
     build_free_basis,
+    build_helmholtz_basis,
     build_oscillator_basis,
     build_well_basis,
     composition_residual,
+    convolution_response,
+    em_kernel_closed_form,
     free_kernel_closed_form,
     kernel_entry,
+    momentum_response_relativistic,
     oscillator_kernel_closed_form,
     pde_jump_residual,
     propagate,
+    response_from_density,
+    spectral_density,
     step_factor_kernel,
     theta,
+    wave_auxiliary_kernel,
+    wave_step_factor_kernel,
 )
 
 
 def test_theta_half_at_zero():
     assert theta(0.0) == 0.5
     assert np.array_equal(theta(np.array([-1.0, 0.0, 2.0])), [0.0, 0.5, 1.0])
+
+
+def _direction_calls():
+    window = TimeWindow(np.array([-1.0, 0.0, 1.0]))
+    basis = build_well_basis(1.0, 4)
+    aux = auxiliary_kernel(basis, window)
+    wave = wave_auxiliary_kernel(build_helmholtz_basis(2 * np.pi, 4), window)
+    dens = spectral_density(basis, 0, 0)
+    omega = np.linspace(-1.0, 1.0, 5)
+    return {
+        "step_factor_kernel": lambda d: step_factor_kernel(aux, d),
+        "wave_step_factor_kernel": lambda d: wave_step_factor_kernel(wave, d),
+        "response_from_density": lambda d: response_from_density(dens, omega, 0.1, d),
+        "convolution_response": lambda d: convolution_response(dens, omega, 0.1, d),
+        "momentum_response_relativistic": lambda d: momentum_response_relativistic(1.0, omega, 0.1, d),
+        "em_kernel_closed_form": lambda d: em_kernel_closed_form(1.0, 1.0, d),
+        "FreqResponse": lambda d: FreqResponse(omega, np.zeros(5), 0.1, d),
+    }
+
+
+@pytest.mark.parametrize("name", list(_direction_calls()))
+def test_unknown_direction_is_rejected_everywhere(name):
+    """Every retarded/advanced switch goes through the one sign table."""
+    with pytest.raises(ValueError, match="direction"):
+        _direction_calls()[name]("sideways")
 
 
 def test_time_window_validation():

@@ -160,6 +160,28 @@ def test_inverse_transform_confines_retarded_support():
     assert np.all(rt["reference"][tau < 0] == 0)
 
 
+@pytest.mark.parametrize("direction", ["advanced", "feynman"])
+def test_inverse_transform_reference_follows_each_pole(direction):
+    # each pole adds -i s r e^{-i p tau} on s tau > 0, s = +1 below the axis
+    # and -1 above; an advanced response is suppressed for tau > 0, a feynman
+    # one nowhere
+    eta = 0.5
+    omega = np.linspace(-200.0, 200.0, 8001)
+    if direction == "feynman":
+        resp = feynman_combination(1.0, omega, eta)
+    else:
+        resp = momentum_response_relativistic(1.0, omega, eta, direction)
+    tau = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+    rt = inverse_transform_roundtrip(resp, tau)
+    assert rt["mismatch"] < 1e-2
+    if direction == "feynman":
+        assert rt["leakage"] == 0.0
+        assert np.all(rt["reference"] != 0)
+    else:
+        assert rt["leakage"] < 1e-2
+        assert np.all(rt["reference"][tau > 0] == 0)
+
+
 @pytest.mark.parametrize("direction", ["retarded", "advanced"])
 def test_inverse_transform_matches_per_tau_loop(direction):
     eta = 0.5

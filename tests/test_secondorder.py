@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from greenkit import (
+    Kernel,
     PhysicalConstants,
     SourceField,
     TimeWindow,
@@ -211,6 +212,24 @@ def test_field_from_source_requires_retarded_kernel():
     src = SourceField(basis.grid, np.array([0.0, 0.5]), np.ones((2, basis.grid.size), dtype=complex))
     with pytest.raises(ValueError, match="retarded"):
         field_from_source(aux, src, np.array([1.0]))
+
+
+def test_field_from_source_rejects_a_kernel_without_wave_speed():
+    # a kernel built without a wave speed is first order, whatever its basis
+    basis = build_helmholtz_basis(L, 4)
+    t = np.array([0.0, 1.0])
+    kern = Kernel(basis, t, np.ones((2, basis.size)), kind="retarded")
+    assert kern.order == "first"
+    src = SourceField(basis.grid, np.array([0.0, 0.5]), np.ones((2, basis.grid.size), dtype=complex))
+    with pytest.raises(ValueError, match="second-order"):
+        field_from_source(kern, src, np.array([1.0]))
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, np.nan])
+def test_kernel_rejects_bad_wave_speed(c):
+    basis = build_helmholtz_basis(L, 4)
+    with pytest.raises(ValueError, match="wave speed"):
+        Kernel(basis, np.array([0.0]), np.ones((1, basis.size)), wave_speed=c)
 
 
 def test_field_from_source_rejects_lags_past_the_window():
