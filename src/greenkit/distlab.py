@@ -148,9 +148,12 @@ def sokhotski_plemelj(f: SampledFunction, eta: float) -> PrincipalValueResult:
     cancel the leading window dependence.  The residual column is
     |full - (P - i pi f(0))|.
 
-    Each P(n) sums the two contiguous slices of the grid outside the
-    window, so its temporaries are two complex arrays of at most the grid's
-    length (about 51 MB for 1.6M points).
+    Everything runs in real arithmetic on w f viewed once as (Re, Im) float
+    pairs: the full integral is (x r) @ wf - i eta (r @ wf) with r = 1 / (x^2
+    + eta^2), and each P(n) is (1/x) @ wf over the two contiguous slices of
+    the grid outside the window.  No complex division and no complex
+    temporary of the grid's length: the pairs and at most two real arrays of
+    the grid's length (51 MB for 1.6M points).
     """
     if not eta > 0:
         raise ValueError("eta must be positive")
@@ -164,7 +167,11 @@ def sokhotski_plemelj(f: SampledFunction, eta: float) -> PrincipalValueResult:
         raise ValueError("function has not decayed at the domain ends")
     if not x[0] < 0 < x[-1]:
         raise ValueError("grid must straddle x = 0")
-    full = complex(np.sum(w * v / (x + 1j * eta)))
+    wf = (w * v).view(float).reshape(-1, 2)
+    r = 1.0 / (x**2 + eta**2)
+    (a_re, a_im), (b_re, b_im) = (x * r) @ wf, r @ wf
+    # w f (x - i eta) / (x^2 + eta^2), split into real and imaginary parts
+    full = complex(a_re + eta * b_im, a_im - eta * b_re)
     f0 = complex(np.interp(0.0, x, v.real) + 1j * np.interp(0.0, x, v.imag))
 
     spacing = f.grid.spacing
@@ -180,7 +187,7 @@ def sokhotski_plemelj(f: SampledFunction, eta: float) -> PrincipalValueResult:
         # strictly increasing grid
         left = slice(0, max(i0 - n_excl + 1, 0))
         right = slice(i0 + n_excl, None)
-        return complex(sum(np.sum(w[s] * v[s] / x[s]) for s in (left, right)))
+        return complex(*sum((1.0 / x[s]) @ wf[s] for s in (left, right)))
 
     principal = (4 * pv(n1) - pv(2 * n1)) / 3
     delta_part = -1j * np.pi * f0

@@ -114,11 +114,10 @@ def spectral_density(basis: EigenSystem, i: int, j: int, order: str = "first") -
     raise ValueError(f"unknown order {order!r}")
 
 
-# Chunk sizes: few enough rows that a chunk's temporaries stay small (flat
-# peak memory, cache-resident convolution rows), enough that every numpy call
-# still covers many thousand elements.
-_CONV_ROWS = 8  # v values per convolution chunk
-_TAU_ROWS = 2  # |tau| values per inverse-transform chunk
+# v values per convolution chunk: few enough rows that a chunk's temporaries
+# stay small (flat peak memory, cache-resident rows), enough that every numpy
+# call still covers many thousand elements.
+_CONV_ROWS = 8
 
 
 def _shifted_poles(omegas, residues, eta: float, direction: str) -> tuple:
@@ -208,8 +207,8 @@ def convolution_response(
         j_vals[lo:lo + _CONV_ROWS] = np.vecdot(g, d) - 1j * sgn * eta_k * g.sum(axis=1)
     j_vals *= eta_b / (2 * np.pi)
     vals = j_vals.reshape(omega.size, density.omegas.size) @ density.weights
-    ref = response_from_density(density, omega, eta, direction)
-    return FreqResponse(omega, vals, eta, direction, ref.poles)
+    poles = _shifted_poles(density.omegas, density.weights, eta, direction)
+    return FreqResponse(omega, vals, eta, direction, poles)
 
 
 def momentum_response_relativistic(
@@ -264,11 +263,17 @@ def inverse_transform_roundtrip(response: FreqResponse, tau: np.ndarray) -> dict
     the worst mismatch on the supported side and the worst leakage on the
     suppressed side (relative to the peak).
 
-    The sums run as real matrix products: cos(omega |tau|) and
-    sin(omega |tau|) rows for _TAU_ROWS distinct |tau| at a time against
-    [Re, Im] of the weighted response, which gives both g(|tau|) and
-    g(-|tau|).  A chunk's temporaries are 32 B per omega sample and |tau|
-    (10 MB for a 320k-sample grid).
+    The grid sum factors in two levels.  On a uniform grid omega_k = omega_0
+    + k h, write k = q b + r with b = ceil(sqrt(n)): then e^{-i omega_k tau}
+    = A_q(tau) R_r(tau), A_q = e^{-i omega_{qb} tau}, R_r = e^{-i r h tau}.
+    The weighted response, zero-padded to a (q, b) array W, gives g(|tau|)
+    = sum_q A_q (W @ R)_q and g(-|tau|) = conj(sum_q A_q (conj(W) @ R)_q),
+    with one column per distinct |tau|: about 2 sqrt(n) exponentials per
+    |tau| instead of n cosines and n sines.  A grid that is not uniform to a
+    few ulps of max|omega| takes b = 1, where A is the per-sample phase and
+    R = 1.  The temporaries are the padded (q, b) copy and its conjugate
+    (10 MB for a 320k-sample grid), plus (n, |tau| count) complex products
+    when b = 1.
     """
     if not response.poles:
         raise ValueError("roundtrip needs the pole inventory")
@@ -284,22 +289,23 @@ def inverse_transform_roundtrip(response: FreqResponse, tau: np.ndarray) -> dict
         )
     tau = np.asarray(tau, dtype=float)
     weighted = np.gradient(om) * response.values / (2 * np.pi)
-    w_ri = np.stack([weighted.real, weighted.imag], axis=1)
+    n = om.size
+    h = (om[-1] - om[0]) / (n - 1)
+    # the factored phase of node q b + r is omega_{qb} tau + r h tau, off the
+    # node's own phase by at most 2 |tau| max|omega - ideal grid|; Grid1D's
+    # ulp scale keeps that at the round-off of omega tau itself
+    off_grid = np.max(np.abs(om - (om[0] + h * np.arange(n))))
+    uniform = off_grid <= 8 * np.finfo(float).eps * np.max(np.abs(om))
+    b = int(np.ceil(np.sqrt(n))) if uniform else 1
+    w_qb = np.pad(weighted, (0, -n % b)).reshape(-1, b)
     # e^{-i omega (-t)} = conj(e^{-i omega t}) for real omega and t, so one
-    # cos/sin pair per distinct |tau| serves both signs
+    # set of phases per distinct |tau| serves both signs
     mags, which = np.unique(np.abs(tau), return_inverse=True)
-    sums = np.empty((mags.size, 2, 2))
-    trig = np.empty((min(_TAU_ROWS, mags.size), 2, om.size))
-    for lo in range(0, mags.size, _TAU_ROWS):
-        chunk = mags[lo:lo + _TAU_ROWS]
-        cs = trig[:chunk.size]
-        np.multiply(chunk[:, None], om, out=cs[:, 1])
-        np.cos(cs[:, 1], out=cs[:, 0])
-        np.sin(cs[:, 1], out=cs[:, 1])
-        sums[lo:lo + chunk.size] = (cs.reshape(-1, om.size) @ w_ri).reshape(-1, 2, 2)
-    (c_re, c_im), (s_re, s_im) = sums[which].transpose(1, 2, 0)
-    side = np.where(tau < 0, -1.0, 1.0)
-    g_tau = (c_re + side * s_im) + 1j * (c_im - side * s_re)
+    r_phase = np.exp(-1j * h * np.arange(b)[:, None] * mags)
+    a_phase = np.exp(-1j * om[::b, None] * mags)
+    g_pos = np.sum(a_phase * (w_qb @ r_phase), axis=0)
+    g_neg = np.conj(np.sum(a_phase * (w_qb.conj() @ r_phase), axis=0))
+    g_tau = np.where(tau < 0, g_neg[which], g_pos[which])
     ref = np.zeros(tau.size, dtype=complex)
     for p, r in response.poles:
         s = 1 if p.imag < 0 else -1

@@ -124,14 +124,22 @@ def _sort_by_abs_energy(energies, modes, branches=None):
 
 def _plane_waves(length: float, n_max: int, n_points: int | None) -> tuple:
     """(grid, k, e^{ikx}/sqrt(L)) on the periodic box, k = 2 pi j / L for
-    |j| <= n_max, one wave per row, with the builders' shared checks."""
+    |j| <= n_max, one wave per row, with the builders' shared checks.
+
+    On the m-point grid x_l = l L / m the phase k x_l is 2 pi j l / m, so
+    each wave is read off the m-th roots of unity at the exact integer index
+    (j l) mod m: m exponentials of arguments below 2 pi, instead of one per
+    (mode, point) pair at arguments up to 2 pi n_max.
+    """
     if not length > 0:
         raise ValueError("box length must be positive")
     if n_max < 1:
         raise ValueError("mode cutoff must be >= 1")
-    grid = Grid1D.periodic(length, n_points if n_points is not None else 2 * n_max + 1)
-    k = 2 * np.pi * np.arange(-n_max, n_max + 1) / length
-    return grid, k, np.exp(1j * np.outer(k, grid.points)) / np.sqrt(length)
+    m = n_points if n_points is not None else 2 * n_max + 1
+    grid = Grid1D.periodic(length, m)
+    j = np.arange(-n_max, n_max + 1)
+    roots = np.exp(2j * np.pi * np.arange(m) / m) / np.sqrt(length)
+    return grid, 2 * np.pi * j / length, roots[np.outer(j, np.arange(m)) % m]
 
 
 def _relativistic_energy(k, constants: PhysicalConstants):

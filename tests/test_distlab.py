@@ -192,6 +192,9 @@ def _principal_loop(f, eta):
         (Grid1D.uniform(-16.0, 16.0, 2**16), 0.3, 1e-3, False),
         # the exclusion window runs past the left end of the grid
         (Grid1D.uniform(-0.01, 19.99, 2001), 5.0, 1.0, True),
+        # a complex center makes f complex, e^{1/4} e^{-4(x-0.3)^2} e^{2i(x-0.3)},
+        # so a swap of the real and imaginary parts shows
+        (Grid1D.uniform(-16.0, 16.0, 2**16 + 1), 0.3 + 0.25j, 1e-3, True),
     ],
 )
 def test_principal_part_matches_masked_loop(grid, center, eta, has_zero):
@@ -200,6 +203,9 @@ def test_principal_part_matches_masked_loop(grid, center, eta, has_zero):
     res = sokhotski_plemelj(f, eta)
     ref = _principal_loop(f, eta)
     assert abs(res.principal - ref) <= 1e-12 * abs(ref)
+    x, w, v = grid.points, grid.weights, f.values
+    direct = np.sum(w * v / (x + 1j * eta))
+    assert abs(res.full_integral - direct) <= 1e-12 * abs(direct)
 
 
 def test_import_greenkit_defers_scipy():

@@ -182,12 +182,33 @@ def test_inverse_transform_reference_follows_each_pole(direction):
         assert np.all(rt["reference"][tau > 0] == 0)
 
 
-@pytest.mark.parametrize("direction", ["retarded", "advanced"])
-def test_inverse_transform_matches_per_tau_loop(direction):
+def _roundtrip_grid(kind):
+    if kind == "sinh":
+        # non-uniform, densest near the poles at +-sqrt(2)
+        return 200.0 * np.sinh(np.linspace(-4.0, 4.0, 6001)) / np.sinh(4.0)
+    # uniform: 6001 samples are not a multiple of the block length 78, so
+    # the last block is zero-padded
+    omega = np.linspace(-200.0, 200.0, 6001)
+    if kind == "nudged":
+        # one node off the ideal grid, next to the pole at +sqrt(2), where
+        # the factored phase would miss the loop by about 1e-10
+        omega[3021] += 1e-9
+    return omega
+
+
+@pytest.mark.parametrize(
+    "direction, grid",
+    [
+        pytest.param("retarded", "sinh", id="retarded"),
+        pytest.param("advanced", "sinh", id="advanced"),
+        pytest.param("retarded", "padded", id="retarded-padded"),
+        pytest.param("advanced", "padded", id="advanced-padded"),
+        pytest.param("retarded", "nudged", id="retarded-nudged"),
+    ],
+)
+def test_inverse_transform_matches_per_tau_loop(direction, grid):
     eta = 0.5
-    # non-uniform grid, densest near the poles at +-sqrt(2)
-    omega = 200.0 * np.sinh(np.linspace(-4.0, 4.0, 6001)) / np.sinh(4.0)
-    resp = momentum_response_relativistic(1.0, omega, eta, direction)
+    resp = momentum_response_relativistic(1.0, _roundtrip_grid(grid), eta, direction)
     # tau = 0, a +-0.5 pair, and unpaired values on either side
     tau = np.array([0.0, 0.5, -0.5, 1.25, -2.0, 3.0])
     rt = inverse_transform_roundtrip(resp, tau)

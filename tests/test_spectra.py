@@ -16,6 +16,7 @@ from greenkit import (
     project_state,
     reconstruct,
 )
+from greenkit.spectra import _plane_waves
 
 
 def test_constants_positivity():
@@ -47,6 +48,24 @@ def test_free_basis_complete_on_default_grid():
     assert completeness_residual(basis) < 1e-12
     k1 = 2 * np.pi / 10.0
     assert np.isclose(sorted(basis.energies)[1], k1**2 / 2)
+
+
+@pytest.mark.parametrize(
+    "length, n_max, n_points",
+    [(40.0, 512, None), (7.3, 6, 40), (7.3, 20, 13)],  # default, finer, aliased grid
+)
+def test_plane_waves_match_the_exponential(length, n_max, n_points):
+    grid, k, modes = _plane_waves(length, n_max, n_points)
+    phase = np.outer(k, grid.points)
+    direct = np.exp(1j * phase) / np.sqrt(length)
+    # the direct form's own phase round-off grows with |k x|
+    assert np.max(np.abs(modes - direct)) <= 64 * np.finfo(float).eps * np.max(np.abs(phase))
+
+
+def test_large_free_basis_is_complete_to_round_off():
+    basis = build_free_basis(40.0, 512)
+    assert completeness_residual(basis) <= 1e-14
+    assert orthonormality_residual(basis) <= 1e-14
 
 
 def test_oscillator_gauss_grid_complete():
