@@ -193,7 +193,7 @@ def _principal_loop(f, eta):
         # the exclusion window runs past the left end of the grid
         (Grid1D.uniform(-0.01, 19.99, 2001), 5.0, 1.0, True),
         # a complex center makes f complex, e^{1/4} e^{-4(x-0.3)^2} e^{2i(x-0.3)},
-        # so a swap of the real and imaginary parts shows
+        # so a sign or conjugation slip between the real and imaginary parts shows
         (Grid1D.uniform(-16.0, 16.0, 2**16 + 1), 0.3 + 0.25j, 1e-3, True),
     ],
 )

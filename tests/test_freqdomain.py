@@ -191,7 +191,7 @@ def _roundtrip_grid(kind):
     omega = np.linspace(-200.0, 200.0, 6001)
     if kind == "nudged":
         # one node off the ideal grid, next to the pole at +sqrt(2), where
-        # the factored phase would miss the loop by about 1e-10
+        # the factored phase would miss the loop by about 7e-11
         omega[3021] += 1e-9
     return omega
 
