@@ -17,7 +17,16 @@ from functools import cached_property
 import numpy as np
 
 from .grid import SampledFunction
-from .spectra import Coefficients, EigenSystem, PhysicalConstants, mode_blocks, project_state, reconstruct
+from .spectra import (
+    STRUCTURED_MODELS,
+    Coefficients,
+    EigenSystem,
+    PhysicalConstants,
+    column_max_norm,
+    mode_blocks,
+    project_state,
+    reconstruct,
+)
 
 __all__ = [
     "TimeWindow",
@@ -135,19 +144,21 @@ class Kernel:
         return "first" if self.wave_speed is None else "second"
 
     def _blocks(self, amplitudes: np.ndarray) -> np.ndarray:
-        blocks = mode_blocks(self.basis, amplitudes, self.modes)
-        if self.convention == "minus-i":
-            blocks *= -1j
-        return blocks
+        return mode_blocks(self.basis, amplitudes, self.modes, -1j if self.convention == "minus-i" else 1)
 
     @cached_property
     def values(self) -> np.ndarray:
-        """Dense (nt, m, m) blocks, built on first access and then kept."""
+        """Read-only (nt, m, m) blocks, built on first access and then kept.
+
+        On periodic bases they are a zero-copy view over the nt circulant
+        generating rows (O(nt m) memory); on the well and the oscillator they
+        are dense.
+        """
         return self._blocks(self.amplitudes)
 
     def at(self, tau: float) -> np.ndarray:
-        """Block at the time sample closest to tau (must match closely); builds
-        that one block only."""
+        """Read-only block at the time sample closest to tau (must match
+        closely); builds that one block only."""
         i = int(np.argmin(np.abs(self.times - tau)))
         if abs(self.times[i] - tau) > 1e-9 * max(1.0, abs(tau)):
             raise ValueError(f"tau={tau} is not a stored time sample")
@@ -228,6 +239,13 @@ def composition_residual(kernel: Kernel, tau1: float, tau2: float) -> float:
     The composition o is the quadrature-weighted spatial contraction; the
     auxiliary phase sum is evaluated in the eq24-consistent convention,
     where phase additivity makes the residual vanish on complete grids.
+
+    On periodic and well bases every block, and so the residual, lies in the
+    basis algebra (circulant, or Toeplitz minus Hankel: a sine mode past m
+    aliases onto +- a retained one, and the weights are uniform), so the
+    residual's first column, one O(m^2) matrix-vector product, fixes its
+    max-norm.  The oscillator has no grid algebra and forms the dense
+    O(m^3) product.
     """
     if tau1 < 0 or tau2 < 0:
         raise ValueError("split times must be non-negative")
@@ -236,8 +254,10 @@ def composition_residual(kernel: Kernel, tau1: float, tau2: float) -> float:
     basis = kernel.basis
     taus = np.array([tau1 + tau2, tau1, tau2])
     lhs, k1, k2 = mode_blocks(basis, _phase_weights(basis, taus[:, None]))
-    rhs = k1 @ (basis.grid.weights[:, None] * k2)
-    return float(np.max(np.abs(lhs - rhs)))
+    w = basis.grid.weights
+    if basis.model not in STRUCTURED_MODELS:
+        return float(np.max(np.abs(lhs - k1 @ (w[:, None] * k2))))
+    return column_max_norm(basis, lhs[:, 0] - k1 @ (w * k2[:, 0]))
 
 
 def free_kernel_closed_form(
@@ -302,7 +322,7 @@ def pde_jump_residual(basis: EigenSystem, convention: str, dtau: float) -> float
     w = basis.grid.weights
     pref = -1j if convention == "minus-i" else 1.0
     amps = np.stack([_phase_weights(basis, dtau), _phase_weights(basis, 0.0) * basis.energies])
-    k_dtau, h_k0 = pref * mode_blocks(basis, amps)
+    k_dtau, h_k0 = mode_blocks(basis, amps, factor=pref)
     # G^R(+dtau) = K(+dtau), G^R(-dtau) = 0, G^R(0) = K(0)/2
     ddt = k_dtau / (2 * dtau)
     h_term = h_k0 / 2

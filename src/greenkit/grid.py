@@ -9,6 +9,7 @@ checkable as exact finite linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,9 +72,10 @@ class Grid1D:
     def size(self) -> int:
         return self.points.size
 
-    @property
+    @cached_property
     def spacing(self) -> float:
-        """Mean point spacing (exact for uniform/periodic kinds)."""
+        """Mean point spacing (exact for uniform/periodic kinds), computed
+        once."""
         return float(np.diff(self.points).mean())
 
     @classmethod

@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from greenkit import (
     FreqResponse,
     Kernel,
+    PhysicalConstants,
     SampledFunction,
     TimeWindow,
     auxiliary_kernel,
     build_free_basis,
     build_helmholtz_basis,
     build_oscillator_basis,
+    build_relativistic_branches,
     build_well_basis,
     composition_residual,
     convolution_response,
@@ -29,6 +32,7 @@ from greenkit import (
     wave_auxiliary_kernel,
     wave_step_factor_kernel,
 )
+from greenkit.spectra import mode_sum
 
 
 def test_theta_half_at_zero():
@@ -175,12 +179,121 @@ def test_oscillator_closed_form_rejects_caustics():
         oscillator_kernel_closed_form(0.1, 0.2, np.pi)
 
 
+FIRST_ORDER_BASES = {
+    "free": lambda: build_free_basis(10.0, 8),
+    "well": lambda: build_well_basis(1.0, 8),
+    "oscillator": lambda: build_oscillator_basis(n_max=12, grid_kind="gauss"),
+    "relativistic": lambda: build_relativistic_branches(PhysicalConstants(), 4, 10.0),
+}
+
+
 def test_minus_i_convention_is_exact_global_factor():
-    basis = build_well_basis(1.0, 8)
     window = TimeWindow(np.linspace(-0.5, 0.5, 5))
-    ref = auxiliary_kernel(basis, window, convention="eq24")
-    alt = auxiliary_kernel(basis, window, convention="minus-i")
-    assert np.array_equal(alt.values, -1j * ref.values)
+    for build in FIRST_ORDER_BASES.values():
+        basis = build()
+        ref = auxiliary_kernel(basis, window, convention="eq24")
+        alt = auxiliary_kernel(basis, window, convention="minus-i")
+        assert np.array_equal(alt.values, -1j * ref.values)
+        assert np.array_equal(alt.at(0.25), -1j * ref.at(0.25))
+
+
+@pytest.mark.parametrize("model", [*FIRST_ORDER_BASES, "helmholtz"])
+def test_kernel_blocks_are_read_only(model):
+    window = TimeWindow(np.linspace(-0.5, 0.5, 5))
+    if model == "helmholtz":
+        kernels = [wave_auxiliary_kernel(build_helmholtz_basis(10.0, 8), window)]
+    else:
+        basis = FIRST_ORDER_BASES[model]()
+        kernels = [auxiliary_kernel(basis, window, convention=c) for c in ("eq24", "minus-i")]
+    for kern in kernels:
+        for blocks in (kern.values, kern.at(0.25)):
+            with pytest.raises(ValueError, match="read-only"):
+                blocks[0, 0] = 1.0
+
+
+def _copied_circulant_blocks(basis, amplitudes, index):
+    """The circulant builder mode_blocks used before its blocks became views:
+    each block copied out of sliding windows over the wrapped generating row."""
+    m = basis.grid.size
+    modes = basis.mode_values[index]
+    out = np.zeros((amplitudes.shape[0], m, m), dtype=complex)
+    live = np.flatnonzero(np.any(amplitudes != 0, axis=1))
+    gen = (amplitudes[live] * np.conj(modes[:, 0])) @ modes
+    wrapped = np.concatenate([gen[:, ::-1], gen[:, :0:-1]], axis=1)
+    for k, w in zip(live, wrapped):
+        out[k] = sliding_window_view(w, m)[::-1]
+    return out
+
+
+def _owner(array):
+    """The array that owns the memory a view reads."""
+    while not (isinstance(array, np.ndarray) and array.flags.owndata):
+        array = array.base
+    return array
+
+
+@pytest.mark.parametrize("model", ["free", "relativistic", "helmholtz"])
+def test_periodic_values_are_an_exact_zero_copy_view(model):
+    window = TimeWindow(np.linspace(-1.0, 1.0, 9))
+    if model == "helmholtz":
+        kern = wave_step_factor_kernel(wave_auxiliary_kernel(build_helmholtz_basis(10.0, 8), window), "retarded")
+        kernels = [kern]
+    else:
+        aux = auxiliary_kernel(FIRST_ORDER_BASES[model](), window, convention="minus-i")
+        kernels = [step_factor_kernel(auxiliary_kernel(aux.basis, window), "retarded"), aux]
+    for kern in kernels:
+        ref = _copied_circulant_blocks(kern.basis, kern.amplitudes, kern.modes)
+        if kern.convention == "minus-i":
+            ref *= -1j
+        nt, m = kern.times.size, kern.basis.grid.size
+        assert np.array_equal(kern.values, ref)
+        assert kern.values.nbytes == ref.nbytes
+        assert _owner(kern.values).nbytes == nt * (2 * m - 1) * 16
+
+
+def _dense_composition_residual(kernel, tau1, tau2):
+    """The dense residual composition_residual formed before its structured
+    paths: three mode sums and their O(m^3) product."""
+    basis = kernel.basis
+    taus = np.array([tau1 + tau2, tau1, tau2])
+    phases = np.exp(-1j * basis.energies * taus[:, None] / basis.constants.hbar)
+    lhs, k1, k2 = mode_sum(basis.mode_values, phases)
+    residual = float(np.max(np.abs(lhs - k1 @ (basis.grid.weights[:, None] * k2))))
+    return residual, float(np.max(np.abs(lhs)))
+
+
+COMPOSITION_CASES = {  # basis, complete (residual at round-off) or not (O(1))
+    "free": (lambda: build_free_basis(10.0, 16), True),
+    "free-finer-grid": (lambda: build_free_basis(10.0, 8, n_points=24), True),
+    "free-aliased": (lambda: build_free_basis(10.0, 8, n_points=12), False),
+    "relativistic": (lambda: build_relativistic_branches(PhysicalConstants(), 6, 10.0), False),
+    "helmholtz": (lambda: build_helmholtz_basis(10.0, 8), True),
+    "well": (lambda: build_well_basis(1.0, 16), True),
+    "well-finer-grid": (lambda: build_well_basis(1.0, 8, n_points=20), True),
+    "well-aliased": (lambda: build_well_basis(1.0, 20, n_points=8), False),
+    "oscillator": (lambda: build_oscillator_basis(n_max=24, grid_kind="gauss"), True),
+}
+
+
+@pytest.mark.parametrize("case", COMPOSITION_CASES)
+def test_structured_composition_matches_dense_product(case):
+    build, complete = COMPOSITION_CASES[case]
+    basis = build()
+    window = TimeWindow(np.linspace(0.0, 2.0, 5))
+    kern = (wave_auxiliary_kernel if basis.model == "helmholtz" else auxiliary_kernel)(basis, window)
+    rng = np.random.default_rng(3)
+    for tau1, tau2 in rng.uniform(0.05, 0.95, (3, 2)):
+        got = composition_residual(kern, tau1, tau2)
+        ref, scale = _dense_composition_residual(kern, tau1, tau2)
+        if basis.model == "oscillator":  # no grid algebra: the dense product itself
+            assert got == ref
+        elif complete:
+            assert ref < 1e-10
+            # both are round-off of m-term sums of entries up to `scale`
+            assert abs(got - ref) <= 32 * basis.grid.size * np.finfo(float).eps * scale
+        else:
+            assert ref > 0.1
+            assert abs(got - ref) <= 1e-12 * ref
 
 
 def test_jump_residual_separates_conventions():

@@ -67,6 +67,8 @@ def test_large_linspace_passes_uniformity_check():
 def test_spacing_property():
     g = Grid1D.uniform(0.0, 1.0, 11)
     assert np.isclose(g.spacing, 0.1)
+    assert g.spacing == float(np.diff(g.points).mean())
+    assert "spacing" in vars(g)  # computed once, then kept
 
 
 def test_index_of():

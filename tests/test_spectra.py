@@ -16,7 +16,7 @@ from greenkit import (
     project_state,
     reconstruct,
 )
-from greenkit.spectra import _plane_waves
+from greenkit.spectra import _plane_waves, column_max_norm, delta_residual, mode_blocks
 
 
 def test_constants_positivity():
@@ -66,6 +66,47 @@ def test_large_free_basis_is_complete_to_round_off():
     basis = build_free_basis(40.0, 512)
     assert completeness_residual(basis) <= 1e-14
     assert orthonormality_residual(basis) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_free_basis(10.0, 8),
+        lambda: build_free_basis(10.0, 8, n_points=24),
+        lambda: build_free_basis(10.0, 8, n_points=12),
+        lambda: build_relativistic_branches(PhysicalConstants(), 6, 10.0),
+        lambda: build_helmholtz_basis(10.0, 8),
+    ],
+)
+def test_periodic_completeness_residual_reads_the_generating_column(build):
+    basis = build()
+    dense = np.array(mode_blocks(basis, np.ones(basis.size)))
+    assert completeness_residual(basis) == delta_residual(dense, basis.grid.weights)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_well_basis(1.0, 2),
+        lambda: build_well_basis(1.0, 9),
+        lambda: build_well_basis(1.0, 6, n_points=11),
+        lambda: build_well_basis(1.0, 30, n_points=7),
+        lambda: build_free_basis(10.0, 5),
+        lambda: build_relativistic_branches(PhysicalConstants(), 4, 10.0, n_points=6),
+    ],
+)
+def test_column_max_norm_is_the_block_max(build):
+    basis = build()
+    rng = np.random.default_rng(5)
+    for a in rng.normal(size=(4, basis.size)) + 1j * rng.normal(size=(4, basis.size)):
+        block = mode_blocks(basis, a)
+        expect = np.max(np.abs(block))
+        assert abs(column_max_norm(basis, block[:, 0]) - expect) <= 1e-13 * expect
+
+
+def test_column_max_norm_needs_a_block_algebra():
+    with pytest.raises(ValueError, match="oscillator"):
+        column_max_norm(build_oscillator_basis(n_max=4, grid_kind="gauss"), np.ones(4))
 
 
 def test_oscillator_gauss_grid_complete():
