@@ -236,8 +236,7 @@ def _owner(array):
 def test_periodic_values_are_an_exact_zero_copy_view(model):
     window = TimeWindow(np.linspace(-1.0, 1.0, 9))
     if model == "helmholtz":
-        kern = wave_step_factor_kernel(wave_auxiliary_kernel(build_helmholtz_basis(10.0, 8), window), "retarded")
-        kernels = [kern]
+        kernels = [wave_step_factor_kernel(wave_auxiliary_kernel(build_helmholtz_basis(10.0, 8), window), "retarded")]
     else:
         aux = auxiliary_kernel(FIRST_ORDER_BASES[model](), window, convention="minus-i")
         kernels = [step_factor_kernel(auxiliary_kernel(aux.basis, window), "retarded"), aux]
