@@ -150,9 +150,9 @@ class Kernel:
     def values(self) -> np.ndarray:
         """Read-only (nt, m, m) blocks, built on first access and then kept.
 
-        On periodic bases they are a zero-copy view over the nt circulant
-        generating rows (O(nt m) memory); on the well and the oscillator they
-        are dense.
+        On periodic bases they are a zero-copy view over the nt first
+        columns (O(nt m) memory); on the well and the oscillator they are
+        dense.
         """
         return self._blocks(self.amplitudes)
 
@@ -242,8 +242,9 @@ def composition_residual(kernel: Kernel, tau1: float, tau2: float) -> float:
 
     On periodic and well bases every block, and so the residual, lies in the
     basis algebra (circulant, or Toeplitz minus Hankel: a sine mode past m
-    aliases onto +- a retained one, and the weights are uniform), so the
-    residual's first column, one O(m^2) matrix-vector product, fixes its
+    aliases onto +- a retained one, and the weights are uniform), where a
+    block is rebuilt from its first column.  The residual's first column is
+    one O(m^2) matrix-vector product, and column_max_norm turns it into the
     max-norm.  The oscillator has no grid algebra and forms the dense
     O(m^3) product.
     """
@@ -321,10 +322,10 @@ def pde_jump_residual(basis: EigenSystem, convention: str, dtau: float) -> float
     hbar = basis.constants.hbar
     w = basis.grid.weights
     pref = -1j if convention == "minus-i" else 1.0
-    amps = np.stack([_phase_weights(basis, dtau), _phase_weights(basis, 0.0) * basis.energies])
-    k_dtau, h_k0 = mode_blocks(basis, amps, factor=pref)
-    # G^R(+dtau) = K(+dtau), G^R(-dtau) = 0, G^R(0) = K(0)/2
-    ddt = k_dtau / (2 * dtau)
-    h_term = h_k0 / 2
+    # G^R(+dtau) = K(+dtau), G^R(-dtau) = 0, G^R(0) = K(0)/2, so the
+    # operator i hbar d/dtau - H acts on each mode's amplitude as
+    # i hbar e^{-i E dtau / hbar} / (2 dtau) - E / 2: one block
+    amps = 1j * hbar * _phase_weights(basis, dtau) / (2 * dtau) - basis.energies / 2
+    lhs = mode_blocks(basis, amps, factor=pref)
     rhs = 1j * hbar * np.diag(1.0 / w) / (2 * dtau)
-    return float(np.max(np.abs(1j * hbar * ddt - h_term - rhs)))
+    return float(np.max(np.abs(lhs - rhs)))

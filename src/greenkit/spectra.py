@@ -42,8 +42,8 @@ class PhysicalConstants:
 
     def __post_init__(self):
         for name in ("hbar", "c", "mass", "omega", "epsilon0"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,11 @@ class EigenSystem:
     multiple of 2 pi / L on the periodic grid of period L, so every mode sum
     is circulant.  "well" promises the sine modes sqrt(2/a) sin(n pi x / a),
     n = 1, 2, ... in row order, on the open-interval grid of (0, a), so every
-    mode sum is Toeplitz minus Hankel.  Any other model ("oscillator") has no
-    such grid algebra and stays dense: its mode sums are full (m, m) blocks
-    and composition_residual forms their O(m^3) product.
+    mode sum is Toeplitz minus Hankel.  Either way a block is fixed by its
+    first column, and mode_blocks rebuilds every block from that column.  Any
+    other model ("oscillator") has no such grid algebra and stays dense: its
+    mode sums are full (m, m) blocks and composition_residual forms their
+    O(m^3) product.
     """
 
     grid: Grid1D
@@ -324,28 +326,49 @@ PERIODIC_MODELS = ("free", "relativistic", "helmholtz")
 STRUCTURED_MODELS = PERIODIC_MODELS + ("well",)
 
 
-def _circulant_view(gen: np.ndarray) -> np.ndarray:
-    """Read-only (k, m, m) view with block[i, j] = gen[k, (i - j) mod m].
+def _first_columns(basis: EigenSystem, rows: np.ndarray, index=slice(None)) -> np.ndarray:
+    """(k, m) first columns c[i] = sum_n phi_n(x_i) a_n phi_n*(x_0) of the mode
+    sums over basis.mode_values[index], one (k, n) x (n, m) product; rows of
+    all-zero amplitudes give exact zero columns."""
+    live = np.flatnonzero(np.any(rows != 0, axis=1))
+    modes = basis.mode_values[index]
+    columns = np.zeros((rows.shape[0], basis.grid.size), dtype=complex)
+    columns[live] = (rows[live] * np.conj(modes[:, 0])) @ modes
+    return columns
 
-    Row i of a block is the window of the reversed, wrapped generating row
-    that starts at m - 1 - i, so block[i, j] = wrapped[k, m - 1 - i + j]:
-    strides (row, -item, +item) over the (k, 2m - 1) wrapped rows, which are
-    the only memory the blocks hold.
+
+def _column_blocks(basis: EigenSystem, columns: np.ndarray) -> np.ndarray:
+    """Read-only (k, m, m) blocks of the basis algebra from their (k, m) first
+    columns c (see EigenSystem for the structure each model promises).
+
+    Periodic plane waves give the circulant block[i, j] = c[(i - j) mod m].
+    Row i of a block is the window of the reversed, wrapped column that
+    starts at m - 1 - i, so block[i, j] = wrapped[k, m - 1 - i + j]: a
+    zero-copy view with strides (row, -item, +item) over the (k, 2m - 1)
+    wrapped columns, which are the only memory the blocks hold.
+
+    The well's sine modes give the Toeplitz minus Hankel
+    block[i, j] = g[|i - j|] - g[i + j + 2] with
+    g[d] = (1/a) sum_n a_n cos(n pi d / (m + 1)), so c[i] = g[i] - g[i + 2]
+    fixes g up to one constant per index parity, and those constants cancel
+    in the block because |i - j| and i + j + 2 share a parity: g comes from a
+    reverse cumulative sum over each parity with g[m] = g[m + 1] = 0, and is
+    extended by the mirror g[d] = g[2m + 2 - d].
     """
-    m = gen.shape[1]
-    wrapped = np.concatenate([gen[:, ::-1], gen[:, :0:-1]], axis=1)
-    row, item = wrapped.strides
-    return as_strided(wrapped[:, m - 1:], (gen.shape[0], m, m), (row, -item, item), writeable=False)
-
-
-def _sine_blocks(g: np.ndarray) -> np.ndarray:
-    """(k, m, m) blocks block[i, j] = g[k, |i - j|] - g[k, i + j + 2] from the
-    (k, 2m + 1) rows g[d], d = 0..2m."""
-    m = (g.shape[1] - 1) // 2
-    out = np.empty((g.shape[0], m, m), dtype=complex)
+    k, m = columns.shape
+    if basis.model in PERIODIC_MODELS:
+        wrapped = np.concatenate([columns[:, ::-1], columns[:, :0:-1]], axis=1)
+        row, item = wrapped.strides
+        return as_strided(wrapped[:, m - 1:], (k, m, m), (row, -item, item), writeable=False)
+    g = np.zeros((k, 2 * m + 1), dtype=complex)
+    for p in (0, 1):
+        g[:, p:m:2] = np.cumsum(columns[:, p::2][:, ::-1], axis=1)[:, ::-1]
+    g[:, m + 2:] = g[:, m:1:-1]
+    out = np.empty((k, m, m), dtype=complex)
     toeplitz = np.concatenate([g[:, m - 1:0:-1], g[:, :m]], axis=1)  # g[|p - (m - 1)|]
     for o, t, h in zip(out, toeplitz, g[:, 2:]):
         np.subtract(sliding_window_view(t, m)[::-1], sliding_window_view(h, m), out=o)
+    out.flags.writeable = False
     return out
 
 
@@ -353,39 +376,22 @@ def mode_blocks(basis: EigenSystem, amplitudes: np.ndarray, index=slice(None), f
     """factor * mode_sum over basis.mode_values[index], built from the basis
     structure, returned read-only.
 
-    Each block comes from one generating row, O(m^2) per block instead of
-    O(m^2 n) (see EigenSystem for the structure each model promises):
-    periodic plane waves give the circulant block[i, j] = c[(i - j) mod m]
-    with c[d] = block[d, 0], returned as a zero-copy view over the generating
-    rows (O(k m) memory for k blocks); the well's sine modes give
-    block[i, j] = g[|i - j|] - g[i + j + 2] with
-    g[d] = (1/a) sum_n a_n cos(n pi d / (m + 1)).  Other models use mode_sum.
-    factor scales the generating rows (or the dense blocks), so every entry
-    is exactly factor times its unscaled value.  Rows of all-zero amplitudes
-    give exact zero blocks.
+    On periodic and well bases every block is rebuilt from its first column
+    c[i] = block[i, 0], one (k, n) x (n, m) product for all k blocks, in
+    O(m^2) per block instead of O(m^2 n): a zero-copy circulant view on
+    periodic bases, Toeplitz minus Hankel on the well (_column_blocks).
+    Other models use mode_sum.  factor scales the columns (or the dense
+    blocks), so every entry is exactly factor times its unscaled value.  Rows
+    of all-zero amplitudes give exact zero blocks.
     """
     rows = np.atleast_2d(amplitudes)
-    m = basis.grid.size
-    live = np.flatnonzero(np.any(rows != 0, axis=1))
-    modes = basis.mode_values[index]
-    if basis.model in PERIODIC_MODELS:
-        gen = np.zeros((rows.shape[0], m), dtype=complex)
-        gen[live] = (rows[live] * np.conj(modes[:, 0])) @ modes
-        out = _circulant_view(gen if factor == 1 else factor * gen)
+    if basis.model in STRUCTURED_MODELS:
+        columns = _first_columns(basis, rows, index)
+        out = _column_blocks(basis, columns if factor == 1 else factor * columns)
     else:
-        if basis.model == "well":
-            n = np.arange(1, basis.size + 1)[index]
-            width = (m + 1) * basis.grid.weights[0]
-            # n d reduced mod 2(m + 1) keeps the cosine arguments below 2 pi
-            # and reads each cosine off a table of its 2(m + 1) values
-            cosines = np.cos(np.pi / (m + 1) * np.arange(2 * m + 2))
-            d = np.arange(2 * m + 1)
-            g = np.zeros((rows.shape[0], 2 * m + 1), dtype=complex)
-            g[live] = rows[live] @ cosines[np.outer(n, d) % (2 * m + 2)] / width
-            out = _sine_blocks(g)
-        else:
-            out = np.zeros((rows.shape[0], m, m), dtype=complex)
-            out[live] = mode_sum(modes, rows[live])
+        live = np.flatnonzero(np.any(rows != 0, axis=1))
+        out = np.zeros((rows.shape[0], basis.grid.size, basis.grid.size), dtype=complex)
+        out[live] = mode_sum(basis.mode_values[index], rows[live])
         if factor != 1:
             out *= factor
         out.flags.writeable = False
@@ -396,25 +402,16 @@ def column_max_norm(basis: EigenSystem, column: np.ndarray) -> float:
     """max_ij |B_ij| of the block B of the basis algebra whose first column
     is `column`, in O(m^2) from that column alone.
 
-    On periodic bases B is circulant, so its entries are the column's.  On
-    the well B is Toeplitz minus Hankel, B[i, j] = g[|i - j|] - g[i + j + 2],
-    so column[i] = g[i] - g[i + 2] fixes g up to one constant per index
-    parity, and those constants cancel in B because |i - j| and i + j + 2
-    share a parity: g comes from a reverse cumulative sum over each parity
-    with g[m] = g[m + 1] = 0, is extended by the mirror g[d] = g[2m + 2 - d],
-    and B is rebuilt by the block code of mode_blocks.  The oscillator has
-    no such algebra and raises ValueError.
+    On periodic bases B is circulant, so its entries are the column's and
+    the max takes O(m).  On the well B is rebuilt by _column_blocks, the
+    same code that builds every mode_blocks block.  The oscillator has no
+    such algebra and raises ValueError.
     """
+    if basis.model not in STRUCTURED_MODELS:
+        raise ValueError(f"model {basis.model!r} has no structured block algebra")
     if basis.model in PERIODIC_MODELS:
         return float(np.max(np.abs(column)))
-    if basis.model != "well":
-        raise ValueError(f"model {basis.model!r} has no structured block algebra")
-    m = column.size
-    g = np.zeros(2 * m + 1, dtype=complex)
-    for p in (0, 1):
-        g[p:m:2] = np.cumsum(column[p::2][::-1])[::-1]
-    g[m + 2:] = g[m:1:-1]
-    return float(np.max(np.abs(_sine_blocks(g[None])[0])))
+    return float(np.max(np.abs(_column_blocks(basis, column[None])[0])))
 
 
 def delta_residual(block: np.ndarray, weights: np.ndarray) -> float:
@@ -427,15 +424,15 @@ def completeness_residual(basis: EigenSystem) -> float:
     """Normalized distance of sum_n phi_n(x_i) phi_n*(x_j) from the grid delta.
 
     0 for a discretely complete set, approaching 1 for a badly truncated one.
-    On periodic bases the block minus the delta is circulant (the weights
-    are uniform), so its first column holds every entry: O(m) memory.
+    On periodic and well bases the weights are uniform, so the delta lies in
+    the basis algebra and the block minus the delta is fixed by its first
+    column (column_max_norm).
     """
-    block = mode_blocks(basis, np.ones(basis.size))
     w = basis.grid.weights
-    if basis.model not in PERIODIC_MODELS:
-        return delta_residual(block, w)
-    delta = (np.arange(w.size) == 0) / w[0]
-    return float(np.max(np.abs(block[:, 0] - delta)) * np.min(w))
+    if basis.model not in STRUCTURED_MODELS:
+        return delta_residual(mode_blocks(basis, np.ones(basis.size)), w)
+    column = _first_columns(basis, np.ones((1, basis.size)))[0]
+    return column_max_norm(basis, column - (np.arange(w.size) == 0) / w[0]) * float(np.min(w))
 
 
 def project_state(basis: EigenSystem, psi0: SampledFunction) -> Coefficients:

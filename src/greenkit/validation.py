@@ -55,7 +55,7 @@ from .spectra import (
     build_oscillator_basis,
     build_well_basis,
     delta_residual,
-    mode_sum,
+    mode_blocks,
 )
 
 __all__ = ["CriterionResult", "run_acceptance", "CRITERIA"]
@@ -218,7 +218,7 @@ def criterion_5_second_order_ic():
     deriv = kern.values[1] / dtau
     residual = float(np.max(np.abs(deriv - c**2 * np.diag(1.0 / w))))
     # budget: completeness defect plus the cubic Taylor term of sin(w c t)/w
-    s, h = mode_sum(basis.mode_values, np.stack([np.ones(basis.size), basis.energies]))
+    s, h = mode_blocks(basis, np.stack([np.ones(basis.size), basis.energies]))
     comp = float(np.max(np.abs(s - np.diag(1.0 / w)))) * c**2
     m2 = float(np.max(np.abs(h))) * c**4 / 6
     bound = comp + 10 * dtau**2 * m2

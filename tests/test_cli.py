@@ -6,6 +6,7 @@ import os
 import pytest
 
 from greenkit.cli import main
+from greenkit.firstorder import Kernel
 
 
 def run(tmp_path, *argv):
@@ -53,6 +54,22 @@ def test_kernel_minus_i_flag_is_exact_factor(tmp_path):
     report = json.loads((out / "kernel_report.json").read_text())
     assert report["convention"] == "minus-i"
     assert report["minus_i_factor_exact"] is True
+
+
+@pytest.mark.parametrize("order", ["first", "second"])
+def test_kernel_builds_blocks_one_at_a_time(tmp_path, monkeypatch, order):
+    def dense(self):
+        raise AssertionError("the kernel subcommand must not build the dense (nt, m, m) values")
+
+    monkeypatch.setattr(Kernel, "values", property(dense))
+    code, out = run(tmp_path, "kernel", "--order", order, "--n", "6", "--convention", "minus-i",
+                    "--t0", "-1", "--t1", "1", "--nt", "9")
+    assert code == 0
+    report = json.loads((out / "kernel_report.json").read_text())
+    assert report["support_violation"] == 0.0
+    assert len((out / "kernel_diag.csv").read_text().strip().splitlines()) == 1 + 9
+    if order == "first":
+        assert report["minus_i_factor_exact"] is True
 
 
 def test_kernel_second_order(tmp_path):

@@ -6,6 +6,8 @@ import pytest
 from greenkit import (
     PhysicalConstants,
     SampledFunction,
+    TimeWindow,
+    auxiliary_kernel,
     build_free_basis,
     build_helmholtz_basis,
     build_oscillator_basis,
@@ -16,7 +18,7 @@ from greenkit import (
     project_state,
     reconstruct,
 )
-from greenkit.spectra import _plane_waves, column_max_norm, delta_residual, mode_blocks
+from greenkit.spectra import _plane_waves, column_max_norm, delta_residual, mode_blocks, mode_sum
 
 
 def test_constants_positivity():
@@ -24,6 +26,8 @@ def test_constants_positivity():
         PhysicalConstants(hbar=0.0)
     with pytest.raises(ValueError, match="mass"):
         PhysicalConstants(mass=-1.0)
+    with pytest.raises(ValueError, match="^c must be positive and finite"):
+        PhysicalConstants(c=np.inf)
 
 
 def test_well_basis_is_discretely_orthonormal_and_complete():
@@ -87,6 +91,40 @@ def test_periodic_completeness_residual_reads_the_generating_column(build):
 @pytest.mark.parametrize(
     "build",
     [
+        lambda: build_well_basis(1.0, 9),
+        lambda: build_well_basis(1.0, 30, n_points=7),
+        lambda: build_well_basis(1.0, 6, n_points=11),
+        lambda: build_well_basis(1.0, 512),
+        lambda: build_well_basis(1.0, 512, n_points=300),
+        lambda: build_well_basis(1.0, 512, n_points=700),
+    ],
+)
+def test_well_completeness_residual_matches_the_dense_block(build):
+    basis = build()
+    dense = mode_sum(basis.mode_values, np.ones(basis.size))
+    # the residual is normalized to the delta's scale 1/w
+    err = abs(completeness_residual(basis) - delta_residual(dense, basis.grid.weights))
+    assert err <= basis.grid.size * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n_points", [None, 300, 700])
+def test_large_well_blocks_match_mode_sum(n_points):
+    """512 sine modes on the complete, an aliased and a finer grid; the
+    property tests stop at 24 modes."""
+    basis = build_well_basis(1.0, 512, n_points=n_points)
+    rng = np.random.default_rng(0)
+    for amps in (
+        rng.normal(size=(2, basis.size)) + 1j * rng.normal(size=(2, basis.size)),
+        auxiliary_kernel(basis, TimeWindow(np.linspace(0.0, 1.0, 3))).amplitudes,
+    ):
+        for a, block in zip(amps, mode_blocks(basis, amps)):
+            ref = mode_sum(basis.mode_values, a)
+            assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
         lambda: build_well_basis(1.0, 2),
         lambda: build_well_basis(1.0, 9),
         lambda: build_well_basis(1.0, 6, n_points=11),
@@ -99,7 +137,7 @@ def test_column_max_norm_is_the_block_max(build):
     basis = build()
     rng = np.random.default_rng(5)
     for a in rng.normal(size=(4, basis.size)) + 1j * rng.normal(size=(4, basis.size)):
-        block = mode_blocks(basis, a)
+        block = mode_sum(basis.mode_values, a)
         expect = np.max(np.abs(block))
         assert abs(column_max_norm(basis, block[:, 0]) - expect) <= 1e-13 * expect
 
