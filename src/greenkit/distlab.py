@@ -101,13 +101,16 @@ def family_eval(family: RegularizedFamily, x):
 def derivative_identity_residual(flavor: str, eta: float, x: np.ndarray) -> dict:
     """Check d/dx step_eta = delta_eta on a grid.
 
-    The analytic derivative of each step flavor is its paired delta by
-    construction, so `analytic_residual` is floating-point zero; the
-    centered-difference residual cross-checks the closed forms against each
-    other.  For the piecewise-linear flavor the two kink abscissae are
-    excluded (the derivative jumps there).  Also reported: the magnitude
-    eta * sup step_eta of the width-proportional correction term retained
-    when the step is differentiated at finite eta.
+    `analytic_residual` compares the paired delta with a derivative of the
+    step taken independently of the delta's formulas.  The arctan and
+    exponential steps are analytic on each side of x = 0, so their
+    complex-step derivative Im step(x + i h) / h (h = 1e-20 eta) is exact to
+    round-off; the piecewise-linear step has slope 1/eta inside its ramp and
+    0 outside, and its two kink abscissae are excluded (the derivative jumps
+    there).  The centered-difference residual cross-checks the closed forms
+    on the grid itself.  Also reported: the magnitude eta * sup step_eta of
+    the width-proportional correction term retained when the step is
+    differentiated at finite eta.
     """
     step_fam = RegularizedFamily("step", flavor, eta)
     delta_fam = RegularizedFamily("delta", flavor, eta)
@@ -120,15 +123,16 @@ def derivative_identity_residual(flavor: str, eta: float, x: np.ndarray) -> dict
     step = family_eval(step_fam, x)
     delta = family_eval(delta_fam, x)
 
-    if flavor == "arctan":
-        analytic = (eta / np.pi) / (eta**2 + x**2)
-    elif flavor == "exponential":
-        analytic = np.exp(-np.abs(x) / eta) / (2 * eta)
-    else:
-        analytic = np.where(np.abs(x) < eta / 2, 1.0 / eta, 0.0)
     mask = np.ones(x.size, dtype=bool)
     if flavor == "linear":
+        analytic = np.where(np.abs(x) < eta / 2, 1.0 / eta, 0.0)
         mask = np.minimum(np.abs(x - eta / 2), np.abs(x + eta / 2)) > spacing
+    else:
+        # the exponential step picks its branch by comparing x + i h with 0,
+        # which numpy orders by real part first, so each point stays on the
+        # branch of its real x
+        h = 1e-20 * eta
+        analytic = _step_value(flavor, eta, x + 1j * h).imag / h
     fd = np.gradient(step, x)
     interior = mask.copy()
     interior[0] = interior[-1] = False
@@ -150,10 +154,13 @@ def sokhotski_plemelj(f: SampledFunction, eta: float) -> PrincipalValueResult:
 
     Everything runs in real arithmetic on w f viewed once as (Re, Im) float
     pairs: the full integral is (x r) @ wf - i eta (r @ wf) with r = 1 / (x^2
-    + eta^2), and each P(n) is (1/x) @ wf over the two contiguous slices of
-    the grid outside the window.  No complex division and no complex
-    temporary of the grid's length: the pairs and at most two real arrays of
-    the grid's length (51 MB for 1.6M points).
+    + eta^2).  P(2n) is (1/x) @ wf over the bulk of the grid outside the wider
+    window, and P(n) adds the ring of points between n and 2n indices from
+    the origin; 1/x is taken once, over the points P(n) keeps, into the
+    buffer that held r.  The origin index and f(0) come from one binary
+    search for the pair of points that brackets x = 0.  No complex division
+    and no complex temporary of the grid's length: the pairs and one real
+    array of the grid's length (38 MB for 1.6M points).
     """
     if not eta > 0:
         raise ValueError("eta must be positive")
@@ -168,28 +175,38 @@ def sokhotski_plemelj(f: SampledFunction, eta: float) -> PrincipalValueResult:
     if not x[0] < 0 < x[-1]:
         raise ValueError("grid must straddle x = 0")
     wf = (w * v).view(float).reshape(-1, 2)
-    r = 1.0 / (x**2 + eta**2)
-    (a_re, a_im), (b_re, b_im) = (x * r) @ wf, r @ wf
+    r = np.multiply(x, x)
+    r += eta**2
+    np.divide(1.0, r, out=r)
+    b_re, b_im = r @ wf
+    a_re, a_im = np.multiply(x, r, out=r) @ wf
     # w f (x - i eta) / (x^2 + eta^2), split into real and imaginary parts
     full = complex(a_re + eta * b_im, a_im - eta * b_re)
-    f0 = complex(np.interp(0.0, x, v.real) + 1j * np.interp(0.0, x, v.imag))
 
-    spacing = f.grid.spacing
+    # x[i - 1] < 0 <= x[i]; the origin index is the nearer of the two, the
+    # left one on a tie, as argmin(|x|) would pick
+    i = int(np.searchsorted(x, 0.0))
+    i0 = i - 1 if -x[i - 1] <= x[i] else i
+    pair = slice(i - 1, i + 1)
+    f0 = complex(np.interp(0.0, x[pair], v.real[pair]), np.interp(0.0, x[pair], v.imag[pair]))
+
     # exclusion by index, not by coordinate threshold: coordinate ulp jitter
     # could otherwise keep one extra boundary point on a single side, whose
-    # w f / x contribution would not cancel
-    i0 = int(np.argmin(np.abs(x)))
-    n1 = max(5, int(np.ceil(eta / (10 * spacing))))
+    # w f / x contribution would not cancel.  The points kept by P(n) are
+    # those at least n indices from i0; the window holds i0 itself, the only
+    # point that can sit at x = 0 on a strictly increasing grid
+    n1 = max(5, int(np.ceil(eta / (10 * f.grid.spacing))))
+    left1, right1 = max(i0 - n1 + 1, 0), i0 + n1
+    left2, right2 = max(i0 - 2 * n1 + 1, 0), i0 + 2 * n1
+    for s in (slice(0, left1), slice(right1, None)):
+        np.divide(1.0, x[s], out=r[s])
 
-    def pv(n_excl: int) -> complex:
-        # the kept points are those at least n_excl indices from i0; the
-        # window holds i0 itself, the only point that can sit at x = 0 on a
-        # strictly increasing grid
-        left = slice(0, max(i0 - n_excl + 1, 0))
-        right = slice(i0 + n_excl, None)
-        return complex(*sum((1.0 / x[s]) @ wf[s] for s in (left, right)))
+    def pv(*parts: slice) -> np.ndarray:
+        return sum(r[s] @ wf[s] for s in parts)
 
-    principal = (4 * pv(n1) - pv(2 * n1)) / 3
+    bulk = pv(slice(0, left2), slice(right2, None))
+    ring = pv(slice(left2, left1), slice(right1, right2))
+    principal = (4 * complex(*(bulk + ring)) - complex(*bulk)) / 3
     delta_part = -1j * np.pi * f0
     residual = abs(full - principal - delta_part)
     return PrincipalValueResult(principal, delta_part, eta, full, residual)

@@ -145,6 +145,77 @@ def response_from_density(
     return FreqResponse(omega, _pole_sum(omega, poles), eta, direction, poles)
 
 
+def _line_integrals(omega, lines, eta: float, direction: str, broadening: float | None = None) -> np.ndarray:
+    """Table J[k, l] = J(omega_k - lines_l) of broadened-line integrals.
+
+    Each line is broadened to a unit-area Lorentzian L of width eta_b
+    (default eta/10), and the convolution kernel carries the remaining
+    eta_k = eta - eta_b, so that J(v) = int L(u) / (v - u + i s eta_k) du
+    depends only on v.  Every (omega, line) pair gets its own two-scale
+    trapezoid grid: fine patches |u| <= 40 eta_b and |u| <= 60 eta around
+    the line, geometric legs out to 60 (max(|v|, eta) + eta), and a +-40
+    eta_k cluster at the kernel pole u = v when that lies outside the
+    40 eta_b patch.  The legs of every pair come from one geomspace (6.4 kB
+    a pair); the pairs are then evaluated _CONV_ROWS at a time, each as one
+    row of a sorted node array (about 8k nodes), in four (_CONV_ROWS, nodes)
+    buffers allocated once.  Returns the complex (omega.size, lines.size)
+    table.
+    """
+    if not eta > 0:
+        raise ValueError("eta must be positive")
+    eta_b = eta / 10 if broadening is None else broadening
+    if not 0 < eta_b < eta:
+        raise ValueError("broadening must lie strictly between 0 and eta")
+    sgn = _sign(direction)
+    eta_k = eta - eta_b
+    omega = np.asarray(omega, dtype=float)
+
+    v_all = (omega[:, None] - lines[None, :]).ravel()
+    patch = np.unique(np.concatenate([
+        np.linspace(-40 * eta_b, 40 * eta_b, 3201),
+        np.linspace(-60 * eta, 60 * eta, 1601),
+    ]))
+    cluster = np.linspace(-40 * eta_k, 40 * eta_k, 1601)
+    legs = np.geomspace(40 * eta_b, 60 * np.maximum(np.abs(v_all), eta) + 60 * eta, 800, axis=1)
+    n_leg = legs.shape[1]
+    # row layout before the sort: patch, -legs reversed, legs, pole cluster
+    cuts = np.cumsum([patch.size, n_leg, n_leg])
+    u_buf, d_buf, w_buf, b_buf = np.empty((4, _CONV_ROWS, cuts[-1] + cluster.size))
+    j_vals = np.empty(v_all.size, dtype=complex)
+    for lo in range(0, v_all.size, _CONV_ROWS):
+        v = v_all[lo:lo + _CONV_ROWS, None]
+        leg = legs[lo:lo + _CONV_ROWS]
+        u, d, w, b = (buf[:v.shape[0]] for buf in (u_buf, d_buf, w_buf, b_buf))
+        u[:, :cuts[0]] = patch
+        np.negative(leg[:, ::-1], out=u[:, cuts[0]:cuts[1]])
+        u[:, cuts[1]:cuts[2]] = leg
+        # a v inside the line patch has no pole cluster; repeating a node
+        # there keeps the row length, and a repeated node only adds a
+        # zero-width panel, which leaves the trapezoid sum unchanged
+        pole = u[:, cuts[2]:]
+        np.add(v, cluster, out=pole)
+        pole[np.abs(v[:, 0]) <= 40 * eta_b] = patch[0]
+        u.sort(axis=1, kind="stable")  # merges the pre-sorted runs
+        np.subtract(v, u, out=d)
+        # trapezoid node weights: (u[k+1] - u[k-1]) / 2, one-sided at the ends
+        np.subtract(u[:, 2:], u[:, :-2], out=w[:, 1:-1])
+        w[:, 0] = u[:, 1] - u[:, 0]
+        w[:, -1] = u[:, -1] - u[:, -2]
+        # L(u) / (d + i sgn eta_k) = L(u) (d - i sgn eta_k) / (d^2 + eta_k^2),
+        # in real arithmetic; L's constant eta_b / pi and the 1/2 come last.
+        # g = w / ((eta_b^2 + u^2) (d^2 + eta_k^2)) overwrites w, and u is
+        # spent on the first factor
+        np.multiply(u, u, out=u)
+        u += eta_b**2
+        np.multiply(d, d, out=b)
+        b += eta_k**2
+        u *= b
+        g = np.divide(w, u, out=w)
+        j_vals[lo:lo + _CONV_ROWS] = np.vecdot(g, d) - 1j * sgn * eta_k * g.sum(axis=1)
+    j_vals *= eta_b / (2 * np.pi)
+    return j_vals.reshape(omega.size, lines.size)
+
+
 def convolution_response(
     density: SpectralDensity,
     omega: np.ndarray,
@@ -160,55 +231,15 @@ def convolution_response(
     continuum and the residual against response_from_density is pure
     quadrature error.
 
-    The integral J(v) = int L(u) / (v - u + i sgn eta_k) du depends only on
-    v = omega - omega_l.  Every (omega, line) pair gets its own two-scale
-    trapezoid grid: fine patches |u| <= 40 eta_b and |u| <= 60 eta around
-    the line, geometric legs out to 60 (max(|v|, eta) + eta), and a +-40
-    eta_k cluster at the kernel pole u = v when that lies outside the
-    40 eta_b patch.  The pairs are evaluated _CONV_ROWS at a time, each as
-    one row of a sorted node array (about 8k nodes a row, under 4 MB of
-    temporaries a chunk, whatever the number of lines or omega samples);
-    the response is then J(omega - omega_l) @ weights.
+    The integral over omega' depends on omega and a line only through
+    omega - omega_l, so the response is the table J(omega_k - omega_l) of
+    one trapezoid integral per (omega, line) pair, contracted with the line
+    weights.  Densities with the same lines (every entry of one basis) share
+    that table; its nodes and memory are described at _line_integrals.
     """
-    if not eta > 0:
-        raise ValueError("eta must be positive")
-    eta_b = eta / 10 if broadening is None else broadening
-    if not 0 < eta_b < eta:
-        raise ValueError("broadening must lie strictly between 0 and eta")
-    sgn = _sign(direction)
-    eta_k = eta - eta_b
-    omega = np.asarray(omega, dtype=float)
-
-    v_all = (omega[:, None] - density.omegas[None, :]).ravel()
-    patch = np.unique(np.concatenate([
-        np.linspace(-40 * eta_b, 40 * eta_b, 3201),
-        np.linspace(-60 * eta, 60 * eta, 1601),
-    ]))
-    cluster = np.linspace(-40 * eta_k, 40 * eta_k, 1601)
-    j_vals = np.empty(v_all.size, dtype=complex)
-    for lo in range(0, v_all.size, _CONV_ROWS):
-        v = v_all[lo:lo + _CONV_ROWS, None]
-        leg = np.geomspace(40 * eta_b, 60 * np.maximum(np.abs(v[:, 0]), eta) + 60 * eta, 800, axis=1)
-        # a v inside the line patch has no pole cluster; repeating a node
-        # there keeps the row length, and a repeated node only adds a
-        # zero-width panel, which leaves the trapezoid sum unchanged
-        pole = np.where(np.abs(v) > 40 * eta_b, v + cluster, patch[0])
-        u = np.concatenate([np.broadcast_to(patch, (v.shape[0], patch.size)), -leg[:, ::-1], leg, pole], axis=1)
-        u.sort(axis=1, kind="stable")  # merges the pre-sorted runs
-        d = v - u
-        # trapezoid node weights: (u[k+1] - u[k-1]) / 2, one-sided at the ends
-        w = np.empty_like(u)
-        np.subtract(u[:, 2:], u[:, :-2], out=w[:, 1:-1])
-        w[:, 0] = u[:, 1] - u[:, 0]
-        w[:, -1] = u[:, -1] - u[:, -2]
-        # L(u) / (d + i sgn eta_k) = L(u) (d - i sgn eta_k) / (d^2 + eta_k^2),
-        # in real arithmetic; L's constant eta_b / pi and the 1/2 come last
-        g = w / ((eta_b**2 + u**2) * (d**2 + eta_k**2))
-        j_vals[lo:lo + _CONV_ROWS] = np.vecdot(g, d) - 1j * sgn * eta_k * g.sum(axis=1)
-    j_vals *= eta_b / (2 * np.pi)
-    vals = j_vals.reshape(omega.size, density.omegas.size) @ density.weights
+    table = _line_integrals(omega, density.omegas, eta, direction, broadening)
     poles = _shifted_poles(density.omegas, density.weights, eta, direction)
-    return FreqResponse(omega, vals, eta, direction, poles)
+    return FreqResponse(omega, table @ density.weights, eta, direction, poles)
 
 
 def momentum_response_relativistic(

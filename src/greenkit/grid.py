@@ -9,7 +9,6 @@ checkable as exact finite linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -33,12 +32,17 @@ class Grid1D:
         "open-interval" endpoints excluded; weights need not be uniform, which
                         also hosts Gauss-type quadrature nodes
         "periodic"      fundamental cell [x0, x0+L), all weights equal
+
+    spacing, set at construction rather than passed in, is the mean point
+    spacing (exact for the uniform and periodic kinds), taken from the one
+    np.diff that validates the points.
     """
 
     points: np.ndarray
     weights: np.ndarray
     kind: str = "uniform"
     period: float | None = None
+    spacing: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -51,32 +55,28 @@ class Grid1D:
             raise ValueError("weight count must equal point count")
         if pts.size < 2:
             raise ValueError("need at least two grid points")
-        if not np.all(np.diff(pts) > 0):
+        dx = np.diff(pts)
+        dx_min, dx_max, h = dx.min(), dx.max(), dx.mean()
+        if not dx_min > 0:
             raise ValueError("points must be strictly increasing")
         if not np.all(wts > 0):
             raise ValueError("weights must be strictly positive")
         if self.kind not in ("uniform", "open-interval", "periodic"):
             raise ValueError(f"unknown grid kind {self.kind!r}")
         if self.kind in ("uniform", "periodic"):
-            dx = np.diff(pts)
-            h = dx.mean()
             # successive differences jitter at the ulp of the coordinates,
             # not of the spacing, so scale the tolerance by both
             tol = _UNIFORM_RTOL * abs(h) + 8 * np.finfo(float).eps * max(abs(pts[0]), abs(pts[-1]))
-            if np.max(np.abs(dx - h)) > tol:
+            # rounding of dx - h is monotone in dx, so this is max|dx - h|
+            if max(dx_max - h, h - dx_min) > tol:
                 raise ValueError(f"{self.kind} grid must be evenly spaced")
         if self.kind == "periodic" and self.period is None:
             raise ValueError("periodic grid needs its period")
+        object.__setattr__(self, "spacing", float(h))
 
     @property
     def size(self) -> int:
         return self.points.size
-
-    @cached_property
-    def spacing(self) -> float:
-        """Mean point spacing (exact for uniform/periodic kinds), computed
-        once."""
-        return float(np.diff(self.points).mean())
 
     @classmethod
     def uniform(cls, a: float, b: float, n: int) -> "Grid1D":

@@ -148,9 +148,27 @@ def test_derivative_identity(flavor):
     eta = 0.05
     x = np.linspace(-1.0, 1.0, 4001)
     rep = derivative_identity_residual(flavor, eta, x)
-    assert rep["analytic_residual"] == 0.0
+    # the step's own derivative, taken without the delta's formulas, meets
+    # the delta at round-off (the piecewise-linear ramp's slope exactly)
+    if flavor == "linear":
+        assert rep["analytic_residual"] == 0.0
+    else:
+        assert 0.0 < rep["analytic_residual"] < 1e-12
     assert rep["fd_residual"] < 1e-2 / eta
     assert 0.9 * eta < rep["correction_term"] <= eta
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_derivative_identity_catches_a_wrong_delta(flavor, monkeypatch):
+    # a delta one part in 1e9 too wide is no longer the step's derivative
+    right = greenkit.distlab._delta_value
+    monkeypatch.setattr(greenkit.distlab, "_delta_value", lambda fl, eta, x: right(fl, eta * (1 + 1e-9), x))
+    rep = derivative_identity_residual(flavor, 0.1, np.linspace(-2.0, 2.0, 2001))
+    assert rep["analytic_residual"] > 1e-12
+    # and criterion 10 fails on its derivative check
+    (c10,) = greenkit.run_acceptance(only="10")
+    assert not c10.passed
+    assert c10.tolerance == 1e-12 and c10.value > 1e-12
 
 
 def test_derivative_identity_needs_resolving_grid():

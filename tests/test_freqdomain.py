@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import greenkit
 from greenkit import (
     FreqResponse,
     build_helmholtz_basis,
@@ -14,6 +15,7 @@ from greenkit import (
     response_from_density,
     spectral_density,
 )
+from greenkit.freqdomain import _CONV_ROWS, _line_integrals
 
 
 # Per-element reference implementations: one trapezoid integral per
@@ -22,7 +24,7 @@ from greenkit import (
 # floating-point noise.
 
 
-def _convolution_loop(density, omega, eta, direction, broadening=None):
+def _line_integral_loop(omega, lines, eta, direction, broadening=None):
     eta_b = eta / 10 if broadening is None else broadening
     sgn = 1 if direction == "retarded" else -1
     eta_k = eta - eta_b
@@ -40,11 +42,7 @@ def _convolution_loop(density, omega, eta, direction, broadening=None):
         lor = (eta_b / np.pi) / (eta_b**2 + u**2)
         return complex(np.trapezoid(lor / (v - u + 1j * sgn * eta_k), u))
 
-    vals = np.zeros(omega.size, dtype=complex)
-    for om_l, w_l in zip(density.omegas, density.weights):
-        for idx, om in enumerate(omega):
-            vals[idx] += w_l * j_integral(om - om_l)
-    return vals
+    return np.array([[j_integral(om - om_l) for om_l in lines] for om in omega])
 
 
 def _transform_loop(response, tau):
@@ -117,9 +115,41 @@ def test_convolution_matches_per_element_loop(direction, broadening):
     # omega sitting on a line or within 40 eta_b of one: no pole cluster
     near = dens.omegas[:2] + np.array([0.0, 0.1 * eta])
     omega = np.concatenate([np.linspace(0.0, 60.0, 5), near])
+    # 7 omega x 3 lines = 21 pairs, not a multiple of the chunk's row count
+    assert omega.size * dens.omegas.size % _CONV_ROWS != 0
+    table = _line_integrals(omega, dens.omegas, eta, direction, broadening)
+    loop = _line_integral_loop(omega, dens.omegas, eta, direction, broadening)
+    assert np.max(np.abs(table - loop)) <= 1e-12 * np.max(np.abs(loop))
     conv = convolution_response(dens, omega, eta, direction, broadening=broadening)
-    loop = _convolution_loop(dens, omega, eta, direction, broadening)
-    assert np.max(np.abs(conv.values - loop)) <= 1e-12 * np.max(np.abs(loop))
+    ref = loop @ dens.weights
+    assert np.max(np.abs(conv.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_convolution_response_contracts_the_line_table():
+    basis = build_well_basis(1.0, 16)
+    omega = np.linspace(0.0, 60.0, 31)
+    for i, j in ((7, 7), (3, 9)):  # criterion 7's entries
+        dens = spectral_density(basis, i, j)
+        table = _line_integrals(omega, dens.omegas, 0.05, "retarded")
+        conv = convolution_response(dens, omega, 0.05, "retarded")
+        assert np.array_equal(conv.values, table @ dens.weights)
+
+
+def test_criterion_7_builds_one_line_table(monkeypatch):
+    calls = []
+    build = greenkit.freqdomain._line_integrals
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    # both bindings, so a criterion that went back through the public wrapper
+    # would count once per entry
+    monkeypatch.setattr(greenkit.freqdomain, "_line_integrals", counted)
+    monkeypatch.setattr(greenkit.validation, "_line_integrals", counted)
+    (c7,) = greenkit.run_acceptance(only="7")
+    assert c7.passed
+    assert len(calls) == 1
 
 
 def test_convolution_broadening_budget_is_validated():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from greenkit import Grid1D, SampledFunction, discrete_delta, inner, quad
+from greenkit.grid import _UNIFORM_RTOL
 
 
 def test_uniform_weights_sum_to_interval_length():
@@ -56,6 +57,23 @@ def test_uniform_kind_rejects_uneven_spacing():
     pts = np.array([0.0, 1.0, 2.5])
     with pytest.raises(ValueError, match="evenly spaced"):
         Grid1D(pts, np.ones(3), kind="uniform")
+
+
+@pytest.mark.parametrize("end", [0, -1])
+@pytest.mark.parametrize("factor, accepted", [(0.95, True), (1.05, False)])
+def test_uniformity_tolerance_edge(end, factor, accepted):
+    # k/64 is exact, so the spacings and their mean are exact.  Moving the
+    # first point right by delta shrinks dx[0] (the min side); moving the
+    # last one right grows dx[-1] (the max side).  Either way max|dx - h| is
+    # delta * 63/64, up to the rounding of the moved point (under 1 %)
+    pts = np.arange(65) / 64
+    tol = _UNIFORM_RTOL / 64 + 8 * np.finfo(float).eps
+    pts[end] += factor * tol * 64 / 63
+    if accepted:
+        assert Grid1D(pts, np.full(65, 1 / 64)).size == 65
+    else:
+        with pytest.raises(ValueError, match="evenly spaced"):
+            Grid1D(pts, np.full(65, 1 / 64))
 
 
 def test_large_linspace_passes_uniformity_check():
