@@ -32,6 +32,10 @@ __all__ = [
 
 _FLAVORS = ("arctan", "exponential", "linear")
 
+# points per block in sokhotski_plemelj: the block's x, w, f and buffer
+# (640 kB) stay in a core's L2 cache between the passes over it
+_SP_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class RegularizedFamily:
@@ -152,36 +156,31 @@ def sokhotski_plemelj(f: SampledFunction, eta: float) -> PrincipalValueResult:
     cancel the leading window dependence.  The residual column is
     |full - (P - i pi f(0))|.
 
-    Everything runs in real arithmetic on w f viewed once as (Re, Im) float
-    pairs: the full integral is (x r) @ wf - i eta (r @ wf) with r = 1 / (x^2
-    + eta^2).  P(2n) is (1/x) @ wf over the bulk of the grid outside the wider
-    window, and P(n) adds the ring of points between n and 2n indices from
-    the origin; 1/x is taken once, over the points P(n) keeps, into the
-    buffer that held r.  The origin index and f(0) come from one binary
-    search for the pair of points that brackets x = 0.  No complex division
-    and no complex temporary of the grid's length: the pairs and one real
-    array of the grid's length (38 MB for 1.6M points).
+    Everything runs in real arithmetic on f viewed once as (Re, Im) float
+    pairs, with the weights folded into real factors: the full integral is
+    (x w r) @ f - i eta ((w r) @ f) with r = 1 / (x^2 + eta^2).  P(2n) is
+    (w / x) @ f over the bulk of the grid outside the wider window, and P(n)
+    adds the ring of points between n and 2n indices from the origin.  The
+    origin index and f(0) come from one binary search for the pair of points
+    that brackets x = 0.  The peak |f| and the sums are taken over blocks of
+    _SP_BLOCK points, each into one reused block buffer (128 kB), so no
+    temporary of the grid's length is formed.
     """
     if not eta > 0:
         raise ValueError("eta must be positive")
     x = f.grid.points
     w = f.grid.weights
-    v = f.values
-    peak = float(np.max(np.abs(v)))
+    v = np.ascontiguousarray(f.values)
+    size = x.size
+    blocks = [(s, min(s + _SP_BLOCK, size)) for s in range(0, size, _SP_BLOCK)]
+    buf = np.empty(blocks[0][1])
+    peak = max(float(np.abs(v[s:e], out=buf[: e - s]).max()) for s, e in blocks)
     if peak == 0:
         raise ValueError("zero function")
     if max(abs(v[0]), abs(v[-1])) > 1e-8 * peak:
         raise ValueError("function has not decayed at the domain ends")
     if not x[0] < 0 < x[-1]:
         raise ValueError("grid must straddle x = 0")
-    wf = (w * v).view(float).reshape(-1, 2)
-    r = np.multiply(x, x)
-    r += eta**2
-    np.divide(1.0, r, out=r)
-    b_re, b_im = r @ wf
-    a_re, a_im = np.multiply(x, r, out=r) @ wf
-    # w f (x - i eta) / (x^2 + eta^2), split into real and imaginary parts
-    full = complex(a_re + eta * b_im, a_im - eta * b_re)
 
     # x[i - 1] < 0 <= x[i]; the origin index is the nearer of the two, the
     # left one on a tie, as argmin(|x|) would pick
@@ -194,18 +193,31 @@ def sokhotski_plemelj(f: SampledFunction, eta: float) -> PrincipalValueResult:
     # could otherwise keep one extra boundary point on a single side, whose
     # w f / x contribution would not cancel.  The points kept by P(n) are
     # those at least n indices from i0; the window holds i0 itself, the only
-    # point that can sit at x = 0 on a strictly increasing grid
+    # point that can sit at x = 0 on a strictly increasing grid.  Windows
+    # that run past an end of the grid are clipped to it
     n1 = max(5, int(np.ceil(eta / (10 * f.grid.spacing))))
     left1, right1 = max(i0 - n1 + 1, 0), i0 + n1
     left2, right2 = max(i0 - 2 * n1 + 1, 0), i0 + 2 * n1
-    for s in (slice(0, left1), slice(right1, None)):
-        np.divide(1.0, x[s], out=r[s])
+    # (first, stop, row of sums): row 0 is the bulk, row 1 the ring
+    kept = ((0, left2, 0), (left2, left1, 1), (right1, right2, 1), (right2, size, 0))
 
-    def pv(*parts: slice) -> np.ndarray:
-        return sum(r[s] @ wf[s] for s in parts)
-
-    bulk = pv(slice(0, left2), slice(right2, None))
-    ring = pv(slice(left2, left1), slice(right1, right2))
+    vf = v.view(float).reshape(-1, 2)
+    b, a = np.zeros(2), np.zeros(2)
+    sums = np.zeros((2, 2))
+    for s, e in blocks:
+        t = np.multiply(x[s:e], x[s:e], out=buf[: e - s])
+        t += eta**2
+        np.divide(w[s:e], t, out=t)
+        b += t @ vf[s:e]
+        t *= x[s:e]
+        a += t @ vf[s:e]
+        for lo, hi, row in kept:
+            lo, hi = max(lo, s), min(hi, e)
+            if lo < hi:
+                sums[row] += np.divide(w[lo:hi], x[lo:hi], out=buf[: hi - lo]) @ vf[lo:hi]
+    # w f (x - i eta) / (x^2 + eta^2), split into real and imaginary parts
+    full = complex(a[0] + eta * b[1], a[1] - eta * b[0])
+    bulk, ring = sums
     principal = (4 * complex(*(bulk + ring)) - complex(*bulk)) / 3
     delta_part = -1j * np.pi * f0
     residual = abs(full - principal - delta_part)

@@ -118,31 +118,35 @@ class Coefficients:
             raise ValueError("coefficients must be finite")
 
 
-def _sort_by_abs_energy(energies, modes, branches=None):
-    order = np.lexsort((energies, np.abs(energies)))
-    if branches is None:
-        return energies[order], modes[order], None
-    return energies[order], modes[order], branches[order]
-
-
 def _plane_waves(length: float, n_max: int, n_points: int | None) -> tuple:
-    """(grid, k, e^{ikx}/sqrt(L)) on the periodic box, k = 2 pi j / L for
-    |j| <= n_max, one wave per row, with the builders' shared checks.
-
-    On the m-point grid x_l = l L / m the phase k x_l is 2 pi j l / m, so
-    each wave is read off the m-th roots of unity at the exact integer index
-    (j l) mod m: m exponentials of arguments below 2 pi, instead of one per
-    (mode, point) pair at arguments up to 2 pi n_max.
-    """
+    """(grid, j, k) on the periodic box: the integer wave indices |j| <= n_max
+    and their k = 2 pi j / L, with the builders' shared checks."""
     if not length > 0:
         raise ValueError("box length must be positive")
     if n_max < 1:
         raise ValueError("mode cutoff must be >= 1")
     m = n_points if n_points is not None else 2 * n_max + 1
-    grid = Grid1D.periodic(length, m)
     j = np.arange(-n_max, n_max + 1)
-    roots = np.exp(2j * np.pi * np.arange(m) / m) / np.sqrt(length)
-    return grid, 2 * np.pi * j / length, roots[np.outer(j, np.arange(m)) % m]
+    return Grid1D.periodic(length, m), j, 2 * np.pi * j / length
+
+
+def _plane_wave_system(grid, j, energies, constants, model, branches=None) -> EigenSystem:
+    """Basis of the waves e^{ikx}/sqrt(L), k = 2 pi j / L, one per wave
+    index in j, ordered by (|E|, E) before the mode matrix is gathered.
+
+    On the m-point grid x_l = l L / m the phase k x_l is 2 pi j l / m, so
+    each wave is read off the m-th roots of unity at the exact integer index
+    (j l) mod m: m exponentials of arguments below 2 pi, instead of one per
+    (mode, point) pair at arguments up to 2 pi max|j|.
+    """
+    order = np.lexsort((energies, np.abs(energies)))
+    m = grid.size
+    roots = np.exp(2j * np.pi * np.arange(m) / m) / np.sqrt(grid.period)
+    index = np.outer(j[order], np.arange(m))
+    index %= m
+    if branches is not None:
+        branches = branches[order]
+    return EigenSystem(grid, energies[order], roots[index], constants, model, branches=branches)
 
 
 def _relativistic_energy(k, constants: PhysicalConstants):
@@ -161,10 +165,9 @@ def build_free_basis(
     Kinetic energies hbar^2 k^2 / 2m.  The default grid has 2*n_max+1 points,
     making the retained set discretely complete (Fourier-complete grid).
     """
-    grid, k, modes = _plane_waves(length, n_max, n_points)
+    grid, j, k = _plane_waves(length, n_max, n_points)
     energies = constants.hbar**2 * k**2 / (2 * constants.mass)
-    energies, modes, _ = _sort_by_abs_energy(energies, modes)
-    return EigenSystem(grid, energies, modes, constants, "free")
+    return _plane_wave_system(grid, j, energies, constants, "free")
 
 
 def build_well_basis(
@@ -261,13 +264,11 @@ def build_relativistic_branches(
     Plane waves on a periodic box; every momentum appears twice, tagged +1
     and -1.  Spatial modes repeat across branches by construction.
     """
-    grid, k, waves = _plane_waves(length, k_cutoff, n_points)
+    grid, j, k = _plane_waves(length, k_cutoff, n_points)
     e_k = _relativistic_energy(k, constants)
     energies = np.concatenate([e_k, -e_k])
-    modes = np.concatenate([waves, waves])
-    branches = np.repeat([1, -1], k.size)
-    energies, modes, branches = _sort_by_abs_energy(energies, modes, branches)
-    return EigenSystem(grid, energies, modes, constants, "relativistic", branches=branches)
+    branches = np.repeat([1, -1], j.size)
+    return _plane_wave_system(grid, np.concatenate([j, j]), energies, constants, "relativistic", branches)
 
 
 def build_helmholtz_basis(
@@ -281,10 +282,9 @@ def build_helmholtz_basis(
     These are H-eigenvalues of the wave operator, not energies; the zero mode
     (k = 0) is retained and handled as a limit by the wave kernels.
     """
-    grid, k, modes = _plane_waves(length, n_max, n_points)
+    grid, j, k = _plane_waves(length, n_max, n_points)
     energies = k**2
-    energies, modes, _ = _sort_by_abs_energy(energies, modes)
-    return EigenSystem(grid, energies, modes, constants, "helmholtz")
+    return _plane_wave_system(grid, j, energies, constants, "helmholtz")
 
 
 def orthonormality_residual(basis: EigenSystem) -> float:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,8 @@ from greenkit import (
     regularized_ft,
     sokhotski_plemelj,
 )
+from greenkit.distlab import _SP_BLOCK
+from greenkit.validation import criterion_10_appendix
 
 FLAVORS = ("arctan", "exponential", "linear")
 C10_K = np.concatenate([-np.geomspace(0.1, 10.0, 13), np.geomspace(0.1, 10.0, 13)])
@@ -203,6 +206,11 @@ def _principal_loop(f, eta):
     return (4 * pv(n1) - pv(2 * n1)) / 3
 
 
+def _block_straddling_grid():
+    h, i0, size = 2.0**-11, _SP_BLOCK - 2, 2 * _SP_BLOCK + 777
+    return Grid1D.uniform(-i0 * h, (size - 1 - i0) * h, size)
+
+
 @pytest.mark.parametrize(
     "grid, center, eta, has_zero",
     [
@@ -213,6 +221,13 @@ def _principal_loop(f, eta):
         # a complex center makes f complex, e^{1/4} e^{-4(x-0.3)^2} e^{2i(x-0.3)},
         # so a sign or conjugation slip between the real and imaginary parts shows
         (Grid1D.uniform(-16.0, 16.0, 2**16 + 1), 0.3 + 0.25j, 1e-3, True),
+        # 2 blocks and 777 points, the origin two points before the first
+        # block boundary, so both exclusion windows straddle that boundary
+        (_block_straddling_grid(), 0.3, 1e-3, True),
+        # the exclusion window runs past the right end of the grid
+        (Grid1D.uniform(-19.99, 0.01, 2001), -5.0, 1.0, False),
+        # shorter than one block
+        (Grid1D.uniform(-4.0, 4.0, 4097), 0.3, 1e-2, True),
     ],
 )
 def test_principal_part_matches_masked_loop(grid, center, eta, has_zero):
@@ -224,6 +239,30 @@ def test_principal_part_matches_masked_loop(grid, center, eta, has_zero):
     x, w, v = grid.points, grid.weights, f.values
     direct = np.sum(w * v / (x + 1j * eta))
     assert abs(res.full_integral - direct) <= 1e-12 * abs(direct)
+
+
+def test_sokhotski_plemelj_holds_no_grid_length_temporary():
+    grid = Grid1D.uniform(-20.0, 20.0, 400001)
+    f = SampledFunction(grid, np.exp(-grid.points**2))
+    tracemalloc.start()
+    try:
+        sokhotski_plemelj(f, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.points.nbytes / 8
+
+
+def test_criterion_10_peaks_at_its_fixture():
+    size = 1600001  # criterion 10's Gaussian: points, weights, complex samples
+    fixture = size * (8 + 8 + 16)
+    tracemalloc.start()
+    try:
+        assert criterion_10_appendix().passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * fixture
 
 
 def test_import_greenkit_defers_scipy():

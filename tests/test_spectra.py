@@ -18,7 +18,7 @@ from greenkit import (
     project_state,
     reconstruct,
 )
-from greenkit.spectra import _plane_waves, column_max_norm, delta_residual, mode_blocks, mode_sum
+from greenkit.spectra import _plane_wave_system, _plane_waves, column_max_norm, delta_residual, mode_blocks, mode_sum
 
 
 def test_constants_positivity():
@@ -59,8 +59,13 @@ def test_free_basis_complete_on_default_grid():
     [(40.0, 512, None), (7.3, 6, 40), (7.3, 20, 13)],  # default, finer, aliased grid
 )
 def test_plane_waves_match_the_exponential(length, n_max, n_points):
-    grid, k, modes = _plane_waves(length, n_max, n_points)
-    phase = np.outer(k, grid.points)
+    grid, j, k = _plane_waves(length, n_max, n_points)
+    assert np.array_equal(k, 2 * np.pi * j / length)
+    # with E = j, each row's wave index is its energy
+    basis = _plane_wave_system(grid, j, j.astype(float), PhysicalConstants(), "free")
+    assert np.array_equal(np.sort(basis.energies), j)
+    modes = basis.mode_values
+    phase = np.outer(2 * np.pi * basis.energies / length, grid.points)
     direct = np.exp(1j * phase) / np.sqrt(length)
     # the direct form's own phase round-off grows with |k x|
     assert np.max(np.abs(modes - direct)) <= 64 * np.finfo(float).eps * np.max(np.abs(phase))
