@@ -136,16 +136,12 @@ class SampledFunction:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values)
-        if vals.dtype != float:
-            vals = vals.astype(complex, copy=False)
+        vals = np.asarray(self.values, dtype=complex)
+        object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size != self.grid.size:
             raise ValueError("value count must equal grid point count")
-        # float64 samples are finite exactly when their complex promotion is,
-        # so they are checked before it, on half the bytes
         if not np.all(np.isfinite(vals)):
             raise ValueError("samples must be finite")
-        object.__setattr__(self, "values", vals.astype(complex, copy=False))
 
     def __add__(self, other: "SampledFunction") -> "SampledFunction":
         _require_same_grid(self, other)
