@@ -103,7 +103,7 @@ def cmd_kernel(args) -> int:
     io.write_csv(
         os.path.join(args.out, "kernel_diag.csv"),
         ["tau", "re", "im"],
-        io.response_rows(t, (kern.at(tau)[mid, mid] for tau in t)),
+        io.sampled_rows(t, (kern.at(tau)[mid, mid] for tau in t)),
     )
     report = {
         "kind": kern.kind,
@@ -169,7 +169,7 @@ def cmd_freq(args) -> int:
     dens = spectral_density(basis, args.i, args.j, order=args.order)
     omega = np.linspace(args.wmin, args.wmax, args.nw)
     resp = response_from_density(dens, omega, args.eta, args.direction)
-    io.write_csv(os.path.join(args.out, "response.csv"), ["omega", "re", "im"], io.response_rows(omega, resp.values))
+    io.write_csv(os.path.join(args.out, "response.csv"), ["omega", "re", "im"], io.sampled_rows(omega, resp.values))
     io.write_json(
         os.path.join(args.out, "poles.json"),
         {"eta": args.eta, "direction": args.direction, "poles": io.pole_payload(resp.poles)},

@@ -18,7 +18,6 @@ import numpy as np
 
 from .grid import SampledFunction
 from .spectra import (
-    STRUCTURED_MODELS,
     Coefficients,
     EigenSystem,
     PhysicalConstants,
@@ -62,6 +61,14 @@ def _sign(direction: str) -> int:
     if direction not in _SIGNS:
         raise ValueError(f"unknown direction {direction!r}")
     return _SIGNS[direction]
+
+
+def _prefactor(convention: str) -> complex:
+    """The global factor of the mode sum: 1 under eq24, -i under minus-i;
+    any other convention raises."""
+    if convention not in ("eq24", "minus-i"):
+        raise ValueError(f"unknown convention {convention!r}")
+    return -1j if convention == "minus-i" else 1
 
 
 @dataclass(frozen=True)
@@ -129,8 +136,7 @@ class Kernel:
             raise ValueError("amplitudes must be one row per time sample, one column per mode")
         if self.kind not in ("auxiliary", "retarded", "advanced"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.convention not in ("eq24", "minus-i"):
-            raise ValueError(f"unknown convention {self.convention!r}")
+        _prefactor(self.convention)  # raises on an unknown convention
         if self.wave_speed is not None and not 0 < self.wave_speed < np.inf:
             raise ValueError("wave speed must be positive and finite")
         # support law: zero amplitudes build exact zero blocks
@@ -144,7 +150,7 @@ class Kernel:
         return "first" if self.wave_speed is None else "second"
 
     def _blocks(self, amplitudes: np.ndarray) -> np.ndarray:
-        return mode_blocks(self.basis, amplitudes, self.modes, -1j if self.convention == "minus-i" else 1)
+        return mode_blocks(self.basis, amplitudes, self.modes, _prefactor(self.convention))
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -160,7 +166,7 @@ class Kernel:
         """Read-only block at the time sample closest to tau (must match
         closely); builds that one block only."""
         i = int(np.argmin(np.abs(self.times - tau)))
-        if abs(self.times[i] - tau) > 1e-9 * max(1.0, abs(tau)):
+        if not abs(self.times[i] - tau) <= 1e-9 * max(1.0, abs(tau)):
             raise ValueError(f"tau={tau} is not a stored time sample")
         return self._blocks(self.amplitudes[i])
 
@@ -213,7 +219,7 @@ def kernel_entry(basis: EigenSystem, i: int, j: int, tau: complex, convention: s
     basis.check_point_indices(i, j)
     ph = _phase_weights(basis, tau)
     val = np.sum(basis.mode_values[:, i] * np.conj(basis.mode_values[:, j]) * ph)
-    return complex(-1j * val if convention == "minus-i" else val)
+    return complex(_prefactor(convention) * val)
 
 
 def propagate(kernel: Kernel, psi0: SampledFunction, tau: float) -> SampledFunction:
@@ -240,13 +246,13 @@ def composition_residual(kernel: Kernel, tau1: float, tau2: float) -> float:
     auxiliary phase sum is evaluated in the eq24-consistent convention,
     where phase additivity makes the residual vanish on complete grids.
 
-    On periodic and well bases every block, and so the residual, lies in the
+    On bases with waves every block, and so the residual, lies in the
     basis algebra (circulant, or Toeplitz minus Hankel: a sine mode past m
     aliases onto +- a retained one, and the weights are uniform), where a
     block is rebuilt from its first column.  The residual's first column is
     one O(m^2) matrix-vector product, and column_max_norm turns it into the
-    max-norm.  The oscillator has no grid algebra and forms the dense
-    O(m^3) product.
+    max-norm.  A basis without waves (the oscillator, any hand-built one)
+    forms the dense O(m^3) product.
     """
     if tau1 < 0 or tau2 < 0:
         raise ValueError("split times must be non-negative")
@@ -256,7 +262,7 @@ def composition_residual(kernel: Kernel, tau1: float, tau2: float) -> float:
     taus = np.array([tau1 + tau2, tau1, tau2])
     lhs, k1, k2 = mode_blocks(basis, _phase_weights(basis, taus[:, None]))
     w = basis.grid.weights
-    if basis.model not in STRUCTURED_MODELS:
+    if basis.waves is None:
         return float(np.max(np.abs(lhs - k1 @ (w[:, None] * k2))))
     return column_max_norm(basis, lhs[:, 0] - k1 @ (w * k2[:, 0]))
 
@@ -321,7 +327,7 @@ def pde_jump_residual(basis: EigenSystem, convention: str, dtau: float) -> float
         raise ValueError("dtau must be positive")
     hbar = basis.constants.hbar
     w = basis.grid.weights
-    pref = -1j if convention == "minus-i" else 1.0
+    pref = _prefactor(convention)
     # G^R(+dtau) = K(+dtau), G^R(-dtau) = 0, G^R(0) = K(0)/2, so the
     # operator i hbar d/dtau - H acts on each mode's amplitude as
     # i hbar e^{-i E dtau / hbar} / (2 dtau) - E / 2: one block

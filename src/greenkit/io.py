@@ -20,7 +20,6 @@ __all__ = [
     "fmt",
     "sampled_rows",
     "field_rows",
-    "response_rows",
     "pole_payload",
 ]
 
@@ -57,7 +56,7 @@ def write_json(path: str, payload) -> None:
 
 
 def sampled_rows(x: np.ndarray, values: np.ndarray):
-    """Rows x, re, im for one complex function of position."""
+    """Rows x, re, im for one complex function of one real variable."""
     for xi, vi in zip(x, values):
         yield (xi, np.real(vi), np.imag(vi))
 
@@ -67,12 +66,6 @@ def field_rows(times: np.ndarray, x: np.ndarray, values: np.ndarray):
     for ti, row in zip(times, values):
         for xi, vi in zip(x, row):
             yield (ti, xi, np.real(vi), np.imag(vi))
-
-
-def response_rows(omega: np.ndarray, values: np.ndarray):
-    """Rows omega, re, im for a frequency response."""
-    for oi, vi in zip(omega, values):
-        yield (oi, np.real(vi), np.imag(vi))
 
 
 def pole_payload(poles) -> list:

@@ -55,16 +55,11 @@ class EigenSystem:
     case the spatial plane waves repeat across branches, so orthonormality
     only holds within a branch.
 
-    The model name promises a structure that mode_blocks relies on.  "free",
-    "relativistic" and "helmholtz" promise plane waves e^{ikx} with k a
-    multiple of 2 pi / L on the periodic grid of period L, so every mode sum
-    is circulant.  "well" promises the sine modes sqrt(2/a) sin(n pi x / a),
-    n = 1, 2, ... in row order, on the open-interval grid of (0, a), so every
-    mode sum is Toeplitz minus Hankel.  Either way a block is fixed by its
-    first column, and mode_blocks rebuilds every block from that column.  Any
-    other model ("oscillator") has no such grid algebra and stays dense: its
-    mode sums are full (m, m) blocks and composition_residual forms their
-    O(m^3) product.
+    waves, set only by the builders (_table_system), is each mode's integer
+    wave index: j for plane waves on a periodic grid, whose mode sums are
+    circulant, n for the well's sines, whose mode sums are Toeplitz minus
+    Hankel.  mode_blocks rebuilds such blocks from their first columns.  A
+    basis without waves, whatever its model label, takes the dense path.
     """
 
     grid: Grid1D
@@ -73,12 +68,15 @@ class EigenSystem:
     constants: PhysicalConstants
     model: str
     branches: np.ndarray | None = None
+    waves: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         en = np.asarray(self.energies, dtype=float)
         mv = np.asarray(self.mode_values, dtype=complex)
         object.__setattr__(self, "energies", en)
         object.__setattr__(self, "mode_values", mv)
+        if not np.all(np.isfinite(en)):
+            raise ValueError("energies must be finite")
         if mv.shape != (en.size, self.grid.size):
             raise ValueError("mode count must equal energy count, sampled on the grid")
         if self.branches is not None:
@@ -130,23 +128,31 @@ def _plane_waves(length: float, n_max: int, n_points: int | None) -> tuple:
     return Grid1D.periodic(length, m), j, 2 * np.pi * j / length
 
 
-def _plane_wave_system(grid, j, energies, constants, model, branches=None) -> EigenSystem:
-    """Basis of the waves e^{ikx}/sqrt(L), k = 2 pi j / L, one per wave
-    index in j, ordered by (|E|, E) before the mode matrix is gathered.
+def _table_system(grid, table, offsets, waves, energies, constants, model, branches=None) -> EigenSystem:
+    """Basis whose mode n is table[(waves[n] * offsets) mod len(table)],
+    marked with its wave index for the structured block paths.
 
-    On the m-point grid x_l = l L / m the phase k x_l is 2 pi j l / m, so
-    each wave is read off the m-th roots of unity at the exact integer index
-    (j l) mod m: m exponentials of arguments below 2 pi, instead of one per
-    (mode, point) pair at arguments up to 2 pi max|j|.
+    Plane waves e^{2 pi i j x / L} / sqrt(L) on x_l = l L / m: the m-th roots
+    of unity over sqrt(L), offsets l.  Well sines sqrt(2/a) sin(n pi x / a) on
+    x_l = (l + 1) a / (m + 1): sqrt(2/a) sin(pi k / (m + 1)) for
+    k < 2 (m + 1), offsets l + 1.  Every entry comes from an argument below
+    2 pi, not one per (mode, point) pair at up to 2 pi max|waves|.
     """
+    index = np.outer(waves, offsets)
+    index %= table.size
+    basis = EigenSystem(grid, energies, table[index], constants, model, branches=branches)
+    object.__setattr__(basis, "waves", waves)
+    return basis
+
+
+def _plane_wave_system(grid, j, energies, constants, model, branches=None) -> EigenSystem:
+    """Plane-wave _table_system, one wave per index in j, ordered by (|E|, E)."""
     order = np.lexsort((energies, np.abs(energies)))
     m = grid.size
     roots = np.exp(2j * np.pi * np.arange(m) / m) / np.sqrt(grid.period)
-    index = np.outer(j[order], np.arange(m))
-    index %= m
     if branches is not None:
         branches = branches[order]
-    return EigenSystem(grid, energies[order], roots[index], constants, model, branches=branches)
+    return _table_system(grid, roots, np.arange(m), j[order], energies[order], constants, model, branches)
 
 
 def _relativistic_energy(k, constants: PhysicalConstants):
@@ -188,10 +194,9 @@ def build_well_basis(
     m = n_points if n_points is not None else n_max
     grid = Grid1D.open_interval(0.0, width, m)
     n = np.arange(1, n_max + 1)
-    modes = np.sqrt(2.0 / width) * np.sin(np.outer(n * np.pi / width, grid.points))
-    modes = modes.astype(complex)
+    table = np.sqrt(2.0 / width) * np.sin(np.pi * np.arange(2 * (m + 1)) / (m + 1))
     energies = np.pi**2 * constants.hbar**2 * n**2 / (2 * constants.mass * width**2)
-    return EigenSystem(grid, energies, modes, constants, "well")
+    return _table_system(grid, table, np.arange(1, m + 1), n, energies, constants, "well")
 
 
 def hermite_modes(x: np.ndarray, n_max: int, alpha: float) -> np.ndarray:
@@ -322,10 +327,6 @@ def mode_sum(modes: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     return out if np.ndim(amplitudes) == 2 else out[0]
 
 
-PERIODIC_MODELS = ("free", "relativistic", "helmholtz")
-STRUCTURED_MODELS = PERIODIC_MODELS + ("well",)
-
-
 def _first_columns(basis: EigenSystem, rows: np.ndarray, index=slice(None)) -> np.ndarray:
     """(k, m) first columns c[i] = sum_n phi_n(x_i) a_n phi_n*(x_0) of the mode
     sums over basis.mode_values[index], one (k, n) x (n, m) product; rows of
@@ -339,7 +340,7 @@ def _first_columns(basis: EigenSystem, rows: np.ndarray, index=slice(None)) -> n
 
 def _column_blocks(basis: EigenSystem, columns: np.ndarray) -> np.ndarray:
     """Read-only (k, m, m) blocks of the basis algebra from their (k, m) first
-    columns c (see EigenSystem for the structure each model promises).
+    columns c (see EigenSystem for the structure the builders' waves mark).
 
     Periodic plane waves give the circulant block[i, j] = c[(i - j) mod m].
     Row i of a block is the window of the reversed, wrapped column that
@@ -356,7 +357,7 @@ def _column_blocks(basis: EigenSystem, columns: np.ndarray) -> np.ndarray:
     extended by the mirror g[d] = g[2m + 2 - d].
     """
     k, m = columns.shape
-    if basis.model in PERIODIC_MODELS:
+    if basis.grid.kind == "periodic":
         wrapped = np.concatenate([columns[:, ::-1], columns[:, :0:-1]], axis=1)
         row, item = wrapped.strides
         return as_strided(wrapped[:, m - 1:], (k, m, m), (row, -item, item), writeable=False)
@@ -376,16 +377,16 @@ def mode_blocks(basis: EigenSystem, amplitudes: np.ndarray, index=slice(None), f
     """factor * mode_sum over basis.mode_values[index], built from the basis
     structure, returned read-only.
 
-    On periodic and well bases every block is rebuilt from its first column
+    On bases with waves every block is rebuilt from its first column
     c[i] = block[i, 0], one (k, n) x (n, m) product for all k blocks, in
     O(m^2) per block instead of O(m^2 n): a zero-copy circulant view on
     periodic bases, Toeplitz minus Hankel on the well (_column_blocks).
-    Other models use mode_sum.  factor scales the columns (or the dense
+    Bases without waves use mode_sum.  factor scales the columns (or the dense
     blocks), so every entry is exactly factor times its unscaled value.  Rows
     of all-zero amplitudes give exact zero blocks.
     """
     rows = np.atleast_2d(amplitudes)
-    if basis.model in STRUCTURED_MODELS:
+    if basis.waves is not None:
         columns = _first_columns(basis, rows, index)
         out = _column_blocks(basis, columns if factor == 1 else factor * columns)
     else:
@@ -404,12 +405,12 @@ def column_max_norm(basis: EigenSystem, column: np.ndarray) -> float:
 
     On periodic bases B is circulant, so its entries are the column's and
     the max takes O(m).  On the well B is rebuilt by _column_blocks, the
-    same code that builds every mode_blocks block.  The oscillator has no
-    such algebra and raises ValueError.
+    same code that builds every mode_blocks block.  A basis without waves
+    has no such algebra and raises ValueError.
     """
-    if basis.model not in STRUCTURED_MODELS:
-        raise ValueError(f"model {basis.model!r} has no structured block algebra")
-    if basis.model in PERIODIC_MODELS:
+    if basis.waves is None:
+        raise ValueError(f"{basis.model!r} basis without waves has no structured block algebra")
+    if basis.grid.kind == "periodic":
         return float(np.max(np.abs(column)))
     return float(np.max(np.abs(_column_blocks(basis, column[None])[0])))
 
@@ -424,12 +425,12 @@ def completeness_residual(basis: EigenSystem) -> float:
     """Normalized distance of sum_n phi_n(x_i) phi_n*(x_j) from the grid delta.
 
     0 for a discretely complete set, approaching 1 for a badly truncated one.
-    On periodic and well bases the weights are uniform, so the delta lies in
+    On bases with waves the weights are uniform, so the delta lies in
     the basis algebra and the block minus the delta is fixed by its first
     column (column_max_norm).
     """
     w = basis.grid.weights
-    if basis.model not in STRUCTURED_MODELS:
+    if basis.waves is None:
         return delta_residual(mode_blocks(basis, np.ones(basis.size)), w)
     column = _first_columns(basis, np.ones((1, basis.size)))[0]
     return column_max_norm(basis, column - (np.arange(w.size) == 0) / w[0]) * float(np.min(w))

@@ -28,11 +28,12 @@ def test_basis_writes_modes_and_report(tmp_path):
 
 
 def test_basis_output_is_deterministic(tmp_path):
-    args = ("basis", "--model", "free", "--length", "10", "--n", "4")
-    _, out1 = run(tmp_path / "a", *args)
-    _, out2 = run(tmp_path / "b", *args)
-    for name in sorted(os.listdir(out1)):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    for args in (("basis", "--model", "free", "--length", "10", "--n", "4"),
+                 ("basis", "--model", "well", "--a", "1", "--n", "6")):
+        _, out1 = run(tmp_path / args[2] / "a", *args)
+        _, out2 = run(tmp_path / args[2] / "b", *args)
+        for name in sorted(os.listdir(out1)):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_kernel_report_first_order(tmp_path):

@@ -65,6 +65,32 @@ def test_unknown_direction_is_rejected_everywhere(name):
         _direction_calls()[name]("sideways")
 
 
+def _convention_calls():
+    basis = build_well_basis(1.0, 4)
+    window = TimeWindow(np.array([0.0, 1.0]))
+    return {
+        "auxiliary_kernel": lambda c: auxiliary_kernel(basis, window, convention=c),
+        "kernel_entry": lambda c: kernel_entry(basis, 0, 1, 0.5, convention=c),
+        "pde_jump_residual": lambda c: pde_jump_residual(basis, c, 1e-3),
+    }
+
+
+@pytest.mark.parametrize("convention", ["minus_i", "bogus"])
+@pytest.mark.parametrize("name", list(_convention_calls()))
+def test_unknown_convention_is_rejected_everywhere(name, convention):
+    """Every eq24/minus-i switch goes through the one prefactor; a typo
+    must not quietly compute the eq24 value."""
+    with pytest.raises(ValueError, match="unknown convention"):
+        _convention_calls()[name](convention)
+
+
+@pytest.mark.parametrize("tau", [np.nan, 0.25, -1.0])
+def test_at_rejects_a_time_that_is_not_a_sample(tau):
+    kern = auxiliary_kernel(build_well_basis(1.0, 4), TimeWindow(np.linspace(0.0, 1.0, 3)))
+    with pytest.raises(ValueError, match="not a stored time sample"):
+        kern.at(tau)
+
+
 def test_time_window_validation():
     with pytest.raises(ValueError, match="increasing"):
         TimeWindow(np.array([0.0, 1.0, 0.5]))

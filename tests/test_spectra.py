@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from greenkit import (
+    EigenSystem,
     PhysicalConstants,
     SampledFunction,
     TimeWindow,
@@ -14,6 +15,7 @@ from greenkit import (
     build_relativistic_branches,
     build_well_basis,
     completeness_residual,
+    composition_residual,
     orthonormality_residual,
     project_state,
     reconstruct,
@@ -64,6 +66,7 @@ def test_plane_waves_match_the_exponential(length, n_max, n_points):
     # with E = j, each row's wave index is its energy
     basis = _plane_wave_system(grid, j, j.astype(float), PhysicalConstants(), "free")
     assert np.array_equal(np.sort(basis.energies), j)
+    assert np.array_equal(basis.waves, basis.energies)
     modes = basis.mode_values
     phase = np.outer(2 * np.pi * basis.energies / length, grid.points)
     direct = np.exp(1j * phase) / np.sqrt(length)
@@ -75,6 +78,37 @@ def test_large_free_basis_is_complete_to_round_off():
     basis = build_free_basis(40.0, 512)
     assert completeness_residual(basis) <= 1e-14
     assert orthonormality_residual(basis) <= 1e-14
+
+
+def test_large_well_basis_is_exact_to_round_off():
+    """Every sine is read off one table at an exact integer index, so the
+    residuals stay at round-off instead of growing with n."""
+    basis = build_well_basis(1.0, 1024)
+    assert np.array_equal(basis.waves, np.arange(1, 1025))
+    eps = np.finfo(float).eps
+    assert completeness_residual(basis) <= 32 * eps
+    assert orthonormality_residual(basis) <= 32 * eps
+
+
+def test_mislabelled_basis_takes_the_dense_path():
+    """Orthonormal modes with no plane-wave structure, labelled "free": only
+    the builders' waves select the circulant algebra, so a hand-built basis
+    gets the dense mode sums, whatever its model label."""
+    free = build_free_basis(10.0, 4)
+    m = free.grid.size
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    basis = EigenSystem(free.grid, free.energies, q.T / np.sqrt(free.grid.weights), free.constants, "free")
+    assert basis.waves is None
+    assert orthonormality_residual(basis) <= 1e-14
+    a = rng.normal(size=m) + 1j * rng.normal(size=m)
+    assert np.max(np.abs(mode_blocks(basis, a) - mode_sum(basis.mode_values, a))) <= 1e-12
+    dense = mode_sum(basis.mode_values, np.ones(m))
+    assert completeness_residual(basis) == delta_residual(dense, basis.grid.weights)
+    kern = auxiliary_kernel(basis, TimeWindow(np.linspace(0.0, 1.0, 5)))
+    assert composition_residual(kern, 0.25, 0.25) <= 1e-14
+    with pytest.raises(ValueError, match="without waves"):
+        column_max_norm(basis, dense[:, 0])
 
 
 @pytest.mark.parametrize(
@@ -207,6 +241,12 @@ def test_project_requires_matching_grid():
         project_state(basis, psi)
 
 
+def _with_energies(e):
+    """A hand-built copy of a well basis with its last energy replaced."""
+    basis = build_well_basis(1.0, 4)
+    return EigenSystem(basis.grid, [*basis.energies[:-1], e], basis.mode_values, basis.constants, "well")
+
+
 @pytest.mark.parametrize(
     "call, match",
     [
@@ -214,6 +254,8 @@ def test_project_requires_matching_grid():
         (lambda: build_well_basis(1.0, 0), "cutoff"),
         (lambda: build_free_basis(0.0, 4), "length"),
         (lambda: build_relativistic_branches(PhysicalConstants(), 0, 10.0), "cutoff"),
+        (lambda: _with_energies(np.nan), "finite"),
+        (lambda: _with_energies(np.inf), "finite"),
     ],
 )
 def test_builder_validation(call, match):
