@@ -41,9 +41,7 @@ from .validation import run_acceptance
 
 
 def _constants(args) -> PhysicalConstants:
-    return PhysicalConstants(
-        hbar=args.hbar, c=args.c, mass=args.mass, omega=args.omega_const, epsilon0=args.epsilon0
-    )
+    return PhysicalConstants(hbar=args.hbar, c=args.c, mass=args.mass, omega=args.omega_const)
 
 
 def _build_basis(args):
@@ -229,11 +227,6 @@ def cmd_validate(args) -> int:
 
 def _add_common(p):
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--mass", "--m", dest="mass", type=float, default=1.0)
-    p.add_argument("--omega-const", type=float, default=1.0, help="oscillator angular frequency")
-    p.add_argument("--epsilon0", type=float, default=1.0)
 
 
 def _add_model(p, default_model="well"):
@@ -246,6 +239,10 @@ def _add_model(p, default_model="well"):
     p.add_argument("--kmax", type=int, default=8, help="relativistic momentum cutoff")
     p.add_argument("--points", type=int, default=None, help="grid points (default: complete grid)")
     p.add_argument("--grid-kind", default="uniform", choices=["uniform", "gauss"])
+    p.add_argument("--hbar", type=float, default=1.0)
+    p.add_argument("--c", type=float, default=1.0)
+    p.add_argument("--mass", "--m", dest="mass", type=float, default=1.0)
+    p.add_argument("--omega-const", type=float, default=1.0, help="oscillator angular frequency")
 
 
 def build_parser() -> argparse.ArgumentParser:

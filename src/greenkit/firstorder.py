@@ -73,14 +73,9 @@ def _prefactor(convention: str) -> complex:
 
 @dataclass(frozen=True)
 class TimeWindow:
-    """Ordered tau = t - t' samples.
-
-    zero_plus adds a one-sided 0+ sample (a tiny positive tau, <= 1e-6 of the
-    span) used by the initial-condition checks.
-    """
+    """Ordered tau = t - t' samples."""
 
     samples: np.ndarray
-    zero_plus: bool = False
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=float)
@@ -89,19 +84,6 @@ class TimeWindow:
             raise ValueError("need at least one time sample")
         if not np.all(np.diff(s) > 0):
             raise ValueError("time samples must be strictly increasing")
-        if self.zero_plus:
-            pos = s[s > 0]
-            span = s[-1] - s[0] if s.size > 1 else max(abs(s[0]), 1.0)
-            if pos.size == 0 or pos[0] > 1e-6 * span:
-                raise ValueError("zero_plus window needs a sample within 1e-6 of the span above 0")
-
-    @classmethod
-    def linear(cls, t0: float, t1: float, n: int, zero_plus: bool = False) -> "TimeWindow":
-        s = np.linspace(t0, t1, n)
-        if zero_plus:
-            eps = 1e-7 * (t1 - t0)
-            s = np.unique(np.concatenate([s, [eps]]))
-        return cls(s, zero_plus=zero_plus)
 
 
 @dataclass(frozen=True)
@@ -271,20 +253,17 @@ def free_kernel_closed_form(
     dx: float,
     tau: complex,
     constants: PhysicalConstants = PhysicalConstants(),
-    dimension: int = 1,
 ) -> complex:
-    """(m / (2 pi i hbar tau))^{d/2} exp(i m dx^2 / (2 hbar tau)).
+    """(m / (2 pi i hbar tau))^{1/2} exp(i m dx^2 / (2 hbar tau)), in 1-D.
 
-    Principal power of the complex prefactor (phase -pi/4 per dimension for
-    tau > 0).  Complex tau with negative imaginary part is the damped
-    continuation used when comparing against regularized spectral sums.
+    Principal power of the complex prefactor (phase -pi/4 for tau > 0).
+    Complex tau with negative imaginary part is the damped continuation used
+    when comparing against regularized spectral sums.
     """
-    if dimension not in (1, 3):
-        raise ValueError("dimension must be 1 or 3")
     if tau == 0:
         raise ValueError("closed form is singular at tau = 0; use the delta limit")
     m, hbar = constants.mass, constants.hbar
-    pref = (m / (2j * np.pi * hbar * tau)) ** (dimension / 2)
+    pref = (m / (2j * np.pi * hbar * tau)) ** 0.5
     return complex(pref * np.exp(1j * m * dx**2 / (2 * hbar * tau)))
 
 

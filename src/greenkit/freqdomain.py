@@ -42,7 +42,6 @@ class SpectralDensity:
     omegas: np.ndarray
     weights: np.ndarray
     signs: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         om = np.asarray(self.omegas, dtype=float)
@@ -100,7 +99,7 @@ def spectral_density(basis: EigenSystem, i: int, j: int, order: str = "first") -
     phi = basis.mode_values[:, i] * np.conj(basis.mode_values[:, j])
     if order == "first":
         om = basis.energies / basis.constants.hbar
-        return SpectralDensity(om, phi, np.ones(om.size, dtype=int), label=f"x{i}-x{j}")
+        return SpectralDensity(om, phi, np.ones(om.size, dtype=int))
     if order == "second":
         if np.any(basis.energies <= 0):
             raise ValueError("second-order lines need strictly positive eigenvalues")
@@ -110,7 +109,7 @@ def spectral_density(basis: EigenSystem, i: int, j: int, order: str = "first") -
         om = np.concatenate([root * c, -root * c])
         wt = np.concatenate([w_plus, -w_plus])
         sg = np.concatenate([np.ones(root.size, dtype=int), -np.ones(root.size, dtype=int)])
-        return SpectralDensity(om, wt, sg, label=f"x{i}-x{j}")
+        return SpectralDensity(om, wt, sg)
     raise ValueError(f"unknown order {order!r}")
 
 
@@ -127,22 +126,23 @@ def _shifted_poles(omegas, residues, eta: float, direction: str) -> tuple:
     return tuple((om + shift, r) for om, r in zip(omegas, residues))
 
 
-def _pole_sum(omega, poles):
+def _pole_response(omega, poles: tuple, eta: float, direction: str) -> FreqResponse:
+    """sum_n r_n / (omega - p_n) over the (p_n, r_n) poles; eta is checked first."""
+    if not eta > 0:
+        raise ValueError("eta must be positive")
+    omega = np.asarray(omega, dtype=float)
     vals = np.zeros(omega.shape, dtype=complex)
     for p, r in poles:
         vals += r / (omega - p)
-    return vals
+    return FreqResponse(omega, vals, eta, direction, poles)
 
 
 def response_from_density(
     density: SpectralDensity, omega: np.ndarray, eta: float, direction: str
 ) -> FreqResponse:
     """Closed pole form sum_n w_n / (omega - omega_n + i s eta)."""
-    if not eta > 0:
-        raise ValueError("eta must be positive")
     poles = _shifted_poles(density.omegas, density.weights, eta, direction)
-    omega = np.asarray(omega, dtype=float)
-    return FreqResponse(omega, _pole_sum(omega, poles), eta, direction, poles)
+    return _pole_response(omega, poles, eta, direction)
 
 
 def _line_integrals(omega, lines, eta: float, direction: str, broadening: float | None = None) -> np.ndarray:
@@ -256,12 +256,9 @@ def momentum_response_relativistic(
     ((omega + i s eta)^2 - (E_k/hbar)^2), which is the finite-eta statement
     of the omega-squared regularization.
     """
-    if not eta > 0:
-        raise ValueError("eta must be positive")
     w0 = _relativistic_energy(k, constants) / constants.hbar
     poles = _shifted_poles((w0, -w0), (1.0 + 0j, 1.0 + 0j), eta, direction)
-    omega = np.asarray(omega, dtype=float)
-    return FreqResponse(omega, _pole_sum(omega, poles), eta, direction, poles)
+    return _pole_response(omega, poles, eta, direction)
 
 
 def feynman_combination(
@@ -276,20 +273,19 @@ def feynman_combination(
     solution of any single differential equation; kept as a pole-census
     object.
     """
-    if not eta > 0:
-        raise ValueError("eta must be positive")
     w0 = _relativistic_energy(k, constants) / constants.hbar
     poles = tuple((s * w0 - 1j * s * eta, 1.0 + 0j) for s in (1, -1))
-    omega = np.asarray(omega, dtype=float)
-    return FreqResponse(omega, _pole_sum(omega, poles), eta, "feynman", poles)
+    return _pole_response(omega, poles, eta, "feynman")
 
 
 def inverse_transform_roundtrip(response: FreqResponse, tau: np.ndarray) -> dict:
     """Direct discrete inverse transform and its deviation report.
 
-    Computes (1/2 pi) int domega e^{-i omega tau} G(omega) by the trapezoid
-    rule over the stored omega grid (no pole-residue shortcut) and compares
-    against the residue-form reference: -i s theta(s tau) sum r e^{-i p tau},
+    Computes (1/2 pi) int domega e^{-i omega tau} G(omega) as a weighted sum
+    over the stored omega grid (no pole-residue shortcut), with node weights
+    np.gradient(omega): the trapezoid weights at interior nodes, but the full
+    end spacing, not half of it, at the two end nodes.  It compares against
+    the residue-form reference: -i s theta(s tau) sum r e^{-i p tau},
     s = +1 for poles below the axis, -1 above.  Reports the peak magnitude,
     the worst mismatch on the supported side and the worst leakage on the
     suppressed side (relative to the peak).

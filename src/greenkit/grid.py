@@ -23,6 +23,12 @@ __all__ = [
 _UNIFORM_RTOL = 1e-12
 
 
+def _require_two_points(n: int) -> None:
+    """Raise ValueError for n < 2; factories call it before dividing by n."""
+    if n < 2:
+        raise ValueError("need at least two grid points")
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Ordered sample points with positive quadrature weights.
@@ -53,8 +59,7 @@ class Grid1D:
             raise ValueError("points and weights must be 1-D")
         if pts.size != wts.size:
             raise ValueError("weight count must equal point count")
-        if pts.size < 2:
-            raise ValueError("need at least two grid points")
+        _require_two_points(pts.size)
         dx = np.diff(pts)
         dx_min, dx_max, h = dx.min(), dx.max(), dx.mean()
         if not dx_min > 0:
@@ -83,6 +88,7 @@ class Grid1D:
         """Closed interval [a, b] with trapezoidal weights."""
         if not b > a:
             raise ValueError("need b > a")
+        _require_two_points(n)
         pts = np.linspace(a, b, n)
         h = (b - a) / (n - 1)
         w = np.full(n, h)
@@ -98,16 +104,18 @@ class Grid1D:
         """
         if not b > a:
             raise ValueError("need b > a")
+        _require_two_points(n)
         h = (b - a) / (n + 1)
         pts = a + h * np.arange(1, n + 1)
         return cls(pts, np.full(n, h), kind="open-interval")
 
     @classmethod
-    def periodic(cls, length: float, n: int, x0: float = 0.0) -> "Grid1D":
+    def periodic(cls, length: float, n: int) -> "Grid1D":
         if not length > 0:
             raise ValueError("period must be positive")
+        _require_two_points(n)
         h = length / n
-        pts = x0 + h * np.arange(n)
+        pts = h * np.arange(n)
         return cls(pts, np.full(n, h), kind="periodic", period=length)
 
     def index_of(self, x: float) -> int:

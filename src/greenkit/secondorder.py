@@ -16,7 +16,7 @@ import numpy as np
 
 from .firstorder import Kernel, TimeWindow, _sign, _step_factor, theta
 from .grid import Grid1D
-from .spectra import EigenSystem, PhysicalConstants, mode_blocks
+from .spectra import EigenSystem, mode_blocks
 
 __all__ = [
     "SourceField",
@@ -44,6 +44,8 @@ class SourceField:
         v = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
+        if t.ndim != 1 or t.size < 1:
+            raise ValueError("need a 1-D array of at least one source time")
         if not np.all(np.diff(t) > 0):
             raise ValueError("time samples must be strictly increasing")
         if v.shape != (t.size, self.grid.size):
@@ -56,13 +58,12 @@ class SourceField:
 class PulseDescriptor:
     """Distributional EM kernel entry: amplitude / delta(tau - arrival).
 
-    direction retarded gives arrival R/c > 0, advanced -R/c.  width is the
-    nascent-Gaussian width used when the pulse must be sampled.
+    arrival is R/c > 0 for the retarded kernel, -R/c for the advanced one.
+    width is the nascent-Gaussian width used when the pulse must be sampled.
     """
 
     amplitude: float
     arrival: float
-    direction: str
     width: float = 0.0
 
     def sample(self, tau: np.ndarray) -> np.ndarray:
@@ -102,19 +103,15 @@ def _wave_amplitude(root_e: np.ndarray, c: float, tau) -> np.ndarray:
     return np.where(zero, c * tau, c * np.sin(root_e * c * tau) / np.where(zero, 1.0, root_e))
 
 
-def wave_auxiliary_kernel(
-    basis: EigenSystem,
-    window: TimeWindow,
-    constants: PhysicalConstants | None = None,
-) -> Kernel:
-    """G = c sum_n phi_n phi_n* sin(sqrt(E_n) c tau) / sqrt(E_n).
+def wave_auxiliary_kernel(basis: EigenSystem, window: TimeWindow) -> Kernel:
+    """G = c sum_n phi_n phi_n* sin(sqrt(E_n) c tau) / sqrt(E_n), c = basis.constants.c.
 
     The zero mode uses the removable-singularity limit sin(0 * )/0 -> c tau.
     Odd in tau by construction, zero at tau = 0 exactly.  On the relativistic
     two-branch basis this is the Klein-Gordon kernel, a box-normalized sum of
     e^{ik dx} sin(E_k tau)/E_k with E_k = +sqrt(k^2 + m^2) (hbar = c = 1).
     """
-    c = (constants if constants is not None else basis.constants).c
+    c = basis.constants.c
     index, root_e = _wave_modes(basis)
     amps = _wave_amplitude(root_e, c, window.samples[:, None])
     return Kernel(basis, window.samples, amps, index, kind="auxiliary", wave_speed=c)
@@ -141,7 +138,7 @@ def em_kernel_closed_form(
     if not separation > 0:
         raise ValueError("self-field is singular: separation must be positive")
     arrival = _sign(direction) * separation / c
-    return PulseDescriptor(1.0 / (4 * np.pi * separation), arrival, direction, width)
+    return PulseDescriptor(1.0 / (4 * np.pi * separation), arrival, width)
 
 
 def field_from_source(kernel: Kernel, source: SourceField, eval_times: np.ndarray) -> np.ndarray:
@@ -214,7 +211,6 @@ def em_point_charge_field(
     r: float,
     t_grid: np.ndarray,
     pulse_width: float = 0.0,
-    source_times: np.ndarray | None = None,
 ) -> np.ndarray:
     """Potential of the switch-on point charge via the EM kernel convolution.
 
@@ -230,9 +226,8 @@ def em_point_charge_field(
         # psi(t) = amplitude * f(t - R/c); the retarded arrival already
         # enforces t' = t - R/c < t
         return pulse.amplitude * profile(t_grid - pulse.arrival)
-    if source_times is None:
-        span = max(t_grid[-1], pulse.arrival) + 8 * pulse_width
-        source_times = np.linspace(-8 * pulse_width, span, 4001)
+    span = max(t_grid[-1], pulse.arrival) + 8 * pulse_width
+    source_times = np.linspace(-8 * pulse_width, span, 4001)
     out = np.empty_like(t_grid)
     f_src = profile(source_times)
     for i, t in enumerate(t_grid):
@@ -241,22 +236,22 @@ def em_point_charge_field(
     return out
 
 
-def wave_pde_residual(basis: EigenSystem, tau_grid: np.ndarray, constants: PhysicalConstants | None = None) -> float:
+def wave_pde_residual(basis: EigenSystem, tau_grid: np.ndarray) -> float:
     """Max discrete residual of (-(1/c^2) d^2/dtau^2 - H) G on interior times.
 
     H acts spectrally (exact on the grid); the second time derivative is the
     centered difference, so the residual is O(dtau^2) and is reported for
     convergence monitoring.
     """
-    constants = constants if constants is not None else basis.constants
+    c = basis.constants.c
     t = TimeWindow(np.asarray(tau_grid, dtype=float)).samples
     if t.size < 3:
         raise ValueError("need at least three time samples")
     index, root_e = _wave_modes(basis)
     # -(1/c^2) d^2/dtau^2 - H acts on each mode's amplitude: the centered
     # second difference of the wave amplitudes, and E = root_e^2 times them
-    g = _wave_amplitude(root_e, constants.c, t[:, None])
+    g = _wave_amplitude(root_e, c, t[:, None])
     dt = np.diff(t)[:, None]
     d2 = ((g[2:] - g[1:-1]) / dt[1:] - (g[1:-1] - g[:-2]) / dt[:-1]) / ((dt[:-1] + dt[1:]) / 2)
-    residual = mode_blocks(basis, -d2 / constants.c**2 - root_e**2 * g[1:-1], index)
+    residual = mode_blocks(basis, -d2 / c**2 - root_e**2 * g[1:-1], index)
     return float(np.max(np.abs(residual)))

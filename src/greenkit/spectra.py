@@ -38,10 +38,9 @@ class PhysicalConstants:
     c: float = 1.0
     mass: float = 1.0
     omega: float = 1.0
-    epsilon0: float = 1.0
 
     def __post_init__(self):
-        for name in ("hbar", "c", "mass", "omega", "epsilon0"):
+        for name in ("hbar", "c", "mass", "omega"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
 
@@ -88,9 +87,6 @@ class EigenSystem:
     @property
     def size(self) -> int:
         return self.energies.size
-
-    def mode(self, n: int) -> SampledFunction:
-        return SampledFunction(self.grid, self.mode_values[n])
 
     def check_point_indices(self, *indices: int) -> None:
         """Raise ValueError unless 0 <= index < grid.size for every index;
@@ -141,6 +137,9 @@ def _table_system(grid, table, offsets, waves, energies, constants, model, branc
     index = np.outer(waves, offsets)
     index %= table.size
     basis = EigenSystem(grid, energies, table[index], constants, model, branches=branches)
+    # both fresh here; read-only, so no write can break the structure waves marks
+    basis.mode_values.flags.writeable = False
+    waves.flags.writeable = False
     object.__setattr__(basis, "waves", waves)
     return basis
 
@@ -219,7 +218,6 @@ def build_oscillator_basis(
     constants: PhysicalConstants = PhysicalConstants(),
     n_max: int = 32,
     n_points: int | None = None,
-    extent: float | None = None,
     grid_kind: str = "uniform",
 ) -> EigenSystem:
     """Harmonic-oscillator eigenfunctions, E_n = (n + 1/2) hbar omega.
@@ -241,7 +239,7 @@ def build_oscillator_basis(
         grid = Grid1D(nodes / alpha, lam * np.exp(nodes**2) / alpha, kind="open-interval")
     elif grid_kind == "uniform":
         # classical turning point of the last mode plus a decay buffer
-        half = (np.sqrt(2 * n_max + 1) + 5.0) / alpha if extent is None else extent
+        half = (np.sqrt(2 * n_max + 1) + 5.0) / alpha
         m = n_points if n_points is not None else max(64, int(np.ceil(16 * half * alpha * np.sqrt(2 * n_max) / np.pi)) | 1)
         grid = Grid1D.uniform(-half, half, m)
     else:
@@ -251,8 +249,7 @@ def build_oscillator_basis(
         edge = max(abs(modes[-1, 0]), abs(modes[-1, -1]))
         if edge > 1e-10:
             raise ValueError(
-                f"grid too narrow: mode {n_max - 1} is {edge:.2e} at the boundary "
-                "(needs < 1e-10); widen the extent"
+                f"grid too narrow: mode {n_max - 1} is {edge:.2e} at the boundary (needs < 1e-10)"
             )
     energies = (np.arange(n_max) + 0.5) * constants.hbar * constants.omega
     return EigenSystem(grid, energies, modes, constants, "oscillator")

@@ -173,6 +173,45 @@ def test_configuration_error_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("basis", "--model", "free", "--points", "0"),
+        ("basis", "--model", "helmholtz", "--points", "0"),
+        ("kernel", "--model", "free", "--points", "0"),
+        ("basis", "--model", "well", "--points", "-1"),
+        ("basis", "--model", "oscillator", "--points", "1"),
+        ("field", "--nt", "0"),
+    ],
+)
+def test_bad_sizes_exit_2(tmp_path, capsys, argv):
+    code, _ = run(tmp_path, *argv)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "--hbar", "2", "--only", "1"),
+        ("distcheck", "--epsilon0", "1", "--flavor", "linear"),
+        ("basis", "--epsilon0", "2"),
+    ],
+)
+def test_flags_the_subcommand_does_not_read_exit_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv)
+    assert exc.value.code == 2
+
+
+def test_basis_subcommands_take_the_physical_constants(tmp_path):
+    code, _ = run(tmp_path / "kernel", "kernel", "--model", "free", "--n", "4", "--hbar", "2", "--c", "3", "--mass", "0.5")
+    assert code == 0
+    code, out = run(tmp_path / "basis", "basis", "--model", "oscillator", "--n", "4", "--omega-const", "2")
+    assert code == 0
+    assert json.loads((out / "basis.json").read_text())["energies"] == [1.0, 3.0, 5.0, 7.0]
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["kernel", "--model", "pendulum"])

@@ -48,6 +48,21 @@ def test_grid_validation_errors(points, weights, match):
         Grid1D(points, weights)
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda n: Grid1D.uniform(0.0, 1.0, n),
+        lambda n: Grid1D.open_interval(0.0, 1.0, n),
+        lambda n: Grid1D.periodic(1.0, n),
+    ],
+    ids=["uniform", "open-interval", "periodic"],
+)
+def test_factories_check_the_size_before_dividing(make, n):
+    with pytest.raises(ValueError, match="need at least two grid points"):
+        make(n)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="kind"):
         Grid1D(np.arange(3.0), np.ones(3), kind="chebyshev")

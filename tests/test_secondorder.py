@@ -190,18 +190,19 @@ def test_field_from_source_matches_the_loop(case):
 
 
 def test_field_uses_the_kernel_wave_speed():
+    """A c = 3 kernel carried onto a c = 1 basis keeps its speed: the field
+    follows Kernel.wave_speed, not basis.constants.c."""
     basis = build_helmholtz_basis(L, 6)  # c = 1
     window = TimeWindow(np.linspace(-2.0, 2.0, 5))
     src = _source(basis, np.linspace(0.0, 1.0, 11), 3)
     eval_times = np.linspace(0.0, 2.0, 9)
-
-    def field(b, constants=None):
-        ret = wave_step_factor_kernel(wave_auxiliary_kernel(b, window, constants), "retarded")
-        return field_from_source(ret, src, eval_times)
-
-    slow, fast = field(basis), field(basis, PhysicalConstants(c=3.0))
+    built = wave_step_factor_kernel(
+        wave_auxiliary_kernel(build_helmholtz_basis(L, 6, PhysicalConstants(c=3.0)), window), "retarded")
+    carried = Kernel(basis, built.times, built.amplitudes, built.modes, kind="retarded", wave_speed=3.0)
+    slow = field_from_source(wave_step_factor_kernel(wave_auxiliary_kernel(basis, window), "retarded"),
+                             src, eval_times)
+    fast, ref = field_from_source(carried, src, eval_times), field_from_source(built, src, eval_times)
     assert not np.allclose(slow, fast)
-    ref = field(build_helmholtz_basis(L, 6, PhysicalConstants(c=3.0)))
     assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -250,6 +251,13 @@ def test_source_field_validation():
         SourceField(basis.grid, np.array([1.0, 0.0]), np.ones((2, basis.grid.size)))
     with pytest.raises(ValueError, match="times x grid"):
         SourceField(basis.grid, np.array([0.0, 1.0]), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("times", [np.array([]), np.array(0.5), np.zeros((1, 1))], ids=["empty", "0-d", "2-d"])
+def test_source_field_rejects_times_that_are_not_a_1d_sequence(times):
+    basis = build_helmholtz_basis(L, 4)
+    with pytest.raises(ValueError, match="1-D array of at least one source time"):
+        SourceField(basis.grid, times, np.ones((np.size(times), basis.grid.size)))
 
 
 def test_wave_residual_converges_second_order():

@@ -241,6 +241,24 @@ def test_project_requires_matching_grid():
         project_state(basis, psi)
 
 
+@pytest.mark.parametrize("array", ["mode_values", "waves"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_free_basis(10.0, 4),
+        lambda: build_well_basis(1.0, 6),
+        lambda: build_relativistic_branches(PhysicalConstants(), 3, 10.0),
+    ],
+    ids=["free", "well", "relativistic"],
+)
+def test_builder_structure_is_read_only(build, array):
+    """The modes and the wave indices that mark their structure cannot be
+    rewritten after the build, so mode_blocks cannot drift from mode_sum."""
+    basis = build()
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(basis, array)[:] = 0
+
+
 def _with_energies(e):
     """A hand-built copy of a well basis with its last energy replaced."""
     basis = build_well_basis(1.0, 4)
