@@ -60,7 +60,6 @@ class PrincipalValueResult:
 
     principal: complex
     delta_part: complex
-    eta: float
     full_integral: complex
     residual: float
 
@@ -221,7 +220,7 @@ def sokhotski_plemelj(f: SampledFunction, eta: float) -> PrincipalValueResult:
     principal = (4 * complex(*(bulk + ring)) - complex(*bulk)) / 3
     delta_part = -1j * np.pi * f0
     residual = abs(full - principal - delta_part)
-    return PrincipalValueResult(principal, delta_part, eta, full, residual)
+    return PrincipalValueResult(principal, delta_part, full, residual)
 
 
 def _damped_delta_ft(flavor: str, eta: float, etap: float, k: np.ndarray) -> np.ndarray:

@@ -90,32 +90,29 @@ class TimeWindow:
 class Kernel:
     """G(x_i, x_j; tau_k) over a time window, stored as per-time mode amplitudes.
 
-    Block k is sum_n phi_n(x_i) amplitudes[k, n] phi_n*(x_j) over the basis
-    modes listed in `modes` (all of them by default), times -i under the
-    minus-i convention.  kind: auxiliary | retarded | advanced; convention:
-    "eq24" (no prefactor) or "minus-i" (printed literature form); wave_speed:
-    the c a second-order kernel was built with, None for a first-order one.
+    Block k is sum_n phi_n(x_i) amplitudes[k, n] phi_n*(x_j) over every basis
+    mode (zero for a mode the kernel leaves out), times -i under the minus-i
+    convention.  kind: auxiliary | retarded | advanced; convention: "eq24"
+    (no prefactor) or "minus-i" (printed literature form); wave_speed: the c
+    a second-order kernel was built with, None for a first-order one.
     """
 
     basis: EigenSystem
     times: np.ndarray
     amplitudes: np.ndarray = field(repr=False)
-    modes: np.ndarray | None = None
     kind: str = "auxiliary"
     convention: str = "eq24"
     wave_speed: float | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = TimeWindow(self.times).samples
         a = np.asarray(self.amplitudes, dtype=complex)
-        modes = np.arange(self.basis.size) if self.modes is None else np.asarray(self.modes, dtype=int)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "amplitudes", a)
-        object.__setattr__(self, "modes", modes)
-        if modes.ndim != 1 or np.any((modes < 0) | (modes >= self.basis.size)):
-            raise ValueError("modes must index rows of the basis")
-        if a.shape != (t.size, modes.size):
+        if a.shape != (t.size, self.basis.size):
             raise ValueError("amplitudes must be one row per time sample, one column per mode")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("amplitudes must be finite")
         if self.kind not in ("auxiliary", "retarded", "advanced"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         _prefactor(self.convention)  # raises on an unknown convention
@@ -132,7 +129,7 @@ class Kernel:
         return "first" if self.wave_speed is None else "second"
 
     def _blocks(self, amplitudes: np.ndarray) -> np.ndarray:
-        return mode_blocks(self.basis, amplitudes, self.modes, _prefactor(self.convention))
+        return mode_blocks(self.basis, amplitudes, _prefactor(self.convention))
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -187,7 +184,7 @@ def _step_factor(aux: Kernel, direction: str) -> Kernel:
     (advanced), for an auxiliary kernel of either order."""
     s = _sign(direction)
     fac = s * theta(s * aux.times)
-    return Kernel(aux.basis, aux.times, aux.amplitudes * fac[:, None], aux.modes, kind=direction,
+    return Kernel(aux.basis, aux.times, aux.amplitudes * fac[:, None], kind=direction,
                   convention=aux.convention, wave_speed=aux.wave_speed)
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .firstorder import _SIGNS, _sign
+from .secondorder import _wave_modes
 from .spectra import EigenSystem, PhysicalConstants, _relativistic_energy
 
 __all__ = [
@@ -33,25 +34,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SpectralDensity:
-    """Finite list of frequency lines (omega_n, weight, sign).
+    """Finite list of frequency lines (omega_n, weight).
 
-    First-order densities carry all signs +1; second-order densities come in
-    mirrored +-sqrt(E) c pairs with opposite-sign weights.
+    Second-order densities come in mirrored +-sqrt(E) c pairs with
+    opposite-sign weights: the +sqrt(E) c half first, then its mirror.
     """
 
     omegas: np.ndarray
     weights: np.ndarray
-    signs: np.ndarray
 
     def __post_init__(self):
         om = np.asarray(self.omegas, dtype=float)
         wt = np.asarray(self.weights, dtype=complex)
-        sg = np.asarray(self.signs, dtype=int)
         object.__setattr__(self, "omegas", om)
         object.__setattr__(self, "weights", wt)
-        object.__setattr__(self, "signs", sg)
-        if not om.shape == wt.shape == sg.shape:
-            raise ValueError("omegas, weights, signs must align")
+        if om.shape != wt.shape:
+            raise ValueError("omegas and weights must align")
         if not np.all(np.isfinite(wt)):
             raise ValueError("line weights must be finite")
 
@@ -90,26 +88,23 @@ def spectral_density(basis: EigenSystem, i: int, j: int, order: str = "first") -
     """Density of the kernel entry (x_i, x_j).
 
     order "first": one line per mode at E_n/hbar with weight phi_n(x_i)
-    phi_n*(x_j).  order "second": mirrored pair at +-sqrt(E_n) c with
-    weights +-c phi phi* / (2 i sqrt(E_n)); zero modes have no finite-
-    frequency line and are rejected here.  Indices outside the grid raise
-    ValueError.
+    phi_n*(x_j).  order "second": a mirrored pair at +-sqrt(E_n) c with
+    weights +-c phi phi* / (2 i sqrt(E_n)) per mode of the wave kernel
+    (secondorder._wave_modes): every mode, or on the relativistic two-branch
+    basis one pair per momentum at +-E_k c.  A zero mode (Helmholtz k = 0)
+    has no finite-frequency line and is rejected here.  Indices outside the
+    grid raise ValueError.
     """
     basis.check_point_indices(i, j)
     phi = basis.mode_values[:, i] * np.conj(basis.mode_values[:, j])
     if order == "first":
-        om = basis.energies / basis.constants.hbar
-        return SpectralDensity(om, phi, np.ones(om.size, dtype=int))
+        return SpectralDensity(basis.energies / basis.constants.hbar, phi)
     if order == "second":
-        if np.any(basis.energies <= 0):
-            raise ValueError("second-order lines need strictly positive eigenvalues")
-        c = basis.constants.c
-        root = np.sqrt(basis.energies)
-        w_plus = c * phi / (2j * root)
-        om = np.concatenate([root * c, -root * c])
-        wt = np.concatenate([w_plus, -w_plus])
-        sg = np.concatenate([np.ones(root.size, dtype=int), -np.ones(root.size, dtype=int)])
-        return SpectralDensity(om, wt, sg)
+        index, root = _wave_modes(basis)
+        if np.any(root == 0):
+            raise ValueError("second-order lines need positive eigenvalues: a zero mode has no finite-frequency line")
+        w_plus = basis.constants.c * phi[index] / (2j * root)
+        return SpectralDensity(np.concatenate([root, -root]) * basis.constants.c, np.concatenate([w_plus, -w_plus]))
     raise ValueError(f"unknown order {order!r}")
 
 

@@ -23,10 +23,11 @@ __all__ = [
 _UNIFORM_RTOL = 1e-12
 
 
-def _require_two_points(n: int) -> None:
-    """Raise ValueError for n < 2; factories call it before dividing by n."""
-    if n < 2:
-        raise ValueError("need at least two grid points")
+def _require_points(n: int, kind: str) -> None:
+    """Raise ValueError for n < 2, or n < 1 on an open interval; factories
+    call it before dividing by n."""
+    if n < 2 - (kind == "open-interval"):
+        raise ValueError("need at least one grid point" if kind == "open-interval" else "need at least two grid points")
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,8 @@ class Grid1D:
 
     spacing, set at construction rather than passed in, is the mean point
     spacing (exact for the uniform and periodic kinds), taken from the one
-    np.diff that validates the points.
+    np.diff that validates the points; a one-point open-interval grid takes
+    its point's cell, the weight.
     """
 
     points: np.ndarray
@@ -59,21 +61,21 @@ class Grid1D:
             raise ValueError("points and weights must be 1-D")
         if pts.size != wts.size:
             raise ValueError("weight count must equal point count")
-        _require_two_points(pts.size)
+        _require_points(pts.size, self.kind)
         dx = np.diff(pts)
-        dx_min, dx_max, h = dx.min(), dx.max(), dx.mean()
-        if not dx_min > 0:
+        if not np.all(dx > 0):
             raise ValueError("points must be strictly increasing")
         if not np.all(wts > 0):
             raise ValueError("weights must be strictly positive")
         if self.kind not in ("uniform", "open-interval", "periodic"):
             raise ValueError(f"unknown grid kind {self.kind!r}")
+        h = dx.mean() if dx.size else wts[0]
         if self.kind in ("uniform", "periodic"):
             # successive differences jitter at the ulp of the coordinates,
             # not of the spacing, so scale the tolerance by both
             tol = _UNIFORM_RTOL * abs(h) + 8 * np.finfo(float).eps * max(abs(pts[0]), abs(pts[-1]))
             # rounding of dx - h is monotone in dx, so this is max|dx - h|
-            if max(dx_max - h, h - dx_min) > tol:
+            if max(dx.max() - h, h - dx.min()) > tol:
                 raise ValueError(f"{self.kind} grid must be evenly spaced")
         if self.kind == "periodic" and self.period is None:
             raise ValueError("periodic grid needs its period")
@@ -88,7 +90,7 @@ class Grid1D:
         """Closed interval [a, b] with trapezoidal weights."""
         if not b > a:
             raise ValueError("need b > a")
-        _require_two_points(n)
+        _require_points(n, "uniform")
         pts = np.linspace(a, b, n)
         h = (b - a) / (n - 1)
         w = np.full(n, h)
@@ -104,7 +106,7 @@ class Grid1D:
         """
         if not b > a:
             raise ValueError("need b > a")
-        _require_two_points(n)
+        _require_points(n, "open-interval")
         h = (b - a) / (n + 1)
         pts = a + h * np.arange(1, n + 1)
         return cls(pts, np.full(n, h), kind="open-interval")
@@ -113,7 +115,7 @@ class Grid1D:
     def periodic(cls, length: float, n: int) -> "Grid1D":
         if not length > 0:
             raise ValueError("period must be positive")
-        _require_two_points(n)
+        _require_points(n, "periodic")
         h = length / n
         pts = h * np.arange(n)
         return cls(pts, np.full(n, h), kind="periodic", period=length)

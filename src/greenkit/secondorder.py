@@ -75,24 +75,23 @@ class PulseDescriptor:
 
 
 def _wave_modes(basis: EigenSystem) -> tuple:
-    """(mode indices, sqrt(E_n)) of the spectral wave kernel; rejects negative
-    eigenvalues.
+    """(mode indices, sqrt(E_n)) of the wave kernels and the second-order
+    density; rejects negative eigenvalues.
 
     The relativistic two-branch basis is the Klein-Gordon case: it repeats
-    each momentum at +-E_k, so one copy per momentum is kept, with E = E_k^2.
+    each momentum at +-E_k, so only the positive branch is kept, with
+    E = E_k^2.  Any other basis keeps every mode.
     """
-    if basis.model == "helmholtz":
-        index = np.arange(basis.size)
-        e = basis.energies
-    elif basis.model == "relativistic":
+    if basis.model == "relativistic":
         if not (basis.constants.hbar == 1.0 and basis.constants.c == 1.0):
             raise ValueError("Klein-Gordon kernel assumes hbar = c = 1 units")
         index = np.flatnonzero(basis.branches > 0)
         e = basis.energies[index] ** 2
     else:
-        raise ValueError(f"model {basis.model!r} is not a second-order model")
+        index = np.arange(basis.size)
+        e = basis.energies
     if np.any(e < 0):
-        raise ValueError("second-order kernel needs non-negative eigenvalues")
+        raise ValueError("second-order modes need non-negative eigenvalues")
     return index, np.sqrt(e)
 
 
@@ -109,12 +108,16 @@ def wave_auxiliary_kernel(basis: EigenSystem, window: TimeWindow) -> Kernel:
     The zero mode uses the removable-singularity limit sin(0 * )/0 -> c tau.
     Odd in tau by construction, zero at tau = 0 exactly.  On the relativistic
     two-branch basis this is the Klein-Gordon kernel, a box-normalized sum of
-    e^{ik dx} sin(E_k tau)/E_k with E_k = +sqrt(k^2 + m^2) (hbar = c = 1).
+    e^{ik dx} sin(E_k tau)/E_k with E_k = +sqrt(k^2 + m^2) (hbar = c = 1),
+    and the negative branch's amplitudes are zero.
     """
+    if basis.model not in ("helmholtz", "relativistic"):
+        raise ValueError(f"model {basis.model!r} is not a second-order model")
     c = basis.constants.c
     index, root_e = _wave_modes(basis)
-    amps = _wave_amplitude(root_e, c, window.samples[:, None])
-    return Kernel(basis, window.samples, amps, index, kind="auxiliary", wave_speed=c)
+    amps = np.zeros((window.samples.size, basis.size))
+    amps[:, index] = _wave_amplitude(root_e, c, window.samples[:, None])
+    return Kernel(basis, window.samples, amps, kind="auxiliary", wave_speed=c)
 
 
 def wave_step_factor_kernel(aux: Kernel, direction: str) -> Kernel:
@@ -243,6 +246,8 @@ def wave_pde_residual(basis: EigenSystem, tau_grid: np.ndarray) -> float:
     centered difference, so the residual is O(dtau^2) and is reported for
     convergence monitoring.
     """
+    if basis.model not in ("helmholtz", "relativistic"):
+        raise ValueError(f"model {basis.model!r} is not a second-order model")
     c = basis.constants.c
     t = TimeWindow(np.asarray(tau_grid, dtype=float)).samples
     if t.size < 3:
@@ -253,5 +258,6 @@ def wave_pde_residual(basis: EigenSystem, tau_grid: np.ndarray) -> float:
     g = _wave_amplitude(root_e, c, t[:, None])
     dt = np.diff(t)[:, None]
     d2 = ((g[2:] - g[1:-1]) / dt[1:] - (g[1:-1] - g[:-2]) / dt[:-1]) / ((dt[:-1] + dt[1:]) / 2)
-    residual = mode_blocks(basis, -d2 / c**2 - root_e**2 * g[1:-1], index)
-    return float(np.max(np.abs(residual)))
+    amps = np.zeros((t.size - 2, basis.size))
+    amps[:, index] = -d2 / c**2 - root_e**2 * g[1:-1]
+    return float(np.max(np.abs(mode_blocks(basis, amps))))

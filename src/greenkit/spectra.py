@@ -238,8 +238,9 @@ def build_oscillator_basis(
         nodes, lam = np.polynomial.hermite.hermgauss(m)
         grid = Grid1D(nodes / alpha, lam * np.exp(nodes**2) / alpha, kind="open-interval")
     elif grid_kind == "uniform":
-        # classical turning point of the last mode plus a decay buffer
-        half = (np.sqrt(2 * n_max + 1) + 5.0) / alpha
+        # classical turning point of the last mode plus a decay buffer; one mode
+        # takes the two-mode width (mode 0 is still 1.1e-10 at sqrt(3) + 5)
+        half = (np.sqrt(2 * max(n_max, 2) + 1) + 5.0) / alpha
         m = n_points if n_points is not None else max(64, int(np.ceil(16 * half * alpha * np.sqrt(2 * n_max) / np.pi)) | 1)
         grid = Grid1D.uniform(-half, half, m)
     else:
@@ -324,14 +325,13 @@ def mode_sum(modes: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     return out if np.ndim(amplitudes) == 2 else out[0]
 
 
-def _first_columns(basis: EigenSystem, rows: np.ndarray, index=slice(None)) -> np.ndarray:
+def _first_columns(basis: EigenSystem, rows: np.ndarray) -> np.ndarray:
     """(k, m) first columns c[i] = sum_n phi_n(x_i) a_n phi_n*(x_0) of the mode
-    sums over basis.mode_values[index], one (k, n) x (n, m) product; rows of
-    all-zero amplitudes give exact zero columns."""
+    sums, one (k, n) x (n, m) product; rows of all-zero amplitudes give exact
+    zero columns."""
     live = np.flatnonzero(np.any(rows != 0, axis=1))
-    modes = basis.mode_values[index]
     columns = np.zeros((rows.shape[0], basis.grid.size), dtype=complex)
-    columns[live] = (rows[live] * np.conj(modes[:, 0])) @ modes
+    columns[live] = (rows[live] * np.conj(basis.mode_values[:, 0])) @ basis.mode_values
     return columns
 
 
@@ -370,9 +370,9 @@ def _column_blocks(basis: EigenSystem, columns: np.ndarray) -> np.ndarray:
     return out
 
 
-def mode_blocks(basis: EigenSystem, amplitudes: np.ndarray, index=slice(None), factor: complex = 1) -> np.ndarray:
-    """factor * mode_sum over basis.mode_values[index], built from the basis
-    structure, returned read-only.
+def mode_blocks(basis: EigenSystem, amplitudes: np.ndarray, factor: complex = 1) -> np.ndarray:
+    """factor * mode_sum over basis.mode_values, one amplitude per basis mode,
+    built from the basis structure, returned read-only.
 
     On bases with waves every block is rebuilt from its first column
     c[i] = block[i, 0], one (k, n) x (n, m) product for all k blocks, in
@@ -384,12 +384,12 @@ def mode_blocks(basis: EigenSystem, amplitudes: np.ndarray, index=slice(None), f
     """
     rows = np.atleast_2d(amplitudes)
     if basis.waves is not None:
-        columns = _first_columns(basis, rows, index)
+        columns = _first_columns(basis, rows)
         out = _column_blocks(basis, columns if factor == 1 else factor * columns)
     else:
         live = np.flatnonzero(np.any(rows != 0, axis=1))
         out = np.zeros((rows.shape[0], basis.grid.size, basis.grid.size), dtype=complex)
-        out[live] = mode_sum(basis.mode_values[index], rows[live])
+        out[live] = mode_sum(basis.mode_values, rows[live])
         if factor != 1:
             out *= factor
         out.flags.writeable = False

@@ -5,6 +5,9 @@ import os
 
 import pytest
 
+import numpy as np
+
+from greenkit import build_oscillator_basis, build_well_basis
 from greenkit.cli import main
 from greenkit.firstorder import Kernel
 
@@ -120,6 +123,38 @@ def test_freq_exports_response_and_poles(tmp_path):
     assert all(p["position"][1] == -0.05 for p in poles["poles"])
     lines = (out / "response.csv").read_text().strip().splitlines()
     assert len(lines) == 12
+
+
+@pytest.mark.parametrize(
+    "model, build",
+    [
+        ("relativistic", None),
+        ("well", lambda: build_well_basis(1.0, 5)),
+        ("oscillator", lambda: build_oscillator_basis(n_max=5)),
+        ("helmholtz", None),
+    ],
+)
+def test_freq_second_order_per_model(tmp_path, capsys, model, build):
+    """Every model but Helmholtz, whose k = 0 mode has no finite-frequency
+    line, exports its mirrored +-sqrt(E) c pairs; on the relativistic basis,
+    one pair per momentum."""
+    code, out = run(tmp_path, "freq", "--model", model, "--order", "second", "--n", "5", "--kmax", "3",
+                    "--i", "1", "--j", "2")
+    if model == "helmholtz":
+        assert code == 2
+        assert "zero mode" in capsys.readouterr().err
+        return
+    assert code == 0
+    poles = json.loads((out / "poles.json").read_text())["poles"]
+    if build is None:
+        assert len(poles) == 2 * 7  # momenta |j| <= 3
+        return
+    # the well and the oscillator keep every mode, at +-sqrt(E_n) c
+    basis = build()
+    root = np.sqrt(basis.energies)
+    w = basis.mode_values[:, 1] * np.conj(basis.mode_values[:, 2]) / (2j * root)
+    assert [p["position"] for p in poles] == [[om, -0.05] for om in np.concatenate([root, -root])]
+    assert [p["residue"] for p in poles] == [[r.real, r.imag] for r in np.concatenate([w, -w])]
 
 
 @pytest.mark.parametrize("index", ["999", "-1"])

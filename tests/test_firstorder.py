@@ -128,6 +128,29 @@ def test_kernel_constructor_enforces_support_law():
     assert np.all(Kernel(basis, times, amps, kind="retarded").values[0] == 0)
 
 
+@pytest.mark.parametrize(
+    "times, match",
+    [
+        (np.array([0.5, 0.1]), "increasing"),
+        (np.array([np.nan, 1.0]), "increasing"),
+        (np.array([[0.0, 1.0]]), "at least one time sample"),
+        (np.array([]), "at least one time sample"),
+    ],
+)
+def test_kernel_checks_its_times(times, match):
+    basis = build_well_basis(1.0, 4)
+    with pytest.raises(ValueError, match=match):
+        Kernel(basis, times, np.ones((times.size, basis.size)))
+
+
+def test_kernel_rejects_non_finite_amplitudes():
+    basis = build_well_basis(1.0, 4)
+    amps = np.ones((2, basis.size), dtype=complex)
+    amps[1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        Kernel(basis, np.array([0.0, 1.0]), amps)
+
+
 def test_kernel_entry_matches_block_and_damps_at_complex_tau():
     basis = build_well_basis(1.0, 8)
     aux = auxiliary_kernel(basis, TimeWindow(np.array([0.7])))
@@ -234,11 +257,11 @@ def test_kernel_blocks_are_read_only(model):
                 blocks[0, 0] = 1.0
 
 
-def _copied_circulant_blocks(basis, amplitudes, index):
+def _copied_circulant_blocks(basis, amplitudes):
     """The circulant builder mode_blocks used before its blocks became views:
     each block copied out of sliding windows over the wrapped generating row."""
     m = basis.grid.size
-    modes = basis.mode_values[index]
+    modes = basis.mode_values
     out = np.zeros((amplitudes.shape[0], m, m), dtype=complex)
     live = np.flatnonzero(np.any(amplitudes != 0, axis=1))
     gen = (amplitudes[live] * np.conj(modes[:, 0])) @ modes
@@ -264,7 +287,7 @@ def test_periodic_values_are_an_exact_zero_copy_view(model):
         aux = auxiliary_kernel(FIRST_ORDER_BASES[model](), window, convention="minus-i")
         kernels = [step_factor_kernel(auxiliary_kernel(aux.basis, window), "retarded"), aux]
     for kern in kernels:
-        ref = _copied_circulant_blocks(kern.basis, kern.amplitudes, kern.modes)
+        ref = _copied_circulant_blocks(kern.basis, kern.amplitudes)
         if kern.convention == "minus-i":
             ref *= -1j
         nt, m = kern.times.size, kern.basis.grid.size

@@ -6,7 +6,10 @@ import pytest
 import greenkit
 from greenkit import (
     FreqResponse,
+    PhysicalConstants,
+    TimeWindow,
     build_helmholtz_basis,
+    build_relativistic_branches,
     build_well_basis,
     convolution_response,
     feynman_combination,
@@ -14,6 +17,7 @@ from greenkit import (
     momentum_response_relativistic,
     response_from_density,
     spectral_density,
+    wave_auxiliary_kernel,
 )
 from greenkit.freqdomain import _CONV_ROWS, _line_integrals
 
@@ -55,7 +59,6 @@ def test_first_order_density_one_line_per_mode():
     basis = build_well_basis(1.0, 1, n_points=3)
     dens = spectral_density(basis, 0, 0, order="first")
     assert dens.omegas.size == 1
-    assert np.all(dens.signs == 1)
 
 
 def test_second_order_density_mirrored_pairs():
@@ -64,13 +67,26 @@ def test_second_order_density_mirrored_pairs():
     assert dens.omegas.size == 2
     assert np.isclose(dens.omegas[0], -dens.omegas[1])
     assert np.isclose(dens.weights[0], -dens.weights[1])
-    assert set(dens.signs) == {1, -1}
 
 
 def test_second_order_density_rejects_zero_modes():
     basis = build_helmholtz_basis(2 * np.pi, 4)  # retains k = 0
     with pytest.raises(ValueError, match="positive"):
         spectral_density(basis, 0, 0, order="second")
+
+
+def test_second_order_poles_reproduce_the_klein_gordon_kernel():
+    """One +-E_k pair per momentum: for tau > 0 the retarded poles' residue
+    sum -i sum r e^{-i p tau} is i e^{-eta tau} times the wave kernel."""
+    basis = build_relativistic_branches(PhysicalConstants(), 3, 5.0)
+    taus, eta = np.array([0.3, 1.1, 2.5]), 0.05
+    aux = wave_auxiliary_kernel(basis, TimeWindow(taus))
+    for i, j in [(0, 0), (1, 4), (6, 2)]:
+        resp = response_from_density(spectral_density(basis, i, j, order="second"), np.zeros(1), eta, "retarded")
+        assert len(resp.poles) == 14
+        lhs = np.array([sum(-1j * r * np.exp(-1j * p * t) for p, r in resp.poles) for t in taus])
+        rhs = 1j * np.exp(-eta * taus) * aux.values[:, i, j]
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
 
 def test_response_pole_placement_is_exact():

@@ -50,17 +50,30 @@ def test_grid_validation_errors(points, weights, match):
 
 @pytest.mark.parametrize("n", [-1, 0, 1])
 @pytest.mark.parametrize(
-    "make",
+    "make, least",
     [
-        lambda n: Grid1D.uniform(0.0, 1.0, n),
-        lambda n: Grid1D.open_interval(0.0, 1.0, n),
-        lambda n: Grid1D.periodic(1.0, n),
+        (lambda n: Grid1D.uniform(0.0, 1.0, n), "two grid points"),
+        (lambda n: Grid1D.open_interval(0.0, 1.0, n), "one grid point"),
+        (lambda n: Grid1D.periodic(1.0, n), "two grid points"),
     ],
     ids=["uniform", "open-interval", "periodic"],
 )
-def test_factories_check_the_size_before_dividing(make, n):
-    with pytest.raises(ValueError, match="need at least two grid points"):
+def test_factories_check_the_size_before_dividing(make, least, n):
+    if least == "one grid point" and n == 1:  # one interior point is a valid open interval
+        assert make(n).size == 1
+        return
+    with pytest.raises(ValueError, match=f"need at least {least}"):
         make(n)
+
+
+def test_one_point_open_interval_grid():
+    g = Grid1D.open_interval(0.0, 1.0, 1)
+    assert np.array_equal(g.points, [0.5]) and np.array_equal(g.weights, [0.5])
+    assert g.spacing == 0.5  # the point's cell
+    assert Grid1D(np.array([0.0]), np.ones(1), kind="open-interval").size == 1
+    for kind in ("uniform", "periodic"):
+        with pytest.raises(ValueError, match="two grid points"):
+            Grid1D(np.array([0.0]), np.ones(1), kind=kind, period=1.0)
 
 
 def test_unknown_kind_rejected():

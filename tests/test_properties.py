@@ -95,19 +95,17 @@ def test_mode_sum_matches_per_mode_loop(seed, n, m, k):
 @given(basis=any_bases(), seed=seeds, t_max=st.floats(0.1, 3.0), n=st.integers(1, 3))
 def test_structured_blocks_match_mode_sum(basis, seed, t_max, n):
     rng = np.random.default_rng(seed)
-    cases = [(rng.normal(size=(3, basis.size)) + 1j * rng.normal(size=(3, basis.size)), np.arange(basis.size))]
+    cases = [rng.normal(size=(3, basis.size)) + 1j * rng.normal(size=(3, basis.size))]
     if basis.model != "helmholtz":
-        aux = auxiliary_kernel(basis, window(t_max, n))
-        cases.append((aux.amplitudes, aux.modes))
-    if basis.model in ("helmholtz", "relativistic"):  # relativistic: the positive-branch subset
-        aux = wave_auxiliary_kernel(basis, window(t_max, n))
-        cases.append((aux.amplitudes, aux.modes))
-    for amps, index in cases:
-        blocks = mode_blocks(basis, amps, index)
+        cases.append(auxiliary_kernel(basis, window(t_max, n)).amplitudes)
+    if basis.model in ("helmholtz", "relativistic"):  # relativistic: zero negative-branch columns
+        cases.append(wave_auxiliary_kernel(basis, window(t_max, n)).amplitudes)
+    for amps in cases:
+        blocks = mode_blocks(basis, amps)
         for a, block in zip(amps, blocks):
-            ref = mode_sum(basis.mode_values[index], a)
+            ref = mode_sum(basis.mode_values, a)
             assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
-            assert np.max(np.abs(mode_blocks(basis, a, index) - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert np.max(np.abs(mode_blocks(basis, a) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @PROPERTY

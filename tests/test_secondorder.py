@@ -198,7 +198,7 @@ def test_field_uses_the_kernel_wave_speed():
     eval_times = np.linspace(0.0, 2.0, 9)
     built = wave_step_factor_kernel(
         wave_auxiliary_kernel(build_helmholtz_basis(L, 6, PhysicalConstants(c=3.0)), window), "retarded")
-    carried = Kernel(basis, built.times, built.amplitudes, built.modes, kind="retarded", wave_speed=3.0)
+    carried = Kernel(basis, built.times, built.amplitudes, kind="retarded", wave_speed=3.0)
     slow = field_from_source(wave_step_factor_kernel(wave_auxiliary_kernel(basis, window), "retarded"),
                              src, eval_times)
     fast, ref = field_from_source(carried, src, eval_times), field_from_source(built, src, eval_times)

@@ -198,6 +198,28 @@ def test_oscillator_uniform_grid_orthonormal():
     assert orthonormality_residual(basis) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_well_basis(1.0, 1),
+        lambda: build_oscillator_basis(n_max=1, grid_kind="gauss"),
+    ],
+    ids=["well", "oscillator-gauss"],
+)
+def test_one_mode_bases_are_orthonormal_and_complete(build):
+    """One sine on one interior point, one Gauss-Hermite node: both are
+    exact one-point rules for their single mode."""
+    basis = build()
+    assert basis.size == basis.grid.size == 1
+    assert orthonormality_residual(basis) <= 1e-15
+    assert completeness_residual(basis) <= 1e-15
+
+
+def test_one_mode_oscillator_fits_its_uniform_grid():
+    basis = build_oscillator_basis(n_max=1)  # mode 0 is below 1e-10 at both ends
+    assert orthonormality_residual(basis) < 1e-12
+
+
 def test_oscillator_gauss_grid_needs_enough_nodes():
     with pytest.raises(ValueError, match="at least"):
         build_oscillator_basis(n_max=16, n_points=8, grid_kind="gauss")
