@@ -60,6 +60,26 @@ def _build_basis(args):
     raise ValueError(f"unknown model {model!r}")
 
 
+def _linspace(start: float, stop: float, num: int, name: str) -> np.ndarray:
+    if not (np.isfinite(start) and np.isfinite(stop)):
+        raise ValueError(f"{name} bounds must be finite")
+    return np.linspace(start, stop, num)
+
+
+def _gaussian(basis, args) -> SampledFunction:
+    """exp(-(x - x0)^2 / (2 sigma^2)) on the basis grid, x0 mid-grid by default;
+    sigma is checked first, and a Gaussian of zero norm on the grid is rejected."""
+    if not 1e-150 <= args.sigma <= 1e150:  # so that 2 sigma^2 is a normal float
+        raise ValueError("sigma must be positive and finite, within [1e-150, 1e150]")
+    x = basis.grid.points
+    x0 = args.x0 if args.x0 is not None else float(x[len(x) // 2])
+    with np.errstate(over="ignore"):  # an exponent past the float range gives exp(-inf) = 0
+        g = SampledFunction(basis.grid, np.exp(-((x - x0) ** 2) / (2 * args.sigma**2)).astype(complex))
+    if g.norm2() == 0:
+        raise ValueError(f"the Gaussian at x0 = {x0:g} vanishes on the grid")
+    return g
+
+
 def cmd_basis(args) -> int:
     basis = _build_basis(args)
     out = args.out
@@ -89,7 +109,7 @@ def cmd_kernel(args) -> int:
     if args.model is None:  # well is first-order only
         args.model = "helmholtz" if args.order == "second" else "well"
     basis = _build_basis(args)
-    window = TimeWindow(np.linspace(args.t0, args.t1, args.nt))
+    window = TimeWindow(_linspace(args.t0, args.t1, args.nt, "time"))
     if args.order == "second":
         aux = wave_auxiliary_kernel(basis, window)
         kern = aux if args.direction == "auxiliary" else wave_step_factor_kernel(aux, args.direction)
@@ -129,11 +149,10 @@ def cmd_kernel(args) -> int:
 
 def cmd_propagate(args) -> int:
     basis = _build_basis(args)
-    window = TimeWindow(np.linspace(0.0, args.tau, 3))
+    window = TimeWindow(_linspace(0.0, args.tau, 3, "time"))
     kern = step_factor_kernel(auxiliary_kernel(basis, window), "retarded")
     x = basis.grid.points
-    x0 = args.x0 if args.x0 is not None else float(x[len(x) // 2])
-    psi0 = SampledFunction(basis.grid, np.exp(-((x - x0) ** 2) / (2 * args.sigma**2)).astype(complex))
+    psi0 = _gaussian(basis, args)
     psi0 = psi0 * (1.0 / psi0.norm2())
     psi = propagate(kern, psi0, args.tau)
     io.write_csv(os.path.join(args.out, "state.csv"), ["x", "re", "im"], io.sampled_rows(x, psi.values))
@@ -147,13 +166,11 @@ def cmd_propagate(args) -> int:
 
 def cmd_field(args) -> int:
     basis = _build_basis(args)
-    window = TimeWindow(np.linspace(-args.t1, args.t1, 5))
+    window = TimeWindow(_linspace(-args.t1, args.t1, 5, "time"))
     kern = wave_step_factor_kernel(wave_auxiliary_kernel(basis, window), "retarded")
     src_times = np.linspace(0.0, args.t1, args.nt)
     x = basis.grid.points
-    x0 = args.x0 if args.x0 is not None else float(x[len(x) // 2])
-    profile = np.exp(-((x - x0) ** 2) / (2 * args.sigma**2))
-    values = np.broadcast_to(profile, (src_times.size, x.size)).astype(complex)
+    values = np.broadcast_to(_gaussian(basis, args).values, (src_times.size, x.size)).astype(complex)
     source = SourceField(basis.grid, src_times, values)
     eval_times = np.linspace(0.0, args.t1, args.nt)
     field = field_from_source(kern, source, eval_times)
@@ -165,7 +182,7 @@ def cmd_field(args) -> int:
 def cmd_freq(args) -> int:
     basis = _build_basis(args)
     dens = spectral_density(basis, args.i, args.j, order=args.order)
-    omega = np.linspace(args.wmin, args.wmax, args.nw)
+    omega = _linspace(args.wmin, args.wmax, args.nw, "omega")
     resp = response_from_density(dens, omega, args.eta, args.direction)
     io.write_csv(os.path.join(args.out, "response.csv"), ["omega", "re", "im"], io.sampled_rows(omega, resp.values))
     io.write_json(

@@ -50,8 +50,8 @@ class RegularizedFamily:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.flavor not in _FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        if not 0 < self.eta < math.inf:
-            raise ValueError("eta must be positive and finite")
+        if not 1e-150 <= self.eta <= 1e150:  # outside, eta**2 + x**2 underflows to 0 or overflows
+            raise ValueError("eta must be positive and finite, within [1e-150, 1e150]")
 
 
 @dataclass(frozen=True)

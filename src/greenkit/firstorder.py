@@ -11,7 +11,7 @@ default convention is the one whose discrete PDE residual actually closes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -88,45 +88,59 @@ class TimeWindow:
 
 @dataclass(frozen=True)
 class Kernel:
-    """G(x_i, x_j; tau_k) over a time window, stored as per-time mode amplitudes.
+    """G(x_i, x_j; tau) over a time window, fixed by its fields.
 
-    Block k is sum_n phi_n(x_i) amplitudes[k, n] phi_n*(x_j) over every basis
-    mode (zero for a mode the kernel leaves out), times -i under the minus-i
-    convention.  kind: auxiliary | retarded | advanced; convention: "eq24"
-    (no prefactor) or "minus-i" (printed literature form); wave_speed: the c
-    a second-order kernel was built with, None for a first-order one.
+    Block k is sum_n phi_n(x_i) amplitude(times[k])[n] phi_n*(x_j), times -i
+    under the minus-i convention.  kind: auxiliary | retarded | advanced;
+    convention: "eq24" or "minus-i" (printed literature form); order:
+    "first" (phase sum) or "second" (wave kernel at c = basis.constants.c).
     """
 
     basis: EigenSystem
     times: np.ndarray
-    amplitudes: np.ndarray = field(repr=False)
     kind: str = "auxiliary"
     convention: str = "eq24"
-    wave_speed: float | None = None
+    order: str = "first"
 
     def __post_init__(self):
-        t = TimeWindow(self.times).samples
-        a = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "amplitudes", a)
-        if a.shape != (t.size, self.basis.size):
-            raise ValueError("amplitudes must be one row per time sample, one column per mode")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("amplitudes must be finite")
+        object.__setattr__(self, "times", TimeWindow(self.times).samples)
         if self.kind not in ("auxiliary", "retarded", "advanced"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         _prefactor(self.convention)  # raises on an unknown convention
-        if self.wave_speed is not None and not 0 < self.wave_speed < np.inf:
-            raise ValueError("wave speed must be positive and finite")
-        # support law: zero amplitudes build exact zero blocks
-        s = _SIGNS.get(self.kind, 0)  # 0: the auxiliary kernel has no wrong side
-        if np.any(a[s * t < 0] != 0):
-            raise ValueError(f"{self.kind} kernel must vanish identically for tau {'<' if s > 0 else '>'} 0")
+        if self.order not in ("first", "second"):
+            raise ValueError(f"unknown kernel order {self.order!r}")
 
-    @property
-    def order(self) -> str:
-        """Second for a wave kernel (one built with a wave speed), else first."""
-        return "first" if self.wave_speed is None else "second"
+    def _wave_law(self) -> tuple:
+        """(mode indices, sqrt(lambda), c) of the second-order law."""
+        from .secondorder import _wave_modes  # secondorder imports this module
+        return (*_wave_modes(self.basis), self.basis.constants.c)
+
+    def amplitude(self, tau) -> np.ndarray:
+        """The law without the minus-i prefactor: amplitudes of shape
+        tau.shape + (basis.size,), for real or complex tau.
+
+        s theta(s Re tau) (1 for the auxiliary kind) times e^{-i E_n tau / hbar}
+        at first order; at second order c sin(sqrt(lambda_n) c tau) /
+        sqrt(lambda_n) (c tau on a zero mode) on secondorder._wave_modes, and
+        0 on every other mode.  A zero step factor gives exact zero blocks.
+        """
+        tau = np.asarray(tau)[..., None]
+        if self.order == "first":
+            a = np.exp(-1j * self.basis.energies * tau / self.basis.constants.hbar)
+        else:
+            index, root_e, c = self._wave_law()
+            zero = root_e == 0
+            a = np.zeros(tau.shape[:-1] + (self.basis.size,), dtype=complex)
+            a[..., index] = np.where(zero, c * tau, c * np.sin(root_e * c * tau) / np.where(zero, 1.0, root_e))
+        if self.kind == "auxiliary":
+            return a
+        s = _SIGNS[self.kind]
+        return a * (s * theta(s * tau.real))
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """(nt, basis.size) amplitudes at the stored times, amplitude(times)."""
+        return self.amplitude(self.times)
 
     def _blocks(self, amplitudes: np.ndarray) -> np.ndarray:
         return mode_blocks(self.basis, amplitudes, _prefactor(self.convention))
@@ -150,10 +164,6 @@ class Kernel:
         return self._blocks(self.amplitudes[i])
 
 
-def _phase_weights(basis: EigenSystem, tau: complex) -> np.ndarray:
-    return np.exp(-1j * basis.energies * tau / basis.constants.hbar)
-
-
 def auxiliary_kernel(basis: EigenSystem, window: TimeWindow, convention: str = "eq24") -> Kernel:
     """Spectral phase-sum kernel over the window.
 
@@ -164,8 +174,7 @@ def auxiliary_kernel(basis: EigenSystem, window: TimeWindow, convention: str = "
         raise ValueError(f"model {basis.model!r} is not a first-order model")
     if basis.size == 0:
         raise ValueError("empty basis")
-    amps = _phase_weights(basis, window.samples[:, None])
-    return Kernel(basis, window.samples, amps, kind="auxiliary", convention=convention)
+    return Kernel(basis, window.samples, convention=convention)
 
 
 def step_factor_kernel(aux: Kernel, direction: str) -> Kernel:
@@ -176,16 +185,8 @@ def step_factor_kernel(aux: Kernel, direction: str) -> Kernel:
     """
     if aux.kind != "auxiliary":
         raise ValueError("step factor applies to auxiliary kernels only")
-    return _step_factor(aux, direction)
-
-
-def _step_factor(aux: Kernel, direction: str) -> Kernel:
-    """s theta(s tau) aux: theta(tau) aux (retarded) or -theta(-tau) aux
-    (advanced), for an auxiliary kernel of either order."""
-    s = _sign(direction)
-    fac = s * theta(s * aux.times)
-    return Kernel(aux.basis, aux.times, aux.amplitudes * fac[:, None], kind=direction,
-                  convention=aux.convention, wave_speed=aux.wave_speed)
+    _sign(direction)  # raises on anything but retarded or advanced
+    return replace(aux, kind=direction)
 
 
 def kernel_entry(basis: EigenSystem, i: int, j: int, tau: complex, convention: str = "eq24") -> complex:
@@ -196,16 +197,17 @@ def kernel_entry(basis: EigenSystem, i: int, j: int, tau: complex, convention: s
     are compared against the analytic closed forms.
     """
     basis.check_point_indices(i, j)
-    ph = _phase_weights(basis, tau)
-    val = np.sum(basis.mode_values[:, i] * np.conj(basis.mode_values[:, j]) * ph)
+    # the law does not read the window, so one sample stands in for it
+    amps = Kernel(basis, [0.0], convention=convention).amplitude(tau)
+    val = np.sum(basis.mode_values[:, i] * np.conj(basis.mode_values[:, j]) * amps)
     return complex(_prefactor(convention) * val)
 
 
 def propagate(kernel: Kernel, psi0: SampledFunction, tau: float) -> SampledFunction:
     """psi(x, tau) = sum_j w_j G^R(x, x_j; tau) psi0(x_j).
 
-    Evaluated spectrally from the kernel's basis (exact at any tau inside the
-    window), always in the eq24-consistent convention.
+    Evaluated spectrally from the kernel's amplitude law (exact at any tau
+    inside the window), always in the eq24-consistent convention.
     """
     if kernel.kind != "retarded":
         raise ValueError("propagation uses the retarded kernel")
@@ -214,7 +216,7 @@ def propagate(kernel: Kernel, psi0: SampledFunction, tau: float) -> SampledFunct
     if not kernel.times[0] <= tau <= kernel.times[-1]:
         raise ValueError("tau outside the kernel window")
     basis = kernel.basis
-    c = project_state(basis, psi0).values * _phase_weights(basis, tau) * theta(tau)
+    c = project_state(basis, psi0).values * kernel.amplitude(tau)
     return reconstruct(Coefficients(c, basis))
 
 
@@ -222,8 +224,9 @@ def composition_residual(kernel: Kernel, tau1: float, tau2: float) -> float:
     """max-norm of K(tau1 + tau2) - K(tau1) o K(tau2).
 
     The composition o is the quadrature-weighted spatial contraction; the
-    auxiliary phase sum is evaluated in the eq24-consistent convention,
-    where phase additivity makes the residual vanish on complete grids.
+    kernel's amplitude law is evaluated in the eq24-consistent convention,
+    where phase additivity makes the auxiliary kernel's residual vanish on
+    complete grids.
 
     On bases with waves every block, and so the residual, lies in the
     basis algebra (circulant, or Toeplitz minus Hankel: a sine mode past m
@@ -238,8 +241,7 @@ def composition_residual(kernel: Kernel, tau1: float, tau2: float) -> float:
     if not kernel.times[0] <= tau1 + tau2 <= kernel.times[-1]:
         raise ValueError("tau1 + tau2 outside the kernel window")
     basis = kernel.basis
-    taus = np.array([tau1 + tau2, tau1, tau2])
-    lhs, k1, k2 = mode_blocks(basis, _phase_weights(basis, taus[:, None]))
+    lhs, k1, k2 = mode_blocks(basis, kernel.amplitude(np.array([tau1 + tau2, tau1, tau2])))
     w = basis.grid.weights
     if basis.waves is None:
         return float(np.max(np.abs(lhs - k1 @ (w[:, None] * k2))))
@@ -299,15 +301,11 @@ def pde_jump_residual(basis: EigenSystem, convention: str, dtau: float) -> float
     convention; the minus-i form leaves an O(1/dtau) mismatch, which is the
     artifact's demonstration of the printed normalization inconsistency.
     """
-    if dtau <= 0:
-        raise ValueError("dtau must be positive")
     hbar = basis.constants.hbar
-    w = basis.grid.weights
-    pref = _prefactor(convention)
-    # G^R(+dtau) = K(+dtau), G^R(-dtau) = 0, G^R(0) = K(0)/2, so the
-    # operator i hbar d/dtau - H acts on each mode's amplitude as
-    # i hbar e^{-i E dtau / hbar} / (2 dtau) - E / 2: one block
-    amps = 1j * hbar * _phase_weights(basis, dtau) / (2 * dtau) - basis.energies / 2
-    lhs = mode_blocks(basis, amps, factor=pref)
-    rhs = 1j * hbar * np.diag(1.0 / w) / (2 * dtau)
+    ret = Kernel(basis, [-dtau, 0.0, dtau], kind="retarded", convention=convention)
+    before, now, after = ret.amplitudes
+    # the operator i hbar d/dtau - H acts on each mode's amplitude: the
+    # central difference of G^R across the jump, and E times G^R(0): one block
+    lhs = ret._blocks(1j * hbar * (after - before) / (2 * dtau) - basis.energies * now)
+    rhs = 1j * hbar * np.diag(1.0 / basis.grid.weights) / (2 * dtau)
     return float(np.max(np.abs(lhs - rhs)))

@@ -122,10 +122,12 @@ def _shifted_poles(omegas, residues, eta: float, direction: str) -> tuple:
 
 
 def _pole_response(omega, poles: tuple, eta: float, direction: str) -> FreqResponse:
-    """sum_n r_n / (omega - p_n) over the (p_n, r_n) poles; eta is checked first."""
-    if not eta > 0:
-        raise ValueError("eta must be positive")
+    """sum_n r_n / (omega - p_n) over the (p_n, r_n) poles; eta and omega come checked first."""
+    if not 0 < eta < np.inf:
+        raise ValueError("eta must be positive and finite")
     omega = np.asarray(omega, dtype=float)
+    if not np.all(np.isfinite(omega)):
+        raise ValueError("omega samples must be finite")
     vals = np.zeros(omega.shape, dtype=complex)
     for p, r in poles:
         vals += r / (omega - p)

@@ -88,8 +88,8 @@ class Grid1D:
     @classmethod
     def uniform(cls, a: float, b: float, n: int) -> "Grid1D":
         """Closed interval [a, b] with trapezoidal weights."""
-        if not b > a:
-            raise ValueError("need b > a")
+        if not -np.inf < a < b < np.inf:
+            raise ValueError("need finite b > a")
         _require_points(n, "uniform")
         pts = np.linspace(a, b, n)
         h = (b - a) / (n - 1)
@@ -104,8 +104,8 @@ class Grid1D:
         Equivalent to the trapezoid rule on [a, b] for functions vanishing at
         both endpoints (the square-well eigenfunctions).
         """
-        if not b > a:
-            raise ValueError("need b > a")
+        if not -np.inf < a < b < np.inf:
+            raise ValueError("need finite b > a")
         _require_points(n, "open-interval")
         h = (b - a) / (n + 1)
         pts = a + h * np.arange(1, n + 1)
@@ -113,8 +113,8 @@ class Grid1D:
 
     @classmethod
     def periodic(cls, length: float, n: int) -> "Grid1D":
-        if not length > 0:
-            raise ValueError("period must be positive")
+        if not 0 < length < np.inf:
+            raise ValueError("period must be positive and finite")
         _require_points(n, "periodic")
         h = length / n
         pts = h * np.arange(n)

@@ -10,11 +10,11 @@ carried here as a descriptor rather than a sampled delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .firstorder import Kernel, TimeWindow, _sign, _step_factor, theta
+from .firstorder import Kernel, TimeWindow, _sign, theta
 from .grid import Grid1D
 from .spectra import EigenSystem, mode_blocks
 
@@ -95,13 +95,6 @@ def _wave_modes(basis: EigenSystem) -> tuple:
     return index, np.sqrt(e)
 
 
-def _wave_amplitude(root_e: np.ndarray, c: float, tau) -> np.ndarray:
-    """c sin(sqrt(E) c tau) / sqrt(E), with the zero-mode limit c tau; tau
-    broadcasts against root_e."""
-    zero = root_e == 0
-    return np.where(zero, c * tau, c * np.sin(root_e * c * tau) / np.where(zero, 1.0, root_e))
-
-
 def wave_auxiliary_kernel(basis: EigenSystem, window: TimeWindow) -> Kernel:
     """G = c sum_n phi_n phi_n* sin(sqrt(E_n) c tau) / sqrt(E_n), c = basis.constants.c.
 
@@ -113,18 +106,16 @@ def wave_auxiliary_kernel(basis: EigenSystem, window: TimeWindow) -> Kernel:
     """
     if basis.model not in ("helmholtz", "relativistic"):
         raise ValueError(f"model {basis.model!r} is not a second-order model")
-    c = basis.constants.c
-    index, root_e = _wave_modes(basis)
-    amps = np.zeros((window.samples.size, basis.size))
-    amps[:, index] = _wave_amplitude(root_e, c, window.samples[:, None])
-    return Kernel(basis, window.samples, amps, kind="auxiliary", wave_speed=c)
+    _wave_modes(basis)  # raises on a basis the wave law cannot take
+    return Kernel(basis, window.samples, order="second")
 
 
 def wave_step_factor_kernel(aux: Kernel, direction: str) -> Kernel:
     """theta(tau) G (retarded) or -theta(-tau) G (advanced) for wave kernels."""
     if aux.order != "second" or aux.kind != "auxiliary":
         raise ValueError("needs a second-order auxiliary kernel")
-    return _step_factor(aux, direction)
+    _sign(direction)  # raises on anything but retarded or advanced
+    return replace(aux, kind=direction)
 
 
 def em_kernel_closed_form(
@@ -148,11 +139,11 @@ def field_from_source(kernel: Kernel, source: SourceField, eval_times: np.ndarra
     """psi(x, t) = sum over (x', t') of weights * G^R(x, x'; t - t') f(x', t').
 
     Spatial contraction uses the grid weights, time integration the trapezoid
-    rule over the source samples, at the wave speed the kernel was built
-    with.  Contributions with t' > t vanish through the retarded step factor,
-    so a source in the future yields exactly zero, and so does the field at
-    the source's first time.  Returns an array of shape (eval_times, grid
-    points).
+    rule over the source samples, with the modes, sqrt(lambda) and wave speed
+    c = basis.constants.c of the kernel's law.  Contributions with t' > t
+    vanish through the retarded step factor, so a source in the future
+    yields exactly zero, and so does the field at the source's first time.
+    Returns an array of shape (eval_times, grid points).
     """
     if kernel.kind != "retarded" or kernel.order != "second":
         raise ValueError("field convolution uses the retarded second-order kernel")
@@ -167,17 +158,10 @@ def field_from_source(kernel: Kernel, source: SourceField, eval_times: np.ndarra
         lag = eval_times.max() - ts[0]
         if lag - kernel.times[-1] > 1e-9 * max(1.0, abs(lag)):
             raise ValueError(f"lag t - t' = {lag:g} exceeds the kernel window end {kernel.times[-1]:g}")
-    if ts.size > 1:
-        wt = np.empty_like(ts)
-        dt = np.diff(ts)
-        wt[0] = dt[0] / 2
-        wt[-1] = dt[-1] / 2
-        wt[1:-1] = (dt[:-1] + dt[1:]) / 2
-    else:
-        wt = np.array([1.0])
-    index, root_e = _wave_modes(basis)
+    dt = np.diff(ts)  # trapezoid weights, 1 for a single source sample
+    wt = np.concatenate([dt[:1], dt[:-1] + dt[1:], dt[-1:]]) / 2 if ts.size > 1 else np.ones(1)
+    index, root_e, c = kernel._wave_law()
     modes = basis.mode_values[index]
-    c = kernel.wave_speed
     # project the source once: s_n(t') = <phi_n, f(., t')>, one row per t'
     s_modes = source.values @ (basis.grid.weights[:, None] * np.conj(modes.T))
     # sin(r c (t - t')) = sin(r c t) cos(r c t') - cos(r c t) sin(r c t'), and
@@ -246,16 +230,14 @@ def wave_pde_residual(basis: EigenSystem, tau_grid: np.ndarray) -> float:
     centered difference, so the residual is O(dtau^2) and is reported for
     convergence monitoring.
     """
-    if basis.model not in ("helmholtz", "relativistic"):
-        raise ValueError(f"model {basis.model!r} is not a second-order model")
-    c = basis.constants.c
-    t = TimeWindow(np.asarray(tau_grid, dtype=float)).samples
+    kern = wave_auxiliary_kernel(basis, TimeWindow(tau_grid))
+    t = kern.times
     if t.size < 3:
         raise ValueError("need at least three time samples")
-    index, root_e = _wave_modes(basis)
+    index, root_e, c = kern._wave_law()
     # -(1/c^2) d^2/dtau^2 - H acts on each mode's amplitude: the centered
-    # second difference of the wave amplitudes, and E = root_e^2 times them
-    g = _wave_amplitude(root_e, c, t[:, None])
+    # second difference of the law's amplitudes, and E = root_e^2 times them
+    g = kern.amplitudes[:, index].real
     dt = np.diff(t)[:, None]
     d2 = ((g[2:] - g[1:-1]) / dt[1:] - (g[1:-1] - g[:-2]) / dt[:-1]) / ((dt[:-1] + dt[1:]) / 2)
     amps = np.zeros((t.size - 2, basis.size))

@@ -115,8 +115,8 @@ class Coefficients:
 def _plane_waves(length: float, n_max: int, n_points: int | None) -> tuple:
     """(grid, j, k) on the periodic box: the integer wave indices |j| <= n_max
     and their k = 2 pi j / L, with the builders' shared checks."""
-    if not length > 0:
-        raise ValueError("box length must be positive")
+    if not 0 < length < np.inf:
+        raise ValueError("box length must be positive and finite")
     if n_max < 1:
         raise ValueError("mode cutoff must be >= 1")
     m = n_points if n_points is not None else 2 * n_max + 1
@@ -186,8 +186,8 @@ def build_well_basis(
     The default grid keeps n_max interior points, on which the retained sine
     set is exactly orthonormal and complete (discrete sine transform).
     """
-    if not width > 0:
-        raise ValueError("well width must be positive")
+    if not 0 < width < np.inf:
+        raise ValueError("well width must be positive and finite")
     if n_max < 1:
         raise ValueError("mode cutoff must be >= 1")
     m = n_points if n_points is not None else n_max

@@ -180,7 +180,7 @@ def test_distcheck_exponential_at_large_eta_fails_its_checks(tmp_path):
     assert not all(r["pass"] for r in reports)
 
 
-@pytest.mark.parametrize("eta", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("eta", ["0", "-1", "nan", "inf", "1e-300", "1e300"])
 def test_distcheck_bad_eta_exits_2(tmp_path, capsys, eta):
     code, _ = run(tmp_path, "distcheck", "--eta", eta)
     assert code == 2
@@ -223,6 +223,32 @@ def test_bad_sizes_exit_2(tmp_path, capsys, argv):
     code, _ = run(tmp_path, *argv)
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("freq", "--eta", "inf"),
+        ("freq", "--wmin", "nan"),
+        ("freq", "--wmax", "inf"),
+        ("propagate", "--x0", "100"),
+        ("field", "--x0", "100"),
+        ("propagate", "--x0", "1e200"),
+        ("propagate", "--sigma", "0"),
+        ("propagate", "--sigma", "1e300"),
+        ("field", "--sigma", "0"),
+        ("basis", "--a", "inf"),
+        ("kernel", "--t1", "inf"),
+        ("distcheck", "--eta", "1e-300"),
+    ],
+)
+def test_bad_values_exit_2_before_any_output(tmp_path, capsys, argv):
+    """Checked before any array is computed: no warning (tier-1 turns
+    warnings into errors), no traceback, no file written."""
+    code, out = run(tmp_path, *argv)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists() or not os.listdir(out)
 
 
 @pytest.mark.parametrize(

@@ -116,16 +116,40 @@ def test_retarded_kernel_support_and_half_value():
     assert np.allclose(ret.at(0.5) - adv.at(0.5), aux.at(0.5))
 
 
-def test_kernel_constructor_enforces_support_law():
+@pytest.mark.parametrize("order", ["first", "second"])
+def test_hand_built_kernel_vanishes_off_its_causal_side(order):
+    """The constructor checks no amplitudes: the law alone zeroes the wrong side."""
     basis = build_well_basis(1.0, 4)
-    times = np.array([-1.0, 1.0])
-    amps = np.ones((2, basis.size), dtype=complex)  # nonzero at tau < 0
-    with pytest.raises(ValueError, match="vanish"):
-        Kernel(basis, times, amps, kind="retarded")
-    with pytest.raises(ValueError, match="vanish"):
-        Kernel(basis, times, amps, kind="advanced")
-    amps[0] = 0
-    assert np.all(Kernel(basis, times, amps, kind="retarded").values[0] == 0)
+    times = np.array([-1.0, -0.25, 0.0, 1.0])
+    for kind, wrong in (("retarded", times < 0), ("advanced", times > 0)):
+        kern = Kernel(basis, times, kind=kind, order=order)
+        assert np.all(kern.amplitudes[wrong] == 0)
+        assert np.all(kern.values[wrong] == 0)
+        assert np.any(kern.values[~wrong] != 0)
+    assert np.all(Kernel(basis, times, kind="retarded", order=order).amplitude([-0.5 - 0.1j, -3.0]) == 0)
+
+
+def test_amplitude_is_the_law():
+    """amplitude(tau) = s theta(s tau) e^{-i E tau / hbar}, for any shape of
+    real or complex tau, and the stored amplitudes are its samples."""
+    basis = build_oscillator_basis(PhysicalConstants(hbar=0.7), n_max=6, grid_kind="gauss")
+    times = np.array([-0.5, 0.0, 0.3, 1.1])
+    tau = np.array([[0.3, -0.2 + 0.1j, 0.0], [1.1 - 0.4j, 2.0, -1.5]])
+    phase = np.exp(-1j * basis.energies * tau[..., None] / 0.7)
+    for kind, step in (("auxiliary", 1.0), ("retarded", theta(tau.real)), ("advanced", -theta(-tau.real))):
+        kern = Kernel(basis, times, kind=kind)
+        assert kern.amplitude(tau).shape == (2, 3, basis.size)
+        assert np.allclose(kern.amplitude(tau), np.asarray(step)[..., None] * phase, rtol=1e-14, atol=0)
+        assert np.array_equal(kern.amplitudes, kern.amplitude(times))
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [("kind", "causal", "unknown kernel kind"), ("order", "third", "unknown kernel order")],
+)
+def test_kernel_rejects_unknown_fields(field, value, match):
+    with pytest.raises(ValueError, match=match):
+        Kernel(build_well_basis(1.0, 4), np.array([0.0]), **{field: value})
 
 
 @pytest.mark.parametrize(
@@ -140,15 +164,7 @@ def test_kernel_constructor_enforces_support_law():
 def test_kernel_checks_its_times(times, match):
     basis = build_well_basis(1.0, 4)
     with pytest.raises(ValueError, match=match):
-        Kernel(basis, times, np.ones((times.size, basis.size)))
-
-
-def test_kernel_rejects_non_finite_amplitudes():
-    basis = build_well_basis(1.0, 4)
-    amps = np.ones((2, basis.size), dtype=complex)
-    amps[1, 2] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        Kernel(basis, np.array([0.0, 1.0]), amps)
+        Kernel(basis, times)
 
 
 def test_kernel_entry_matches_block_and_damps_at_complex_tau():
@@ -181,6 +197,44 @@ def test_propagate_preserves_norm_and_checks_inputs():
     adv = step_factor_kernel(auxiliary_kernel(basis, window), "advanced")
     with pytest.raises(ValueError, match="retarded"):
         propagate(adv, psi0, 0.5)
+
+
+DENSE_KERNELS = {  # auxiliary kernels of both orders
+    "well": lambda w: auxiliary_kernel(build_well_basis(1.0, 8), w),
+    "free": lambda w: auxiliary_kernel(build_free_basis(10.0, 8), w),
+    "oscillator": lambda w: auxiliary_kernel(build_oscillator_basis(n_max=10, grid_kind="gauss"), w),
+    "relativistic": lambda w: auxiliary_kernel(build_relativistic_branches(PhysicalConstants(), 4, 10.0), w),
+    "helmholtz": lambda w: wave_auxiliary_kernel(build_helmholtz_basis(10.0, 8, PhysicalConstants(c=1.7)), w),
+}
+
+
+@pytest.mark.parametrize("case", DENSE_KERNELS)
+def test_propagate_is_the_dense_application_of_at(case):
+    aux = DENSE_KERNELS[case](TimeWindow(np.linspace(0.0, 1.0, 5)))
+    ret = Kernel(aux.basis, aux.times, kind="retarded", order=aux.order)
+    grid = ret.basis.grid
+    rng = np.random.default_rng(4)
+    psi0 = SampledFunction(grid, rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size))
+    for tau in ret.times:
+        dense = ret.at(tau) @ (grid.weights * psi0.values)
+        got = propagate(ret, psi0, tau).values
+        assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("case", DENSE_KERNELS)
+def test_composition_residual_is_the_dense_composition_of_at(case):
+    """The residual of the kernel given, kind and order included; tau = 0
+    carries the retarded half value, so that residual is O(1)."""
+    aux = DENSE_KERNELS[case](TimeWindow(np.linspace(0.0, 1.0, 5)))
+    w = aux.basis.grid.weights
+    for kern in (aux, Kernel(aux.basis, aux.times, kind="retarded", order=aux.order)):
+        for tau1, tau2 in ((0.25, 0.5), (0.0, 0.75), (0.5, 0.5)):
+            lhs = kern.at(tau1 + tau2)
+            dense = np.max(np.abs(lhs - kern.at(tau1) @ (w[:, None] * kern.at(tau2))))
+            got = composition_residual(kern, tau1, tau2)
+            assert abs(got - dense) <= 1e-12 * np.max(np.abs(lhs))
+    minus_i = Kernel(aux.basis, aux.times, convention="minus-i", order=aux.order)
+    assert composition_residual(minus_i, 0.25, 0.5) == composition_residual(aux, 0.25, 0.5)
 
 
 def test_composition_residual_vanishes_on_complete_grid():
@@ -325,7 +379,7 @@ def test_structured_composition_matches_dense_product(case):
     build, complete = COMPOSITION_CASES[case]
     basis = build()
     window = TimeWindow(np.linspace(0.0, 2.0, 5))
-    kern = (wave_auxiliary_kernel if basis.model == "helmholtz" else auxiliary_kernel)(basis, window)
+    kern = Kernel(basis, window.samples)  # the first-order law, on the Helmholtz basis too
     rng = np.random.default_rng(3)
     for tau1, tau2 in rng.uniform(0.05, 0.95, (3, 2)):
         got = composition_residual(kern, tau1, tau2)

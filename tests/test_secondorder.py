@@ -189,21 +189,25 @@ def test_field_from_source_matches_the_loop(case):
     assert np.all(field_from_source(ret, future, eval_times) == 0)
 
 
-def test_field_uses_the_kernel_wave_speed():
-    """A c = 3 kernel carried onto a c = 1 basis keeps its speed: the field
-    follows Kernel.wave_speed, not basis.constants.c."""
-    basis = build_helmholtz_basis(L, 6)  # c = 1
-    window = TimeWindow(np.linspace(-2.0, 2.0, 5))
-    src = _source(basis, np.linspace(0.0, 1.0, 11), 3)
-    eval_times = np.linspace(0.0, 2.0, 9)
-    built = wave_step_factor_kernel(
-        wave_auxiliary_kernel(build_helmholtz_basis(L, 6, PhysicalConstants(c=3.0)), window), "retarded")
-    carried = Kernel(basis, built.times, built.amplitudes, kind="retarded", wave_speed=3.0)
-    slow = field_from_source(wave_step_factor_kernel(wave_auxiliary_kernel(basis, window), "retarded"),
-                             src, eval_times)
-    fast, ref = field_from_source(carried, src, eval_times), field_from_source(built, src, eval_times)
-    assert not np.allclose(slow, fast)
-    assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
+@pytest.mark.parametrize("model", ["helmholtz", "relativistic"])
+def test_field_from_source_is_the_dense_application_of_at(model):
+    """Every lag t - t' is a stored sample, so the field is the trapezoid sum
+    of weights * G^R(t - t') f(t') with G^R read off the kernel's at()."""
+    if model == "relativistic":
+        basis = build_relativistic_branches(PhysicalConstants(mass=0.8), 4, 9.0)
+    else:
+        basis = build_helmholtz_basis(7.0, 6, PhysicalConstants(c=1.7))
+    dt = 0.25
+    ret = wave_step_factor_kernel(wave_auxiliary_kernel(basis, TimeWindow(dt * np.arange(-8, 9))), "retarded")
+    src = _source(basis, dt * np.arange(5), 7)
+    eval_times = dt * np.arange(9)
+    wt = np.full(5, dt)
+    wt[[0, -1]] = dt / 2
+    w = basis.grid.weights
+    dense = np.array([sum(wk * ret.at(t - tp) @ (w * f) for wk, tp, f in zip(wt, src.times, src.values))
+                      for t in eval_times])
+    field = field_from_source(ret, src, eval_times)
+    assert np.max(np.abs(field - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_field_from_source_requires_retarded_kernel():
@@ -216,11 +220,9 @@ def test_field_from_source_requires_retarded_kernel():
 
 
 def test_field_from_source_rejects_a_kernel_without_wave_speed():
-    # a kernel built without a wave speed is first order, whatever its basis
+    # a first-order kernel has no wave speed, whatever its basis
     basis = build_helmholtz_basis(L, 4)
-    t = np.array([0.0, 1.0])
-    kern = Kernel(basis, t, np.ones((2, basis.size)), kind="retarded")
-    assert kern.order == "first"
+    kern = Kernel(basis, np.array([0.0, 1.0]), kind="retarded")
     src = SourceField(basis.grid, np.array([0.0, 0.5]), np.ones((2, basis.grid.size), dtype=complex))
     with pytest.raises(ValueError, match="second-order"):
         field_from_source(kern, src, np.array([1.0]))
@@ -228,9 +230,9 @@ def test_field_from_source_rejects_a_kernel_without_wave_speed():
 
 @pytest.mark.parametrize("c", [0.0, -1.0, np.nan])
 def test_kernel_rejects_bad_wave_speed(c):
-    basis = build_helmholtz_basis(L, 4)
-    with pytest.raises(ValueError, match="wave speed"):
-        Kernel(basis, np.array([0.0]), np.ones((1, basis.size)), wave_speed=c)
+    # a kernel's wave speed is its basis constants' c, checked where it is set
+    with pytest.raises(ValueError, match="c must be positive and finite"):
+        wave_auxiliary_kernel(build_helmholtz_basis(L, 4, PhysicalConstants(c=c)), TimeWindow(np.array([0.0])))
 
 
 def test_field_from_source_rejects_lags_past_the_window():
