@@ -61,8 +61,10 @@ def _build_basis(args):
 
 
 def _linspace(start: float, stop: float, num: int, name: str) -> np.ndarray:
-    if not (np.isfinite(start) and np.isfinite(stop)):
-        raise ValueError(f"{name} bounds must be finite")
+    """num samples from start to stop, with both bounds checked first: within
+    [-1e150, 1e150], their span and its products stay normal floats."""
+    if not (abs(start) <= 1e150 and abs(stop) <= 1e150):
+        raise ValueError(f"{name} bounds must be finite, within [-1e150, 1e150]")
     return np.linspace(start, stop, num)
 
 
@@ -108,8 +110,8 @@ def cmd_basis(args) -> int:
 def cmd_kernel(args) -> int:
     if args.model is None:  # well is first-order only
         args.model = "helmholtz" if args.order == "second" else "well"
-    basis = _build_basis(args)
     window = TimeWindow(_linspace(args.t0, args.t1, args.nt, "time"))
+    basis = _build_basis(args)
     if args.order == "second":
         aux = wave_auxiliary_kernel(basis, window)
         kern = aux if args.direction == "auxiliary" else wave_step_factor_kernel(aux, args.direction)
@@ -148,8 +150,8 @@ def cmd_kernel(args) -> int:
 
 
 def cmd_propagate(args) -> int:
-    basis = _build_basis(args)
     window = TimeWindow(_linspace(0.0, args.tau, 3, "time"))
+    basis = _build_basis(args)
     kern = step_factor_kernel(auxiliary_kernel(basis, window), "retarded")
     x = basis.grid.points
     psi0 = _gaussian(basis, args)
@@ -165,8 +167,8 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_field(args) -> int:
-    basis = _build_basis(args)
     window = TimeWindow(_linspace(-args.t1, args.t1, 5, "time"))
+    basis = _build_basis(args)
     kern = wave_step_factor_kernel(wave_auxiliary_kernel(basis, window), "retarded")
     src_times = np.linspace(0.0, args.t1, args.nt)
     x = basis.grid.points
@@ -180,9 +182,9 @@ def cmd_field(args) -> int:
 
 
 def cmd_freq(args) -> int:
+    omega = _linspace(args.wmin, args.wmax, args.nw, "omega")
     basis = _build_basis(args)
     dens = spectral_density(basis, args.i, args.j, order=args.order)
-    omega = _linspace(args.wmin, args.wmax, args.nw, "omega")
     resp = response_from_density(dens, omega, args.eta, args.direction)
     io.write_csv(os.path.join(args.out, "response.csv"), ["omega", "re", "im"], io.sampled_rows(omega, resp.values))
     io.write_json(

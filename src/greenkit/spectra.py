@@ -10,6 +10,7 @@ and the acceptance suite check directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -112,11 +113,17 @@ class Coefficients:
             raise ValueError("coefficients must be finite")
 
 
+def _require_extent(value: float, name: str) -> None:
+    """Raise ValueError unless 1e-150 <= value <= 1e150, so that its square
+    (and k^2 or E_n built from it) is a normal float."""
+    if not 1e-150 <= value <= 1e150:
+        raise ValueError(f"{name} must be positive and finite, within [1e-150, 1e150]")
+
+
 def _plane_waves(length: float, n_max: int, n_points: int | None) -> tuple:
     """(grid, j, k) on the periodic box: the integer wave indices |j| <= n_max
     and their k = 2 pi j / L, with the builders' shared checks."""
-    if not 0 < length < np.inf:
-        raise ValueError("box length must be positive and finite")
+    _require_extent(length, "box length")
     if n_max < 1:
         raise ValueError("mode cutoff must be >= 1")
     m = n_points if n_points is not None else 2 * n_max + 1
@@ -186,8 +193,7 @@ def build_well_basis(
     The default grid keeps n_max interior points, on which the retained sine
     set is exactly orthonormal and complete (discrete sine transform).
     """
-    if not 0 < width < np.inf:
-        raise ValueError("well width must be positive and finite")
+    _require_extent(width, "well width")
     if n_max < 1:
         raise ValueError("mode cutoff must be >= 1")
     m = n_points if n_points is not None else n_max
@@ -214,6 +220,16 @@ def hermite_modes(x: np.ndarray, n_max: int, alpha: float) -> np.ndarray:
     return phi
 
 
+@lru_cache(maxsize=16)
+def _gauss_hermite(m: int) -> tuple:
+    """Read-only (nodes, weights) of the m-point Gauss-Hermite rule; the rule
+    does not depend on omega, so bases of one size share it."""
+    rule = np.polynomial.hermite.hermgauss(m)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def build_oscillator_basis(
     constants: PhysicalConstants = PhysicalConstants(),
     n_max: int = 32,
@@ -235,7 +251,7 @@ def build_oscillator_basis(
         m = n_points if n_points is not None else n_max
         if m < n_max:
             raise ValueError("Gauss grid needs at least n_max nodes")
-        nodes, lam = np.polynomial.hermite.hermgauss(m)
+        nodes, lam = _gauss_hermite(m)
         grid = Grid1D(nodes / alpha, lam * np.exp(nodes**2) / alpha, kind="open-interval")
     elif grid_kind == "uniform":
         # classical turning point of the last mode plus a decay buffer; one mode
@@ -315,13 +331,26 @@ def mode_sum(modes: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
 
     modes is (n, m), one grid-sampled mode per row.  Amplitudes of shape (n,)
     give one (m, m) block; shape (k, n) gives k blocks, (k, m, m).  Each block
-    is written in place, so no (k, m, n) temporary is ever held.
+    is written in place by one GEMM, so no (k, m, n) temporary is ever held.
+
+    Real modes (the oscillator's, or any hand-built real set) take one real
+    GEMM per block: S = phi^T (a phi), where the complex (n, m) factor a phi,
+    seen as floats, is its interleaved (n, 2m) real and imaginary parts, and
+    the (m, 2m) real product is the block's own float view.  That is half
+    the flops of the complex GEMM.  Complex modes take phi^T a times conj(phi).
     """
     rows = np.atleast_2d(amplitudes)
-    conj = np.conj(modes)
-    out = np.empty((rows.shape[0], modes.shape[1], modes.shape[1]), dtype=complex)
-    for k, a in enumerate(rows):
-        np.matmul(modes.T * a, conj, out=out[k])
+    m = modes.shape[1]
+    out = np.empty((rows.shape[0], m, m), dtype=complex)
+    if np.any(modes.imag):
+        conj = np.conj(modes)
+        for k, a in enumerate(rows):
+            np.matmul(modes.T * a, conj, out=out[k])
+    else:
+        phi = np.ascontiguousarray(modes.real)
+        # complex amplitudes, so that a phi has the (n, 2m) float view
+        for k, a in enumerate(rows.astype(complex, copy=False)):
+            np.matmul(phi.T, (a[:, None] * phi).view(float), out=out[k].view(float))
     return out if np.ndim(amplitudes) == 2 else out[0]
 
 
@@ -351,21 +380,24 @@ def _column_blocks(basis: EigenSystem, columns: np.ndarray) -> np.ndarray:
     fixes g up to one constant per index parity, and those constants cancel
     in the block because |i - j| and i + j + 2 share a parity: g comes from a
     reverse cumulative sum over each parity with g[m] = g[m + 1] = 0, and is
-    extended by the mirror g[d] = g[2m + 2 - d].
+    extended by the mirror g[d] = g[2m + 2 - d].  Only the live blocks, those
+    whose column is not all zero, are written: the rest stay the untouched
+    pages of np.zeros, such as the wrong side of a retarded or advanced kernel.
     """
     k, m = columns.shape
     if basis.grid.kind == "periodic":
         wrapped = np.concatenate([columns[:, ::-1], columns[:, :0:-1]], axis=1)
         row, item = wrapped.strides
         return as_strided(wrapped[:, m - 1:], (k, m, m), (row, -item, item), writeable=False)
-    g = np.zeros((k, 2 * m + 1), dtype=complex)
+    live = np.flatnonzero(np.any(columns != 0, axis=1))
+    g = np.zeros((live.size, 2 * m + 1), dtype=complex)
     for p in (0, 1):
-        g[:, p:m:2] = np.cumsum(columns[:, p::2][:, ::-1], axis=1)[:, ::-1]
+        g[:, p:m:2] = np.cumsum(columns[live, p::2][:, ::-1], axis=1)[:, ::-1]
     g[:, m + 2:] = g[:, m:1:-1]
-    out = np.empty((k, m, m), dtype=complex)
+    out = np.zeros((k, m, m), dtype=complex)
     toeplitz = np.concatenate([g[:, m - 1:0:-1], g[:, :m]], axis=1)  # g[|p - (m - 1)|]
-    for o, t, h in zip(out, toeplitz, g[:, 2:]):
-        np.subtract(sliding_window_view(t, m)[::-1], sliding_window_view(h, m), out=o)
+    for i, t, h in zip(live, toeplitz, g[:, 2:]):
+        np.subtract(sliding_window_view(t, m)[::-1], sliding_window_view(h, m), out=out[i])
     out.flags.writeable = False
     return out
 

@@ -240,6 +240,12 @@ def test_bad_sizes_exit_2(tmp_path, capsys, argv):
         ("basis", "--a", "inf"),
         ("kernel", "--t1", "inf"),
         ("distcheck", "--eta", "1e-300"),
+        ("basis", "--a", "1e-300"),
+        ("basis", "--a", "1e300"),
+        ("basis", "--model", "free", "--length", "1e-300"),
+        ("field", "--t1", "1e300"),
+        ("kernel", "--t0=-1e308", "--t1", "1e308"),
+        ("freq", "--wmin=-1e308", "--wmax", "1e308"),
     ],
 )
 def test_bad_values_exit_2_before_any_output(tmp_path, capsys, argv):
@@ -249,6 +255,24 @@ def test_bad_values_exit_2_before_any_output(tmp_path, capsys, argv):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kernel", "--t1", "inf"),
+        ("propagate", "--tau", "1e300"),
+        ("field", "--t1", "nan"),
+        ("freq", "--wmax", "1e300"),
+    ],
+)
+def test_time_and_omega_bounds_are_checked_before_the_basis(tmp_path, monkeypatch, argv):
+    def build(args):
+        raise AssertionError("the basis must not be built for a rejected bound")
+
+    monkeypatch.setattr("greenkit.cli._build_basis", build)
+    code, _ = run(tmp_path, *argv)
+    assert code == 2
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,16 @@ from greenkit import (
     project_state,
     reconstruct,
 )
-from greenkit.spectra import _plane_wave_system, _plane_waves, column_max_norm, delta_residual, mode_blocks, mode_sum
+from greenkit import step_factor_kernel
+from greenkit.spectra import (
+    _gauss_hermite,
+    _plane_wave_system,
+    _plane_waves,
+    column_max_norm,
+    delta_residual,
+    mode_blocks,
+    mode_sum,
+)
 
 
 def test_constants_positivity():
@@ -161,6 +170,83 @@ def test_large_well_blocks_match_mode_sum(n_points):
             assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _complex_path(modes, a):
+    """The complex-mode mode_sum of one block: phi^T a times conj(phi)."""
+    return (modes.T * a) @ np.conj(modes)
+
+
+@pytest.mark.parametrize("amplitude", ["real", "complex"])
+@pytest.mark.parametrize("n, m", [(5, 9), (7, 7), (9, 4)])
+def test_real_modes_take_the_real_gemm(n, m, amplitude):
+    """Real modes, stored complex as the builders store them: each block is
+    one real GEMM, within round-off of the complex product, for real and
+    complex amplitudes, and a 1-D result is its 2-D row exactly."""
+    rng = np.random.default_rng(n * m)
+    modes = rng.normal(size=(n, m)).astype(complex)
+    amps = rng.normal(size=(3, n))
+    if amplitude == "complex":
+        amps = amps + 1j * rng.normal(size=(3, n))
+    phi = modes.real
+    blocks = mode_sum(modes, amps)
+    assert blocks.shape == (3, m, m)
+    for a, block in zip(amps, blocks):
+        ref = _complex_path(modes, a)
+        assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
+        real_gemm = phi.T @ (a.astype(complex)[:, None] * phi).view(float)
+        assert np.array_equal(block, real_gemm.view(complex))
+        assert np.array_equal(mode_sum(modes, a), block)
+        assert np.array_equal(mode_sum(phi, a), block)  # float modes too
+
+
+def test_complex_modes_keep_the_complex_gemm():
+    rng = np.random.default_rng(3)
+    modes = rng.normal(size=(6, 8)).astype(complex)
+    modes[2, 5] += 1e-3j  # one complex entry is enough
+    amps = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
+    for a, block in zip(amps, mode_sum(modes, amps)):
+        assert np.array_equal(block, _complex_path(modes, a))
+    basis = build_free_basis(10.0, 3)
+    a = np.ones(basis.size)
+    assert np.array_equal(mode_sum(basis.mode_values, a), _complex_path(basis.mode_values, a))
+
+
+@pytest.mark.parametrize("convention", ["eq24", "minus-i"])
+@pytest.mark.parametrize("direction", ["retarded", "advanced"])
+def test_well_kernel_blocks_vanish_off_the_causal_side(direction, convention):
+    """Only the live blocks are built: the wrong side is exact zeros, the
+    causal side (with the half value at tau = 0) is the dense mode sum, and
+    every block is read-only."""
+    basis = build_well_basis(1.0, 24)
+    t = np.linspace(-1.0, 1.0, 9)
+    kern = step_factor_kernel(auxiliary_kernel(basis, TimeWindow(t), convention), direction)
+    s = 1 if direction == "retarded" else -1
+    values = kern.values
+    assert not values[s * t < 0].any()
+    factor = -1j if convention == "minus-i" else 1
+    for block, a in zip(values[s * t >= 0], kern.amplitudes[s * t >= 0]):
+        ref = factor * mode_sum(basis.mode_values, a)
+        assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert not values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        values[0, 0, 0] = 1
+
+
+def test_oscillator_gauss_rule_is_cached_per_size():
+    """The Gauss-Hermite rule does not depend on omega: bases of one size
+    share the cached, read-only rule, and each scales it by its own alpha."""
+    slow = build_oscillator_basis(PhysicalConstants(omega=0.5), n_max=12, grid_kind="gauss")
+    fast = build_oscillator_basis(PhysicalConstants(omega=2.0), n_max=12, grid_kind="gauss")
+    nodes, weights = _gauss_hermite(12)
+    assert _gauss_hermite(12) is _gauss_hermite(12)
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    assert not np.array_equal(slow.grid.points, fast.grid.points)
+    for basis in (slow, fast):
+        alpha = np.sqrt(basis.constants.omega)  # mass = hbar = 1
+        assert np.array_equal(basis.grid.points, nodes / alpha)
+        assert orthonormality_residual(basis) < 1e-12
+        assert completeness_residual(basis) < 1e-10
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -293,6 +379,10 @@ def _with_energies(e):
         (lambda: build_well_basis(-1.0, 4), "width"),
         (lambda: build_well_basis(1.0, 0), "cutoff"),
         (lambda: build_free_basis(0.0, 4), "length"),
+        (lambda: build_well_basis(1e-300, 4), r"well width .* within \[1e-150, 1e150\]"),
+        (lambda: build_well_basis(1e300, 4), "well width"),
+        (lambda: build_free_basis(1e-300, 4), r"box length .* within \[1e-150, 1e150\]"),
+        (lambda: build_relativistic_branches(PhysicalConstants(), 4, 1e300), "box length"),
         (lambda: build_relativistic_branches(PhysicalConstants(), 0, 10.0), "cutoff"),
         (lambda: _with_energies(np.nan), "finite"),
         (lambda: _with_energies(np.inf), "finite"),
