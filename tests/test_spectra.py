@@ -19,8 +19,8 @@ from greenkit import (
     orthonormality_residual,
     project_state,
     reconstruct,
+    step_factor_kernel,
 )
-from greenkit import step_factor_kernel
 from greenkit.spectra import (
     _gauss_hermite,
     _plane_wave_system,
