@@ -108,16 +108,15 @@ def cmd_basis(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    if args.model is None:  # well is first-order only
+    if args.model is None:
         args.model = "helmholtz" if args.order == "second" else "well"
     window = TimeWindow(_linspace(args.t0, args.t1, args.nt, "time"))
     basis = _build_basis(args)
     if args.order == "second":
         aux = wave_auxiliary_kernel(basis, window)
-        kern = aux if args.direction == "auxiliary" else wave_step_factor_kernel(aux, args.direction)
     else:
         aux = auxiliary_kernel(basis, window, convention=args.convention)
-        kern = aux if args.direction == "auxiliary" else step_factor_kernel(aux, args.direction)
+    kern = aux if args.direction == "auxiliary" else step_factor_kernel(aux, args.direction)
     mid = basis.grid.size // 2
     t = kern.times
     io.write_csv(
@@ -333,8 +332,9 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
-    except ValueError as exc:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.fn(args)
+    except (ValueError, FloatingPointError) as exc:  # a failed check, or in-range arguments overflowing together
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

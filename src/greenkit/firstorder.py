@@ -21,6 +21,7 @@ from .spectra import (
     Coefficients,
     EigenSystem,
     PhysicalConstants,
+    _wave_modes,
     column_max_norm,
     mode_blocks,
     project_state,
@@ -42,8 +43,6 @@ __all__ = [
 ]
 
 CAUSTIC_TOL = 1e-6
-
-FIRST_ORDER_MODELS = ("free", "well", "oscillator", "relativistic")
 
 
 def theta(tau):
@@ -94,6 +93,8 @@ class Kernel:
     under the minus-i convention.  kind: auxiliary | retarded | advanced;
     convention: "eq24" or "minus-i" (printed literature form); order:
     "first" (phase sum) or "second" (wave kernel at c = basis.constants.c).
+    Any basis in the law's domain is admitted, and only here: a non-empty one,
+    at second order also one that spectra._wave_modes takes.
     """
 
     basis: EigenSystem
@@ -109,11 +110,10 @@ class Kernel:
         _prefactor(self.convention)  # raises on an unknown convention
         if self.order not in ("first", "second"):
             raise ValueError(f"unknown kernel order {self.order!r}")
-
-    def _wave_law(self) -> tuple:
-        """(mode indices, sqrt(lambda), c) of the second-order law."""
-        from .secondorder import _wave_modes  # secondorder imports this module
-        return (*_wave_modes(self.basis), self.basis.constants.c)
+        if self.basis.size == 0:
+            raise ValueError("empty basis")
+        if self.order == "second":
+            _wave_modes(self.basis)  # raises on a basis the wave law cannot take
 
     def amplitude(self, tau) -> np.ndarray:
         """The law without the minus-i prefactor: amplitudes of shape
@@ -121,14 +121,14 @@ class Kernel:
 
         s theta(s Re tau) (1 for the auxiliary kind) times e^{-i E_n tau / hbar}
         at first order; at second order c sin(sqrt(lambda_n) c tau) /
-        sqrt(lambda_n) (c tau on a zero mode) on secondorder._wave_modes, and
+        sqrt(lambda_n) (c tau on a zero mode) on spectra._wave_modes, and
         0 on every other mode.  A zero step factor gives exact zero blocks.
         """
         tau = np.asarray(tau)[..., None]
         if self.order == "first":
             a = np.exp(-1j * self.basis.energies * tau / self.basis.constants.hbar)
         else:
-            index, root_e, c = self._wave_law()
+            index, root_e, c = _wave_modes(self.basis)
             zero = root_e == 0
             a = np.zeros(tau.shape[:-1] + (self.basis.size,), dtype=complex)
             a[..., index] = np.where(zero, c * tau, c * np.sin(root_e * c * tau) / np.where(zero, 1.0, root_e))
@@ -155,12 +155,19 @@ class Kernel:
         """
         return self._blocks(self.amplitudes)
 
+    def _check_window(self, tau: float, message: str, first: int | None = 0, last: int = -1) -> None:
+        """Raise ValueError(message) unless tau is finite and in times[first]
+        .. times[last] (no lower end if first is None) up to 1e-9 max(1, |tau|)."""
+        slack = 1e-9 * max(1.0, abs(tau))
+        low = -np.inf if first is None else self.times[first] - slack
+        if not (np.isfinite(tau) and low <= tau <= self.times[last] + slack):
+            raise ValueError(message)
+
     def at(self, tau: float) -> np.ndarray:
         """Read-only block at the time sample closest to tau (must match
         closely); builds that one block only."""
         i = int(np.argmin(np.abs(self.times - tau)))
-        if not abs(self.times[i] - tau) <= 1e-9 * max(1.0, abs(tau)):
-            raise ValueError(f"tau={tau} is not a stored time sample")
+        self._check_window(tau, f"tau={tau} is not a stored time sample", i, i)
         return self._blocks(self.amplitudes[i])
 
 
@@ -170,10 +177,6 @@ def auxiliary_kernel(basis: EigenSystem, window: TimeWindow, convention: str = "
     For the relativistic model the basis already carries both energy branches,
     so the plain mode sum reproduces the two-branch integrand.
     """
-    if basis.model not in FIRST_ORDER_MODELS:
-        raise ValueError(f"model {basis.model!r} is not a first-order model")
-    if basis.size == 0:
-        raise ValueError("empty basis")
     return Kernel(basis, window.samples, convention=convention)
 
 
@@ -213,8 +216,7 @@ def propagate(kernel: Kernel, psi0: SampledFunction, tau: float) -> SampledFunct
         raise ValueError("propagation uses the retarded kernel")
     if tau < 0:
         raise ValueError("retarded kernel cannot evolve into the past")
-    if not kernel.times[0] <= tau <= kernel.times[-1]:
-        raise ValueError("tau outside the kernel window")
+    kernel._check_window(tau, "tau outside the kernel window")
     basis = kernel.basis
     c = project_state(basis, psi0).values * kernel.amplitude(tau)
     return reconstruct(Coefficients(c, basis))
@@ -238,8 +240,7 @@ def composition_residual(kernel: Kernel, tau1: float, tau2: float) -> float:
     """
     if tau1 < 0 or tau2 < 0:
         raise ValueError("split times must be non-negative")
-    if not kernel.times[0] <= tau1 + tau2 <= kernel.times[-1]:
-        raise ValueError("tau1 + tau2 outside the kernel window")
+    kernel._check_window(tau1 + tau2, "tau1 + tau2 outside the kernel window")
     basis = kernel.basis
     lhs, k1, k2 = mode_blocks(basis, kernel.amplitude(np.array([tau1 + tau2, tau1, tau2])))
     w = basis.grid.weights

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .firstorder import _SIGNS, _sign
-from .secondorder import _wave_modes
-from .spectra import EigenSystem, PhysicalConstants, _relativistic_energy
+from .spectra import EigenSystem, PhysicalConstants, _relativistic_energy, _wave_modes
 
 __all__ = [
     "SpectralDensity",
@@ -90,7 +89,7 @@ def spectral_density(basis: EigenSystem, i: int, j: int, order: str = "first") -
     order "first": one line per mode at E_n/hbar with weight phi_n(x_i)
     phi_n*(x_j).  order "second": a mirrored pair at +-sqrt(E_n) c with
     weights +-c phi phi* / (2 i sqrt(E_n)) per mode of the wave kernel
-    (secondorder._wave_modes): every mode, or on the relativistic two-branch
+    (spectra._wave_modes): every mode, or on the relativistic two-branch
     basis one pair per momentum at +-E_k c.  A zero mode (Helmholtz k = 0)
     has no finite-frequency line and is rejected here.  Indices outside the
     grid raise ValueError.
@@ -100,11 +99,11 @@ def spectral_density(basis: EigenSystem, i: int, j: int, order: str = "first") -
     if order == "first":
         return SpectralDensity(basis.energies / basis.constants.hbar, phi)
     if order == "second":
-        index, root = _wave_modes(basis)
+        index, root, c = _wave_modes(basis)
         if np.any(root == 0):
             raise ValueError("second-order lines need positive eigenvalues: a zero mode has no finite-frequency line")
-        w_plus = basis.constants.c * phi[index] / (2j * root)
-        return SpectralDensity(np.concatenate([root, -root]) * basis.constants.c, np.concatenate([w_plus, -w_plus]))
+        w_plus = c * phi[index] / (2j * root)
+        return SpectralDensity(np.concatenate([root, -root]) * c, np.concatenate([w_plus, -w_plus]))
     raise ValueError(f"unknown order {order!r}")
 
 

@@ -10,13 +10,13 @@ carried here as a descriptor rather than a sampled delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .firstorder import Kernel, TimeWindow, _sign, theta
+from .firstorder import Kernel, TimeWindow, _sign, step_factor_kernel, theta
 from .grid import Grid1D
-from .spectra import EigenSystem, mode_blocks
+from .spectra import EigenSystem, _wave_modes, mode_blocks
 
 __all__ = [
     "SourceField",
@@ -74,27 +74,6 @@ class PulseDescriptor:
         return self.amplitude * g / (self.width * np.sqrt(2 * np.pi))
 
 
-def _wave_modes(basis: EigenSystem) -> tuple:
-    """(mode indices, sqrt(E_n)) of the wave kernels and the second-order
-    density; rejects negative eigenvalues.
-
-    The relativistic two-branch basis is the Klein-Gordon case: it repeats
-    each momentum at +-E_k, so only the positive branch is kept, with
-    E = E_k^2.  Any other basis keeps every mode.
-    """
-    if basis.model == "relativistic":
-        if not (basis.constants.hbar == 1.0 and basis.constants.c == 1.0):
-            raise ValueError("Klein-Gordon kernel assumes hbar = c = 1 units")
-        index = np.flatnonzero(basis.branches > 0)
-        e = basis.energies[index] ** 2
-    else:
-        index = np.arange(basis.size)
-        e = basis.energies
-    if np.any(e < 0):
-        raise ValueError("second-order modes need non-negative eigenvalues")
-    return index, np.sqrt(e)
-
-
 def wave_auxiliary_kernel(basis: EigenSystem, window: TimeWindow) -> Kernel:
     """G = c sum_n phi_n phi_n* sin(sqrt(E_n) c tau) / sqrt(E_n), c = basis.constants.c.
 
@@ -104,18 +83,14 @@ def wave_auxiliary_kernel(basis: EigenSystem, window: TimeWindow) -> Kernel:
     e^{ik dx} sin(E_k tau)/E_k with E_k = +sqrt(k^2 + m^2) (hbar = c = 1),
     and the negative branch's amplitudes are zero.
     """
-    if basis.model not in ("helmholtz", "relativistic"):
-        raise ValueError(f"model {basis.model!r} is not a second-order model")
-    _wave_modes(basis)  # raises on a basis the wave law cannot take
     return Kernel(basis, window.samples, order="second")
 
 
 def wave_step_factor_kernel(aux: Kernel, direction: str) -> Kernel:
     """theta(tau) G (retarded) or -theta(-tau) G (advanced) for wave kernels."""
-    if aux.order != "second" or aux.kind != "auxiliary":
+    if aux.order != "second":
         raise ValueError("needs a second-order auxiliary kernel")
-    _sign(direction)  # raises on anything but retarded or advanced
-    return replace(aux, kind=direction)
+    return step_factor_kernel(aux, direction)
 
 
 def em_kernel_closed_form(
@@ -153,14 +128,12 @@ def field_from_source(kernel: Kernel, source: SourceField, eval_times: np.ndarra
     ts = source.times
     eval_times = np.asarray(eval_times, dtype=float)
     if eval_times.size:
-        # the largest lag t - t' evaluated must lie inside the kernel window
-        # (same slack as Kernel.at)
+        # the largest lag t - t' evaluated must not pass the kernel window end
         lag = eval_times.max() - ts[0]
-        if lag - kernel.times[-1] > 1e-9 * max(1.0, abs(lag)):
-            raise ValueError(f"lag t - t' = {lag:g} exceeds the kernel window end {kernel.times[-1]:g}")
+        kernel._check_window(lag, f"lag t - t' = {lag:g} exceeds the kernel window end {kernel.times[-1]:g}", None)
     dt = np.diff(ts)  # trapezoid weights, 1 for a single source sample
     wt = np.concatenate([dt[:1], dt[:-1] + dt[1:], dt[-1:]]) / 2 if ts.size > 1 else np.ones(1)
-    index, root_e, c = kernel._wave_law()
+    index, root_e, c = _wave_modes(basis)
     modes = basis.mode_values[index]
     # project the source once: s_n(t') = <phi_n, f(., t')>, one row per t'
     s_modes = source.values @ (basis.grid.weights[:, None] * np.conj(modes.T))
@@ -234,7 +207,7 @@ def wave_pde_residual(basis: EigenSystem, tau_grid: np.ndarray) -> float:
     t = kern.times
     if t.size < 3:
         raise ValueError("need at least three time samples")
-    index, root_e, c = kern._wave_law()
+    index, root_e, c = _wave_modes(basis)
     # -(1/c^2) d^2/dtau^2 - H acts on each mode's amplitude: the centered
     # second difference of the law's amplitudes, and E = root_e^2 times them
     g = kern.amplitudes[:, index].real

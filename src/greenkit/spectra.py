@@ -35,6 +35,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhysicalConstants:
+    """Each within [1e-50, 1e50], so that hbar^2, c^4 and m^2 c^4 are normal floats."""
+
     hbar: float = 1.0
     c: float = 1.0
     mass: float = 1.0
@@ -42,8 +44,8 @@ class PhysicalConstants:
 
     def __post_init__(self):
         for name in ("hbar", "c", "mass", "omega"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
+            if not 1e-50 <= getattr(self, name) <= 1e50:
+                raise ValueError(f"{name} must be positive and finite, within [1e-50, 1e50]")
 
 
 @dataclass(frozen=True)
@@ -164,6 +166,27 @@ def _plane_wave_system(grid, j, energies, constants, model, branches=None) -> Ei
 def _relativistic_energy(k, constants: PhysicalConstants):
     """E_k = sqrt(m^2 c^4 + c^2 hbar^2 k^2), the positive-branch energy."""
     return np.sqrt(constants.mass**2 * constants.c**4 + constants.c**2 * constants.hbar**2 * k**2)
+
+
+def _wave_modes(basis: EigenSystem) -> tuple:
+    """(mode indices, sqrt(E_n), c) of the second-order law, which the wave
+    kernels and the second-order density share; rejects negative eigenvalues.
+
+    The relativistic two-branch basis is the Klein-Gordon case: it repeats
+    each momentum at +-E_k, so only the positive branch is kept, with
+    E = E_k^2.  Any other basis keeps every mode.
+    """
+    if basis.model == "relativistic":
+        if not (basis.constants.hbar == 1.0 and basis.constants.c == 1.0):
+            raise ValueError("Klein-Gordon kernel assumes hbar = c = 1 units")
+        index = np.flatnonzero(basis.branches > 0)
+        e = basis.energies[index] ** 2
+    else:
+        index = np.arange(basis.size)
+        e = basis.energies
+    if np.any(e < 0):
+        raise ValueError("second-order modes need non-negative eigenvalues")
+    return index, np.sqrt(e), basis.constants.c
 
 
 def build_free_basis(
@@ -331,7 +354,8 @@ def mode_sum(modes: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
 
     modes is (n, m), one grid-sampled mode per row.  Amplitudes of shape (n,)
     give one (m, m) block; shape (k, n) gives k blocks, (k, m, m).  Each block
-    is written in place by one GEMM, so no (k, m, n) temporary is ever held.
+    is written in place by one GEMM, so no (k, m, n) temporary is ever held;
+    rows of all-zero amplitudes run none and stay exact zeros.
 
     Real modes (the oscillator's, or any hand-built real set) take one real
     GEMM per block: S = phi^T (a phi), where the complex (n, m) factor a phi,
@@ -341,16 +365,18 @@ def mode_sum(modes: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     """
     rows = np.atleast_2d(amplitudes)
     m = modes.shape[1]
-    out = np.empty((rows.shape[0], m, m), dtype=complex)
+    out = np.zeros((rows.shape[0], m, m), dtype=complex)
+    live = np.flatnonzero(np.any(rows != 0, axis=1))
     if np.any(modes.imag):
         conj = np.conj(modes)
-        for k, a in enumerate(rows):
-            np.matmul(modes.T * a, conj, out=out[k])
+        for k in live:
+            np.matmul(modes.T * rows[k], conj, out=out[k])
     else:
         phi = np.ascontiguousarray(modes.real)
         # complex amplitudes, so that a phi has the (n, 2m) float view
-        for k, a in enumerate(rows.astype(complex, copy=False)):
-            np.matmul(phi.T, (a[:, None] * phi).view(float), out=out[k].view(float))
+        rows = rows.astype(complex, copy=False)
+        for k in live:
+            np.matmul(phi.T, (rows[k][:, None] * phi).view(float), out=out[k].view(float))
     return out if np.ndim(amplitudes) == 2 else out[0]
 
 
@@ -410,18 +436,16 @@ def mode_blocks(basis: EigenSystem, amplitudes: np.ndarray, factor: complex = 1)
     c[i] = block[i, 0], one (k, n) x (n, m) product for all k blocks, in
     O(m^2) per block instead of O(m^2 n): a zero-copy circulant view on
     periodic bases, Toeplitz minus Hankel on the well (_column_blocks).
-    Bases without waves use mode_sum.  factor scales the columns (or the dense
-    blocks), so every entry is exactly factor times its unscaled value.  Rows
-    of all-zero amplitudes give exact zero blocks.
+    Bases without waves use mode_sum, scaled in place.  factor scales the
+    columns (or the dense blocks), so every entry is exactly factor times its
+    unscaled value.  Rows of all-zero amplitudes give exact zero blocks.
     """
     rows = np.atleast_2d(amplitudes)
     if basis.waves is not None:
         columns = _first_columns(basis, rows)
         out = _column_blocks(basis, columns if factor == 1 else factor * columns)
     else:
-        live = np.flatnonzero(np.any(rows != 0, axis=1))
-        out = np.zeros((rows.shape[0], basis.grid.size, basis.grid.size), dtype=complex)
-        out[live] = mode_sum(basis.mode_values, rows[live])
+        out = mode_sum(basis.mode_values, rows)
         if factor != 1:
             out *= factor
         out.flags.writeable = False

@@ -1,9 +1,15 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import math
 import os
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -91,8 +97,10 @@ def test_kernel_second_order_defaults_to_helmholtz(tmp_path):
     report = json.loads((out / "kernel_report.json").read_text())
     assert report["order"] == "second"
     assert report["zero_time_value"] == 0.0
-    code, _ = run(tmp_path / "well", "kernel", "--model", "well", "--order", "second")
-    assert code == 2
+    # the wave law takes any basis with non-negative eigenvalues, the well too
+    code, out = run(tmp_path / "well", "kernel", "--model", "well", "--order", "second")
+    assert code == 0
+    assert json.loads((out / "kernel_report.json").read_text())["zero_time_value"] == 0.0
 
 
 def test_propagate_preserves_norm(tmp_path):
@@ -301,3 +309,64 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["kernel", "--model", "pendulum"])
     assert exc.value.code == 2
+
+
+# The exit contract under hostile numbers: each subcommand's numeric flags
+# (the size flags capped, to bound memory), drawn several at a time.
+EXTREMES = (0.0, -1.0, 1e-300, 1e300, math.nan, math.inf, -math.inf)
+MODEL_FLOATS = {"--a": 1.0, "--length": 10.0, "--hbar": 1.0, "--c": 1.0, "--mass": 1.0, "--omega-const": 1.0}
+MODEL_SIZES = {"--n": (6, 24), "--kmax": (3, 8), "--points": (16, 64)}
+SUBCOMMANDS = {  # name: (float flags with a typical value, size flags (typical, cap), choice flags)
+    "basis": (MODEL_FLOATS, MODEL_SIZES, {}),
+    "kernel": ({**MODEL_FLOATS, "--t0": -1.0, "--t1": 1.0}, {**MODEL_SIZES, "--nt": (9, 41)},
+               {"--order": ["first", "second"], "--direction": ["auxiliary", "retarded", "advanced"],
+                "--convention": ["eq24", "minus-i"]}),
+    "propagate": ({**MODEL_FLOATS, "--tau": 0.5, "--x0": 0.5, "--sigma": 0.1}, MODEL_SIZES, {}),
+    "field": ({**MODEL_FLOATS, "--t1": 2.0, "--x0": 0.5, "--sigma": 0.2}, {**MODEL_SIZES, "--nt": (6, 41)}, {}),
+    "freq": ({**MODEL_FLOATS, "--eta": 0.05, "--wmin": -10.0, "--wmax": 10.0}, {**MODEL_SIZES, "--nw": (41, 401)},
+             {"--order": ["first", "second"], "--direction": ["retarded", "advanced"], "--i": [0, 1, -1, 10**9],
+              "--j": [0, 3, -1, 10**9]}),
+    "distcheck": ({"--eta": 1e-2}, {}, {"--flavor": ["arctan", "exponential", "linear"]}),
+    "validate": ({}, {}, {"--only": [str(n) for n in range(1, 12)]}),
+}
+MODEL_CHOICES = {"--model": ["well", "free", "oscillator", "relativistic", "helmholtz"],
+                 "--grid-kind": ["uniform", "gauss"]}
+
+
+@st.composite
+def hostile_argv(draw):
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    floats, sizes, choices = SUBCOMMANDS[command]
+    if "--n" in sizes:
+        choices = {**choices, **MODEL_CHOICES}
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(floats)), unique=True, max_size=3)) if floats else []:
+        argv.append(f"{flag}={draw(st.sampled_from([floats[flag], *EXTREMES]))!r}")
+    for flag, (typical, cap) in sizes.items():
+        argv.append(f"{flag}={draw(st.sampled_from([typical, 0, -1, 1, 2, cap]))}")
+    for flag, options in choices.items():
+        argv.append(f"{flag}={draw(st.sampled_from(options))}")
+    return argv
+
+
+def _no_constant(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(hostile_argv())
+def test_cli_keeps_its_exit_contract(argv):
+    """0 or 2 (1 only where a validation can fail), no other exception, no
+    warning, and every file written holds finite numbers only: JSON without
+    NaN or Infinity, CSV with finite fields."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*argv, "--out", tmp])
+        assert code in ((0, 1, 2) if argv[0] in ("distcheck", "validate") else (0, 2))
+        assert caught == []
+        for path in Path(tmp).iterdir():
+            if path.suffix == ".json":
+                json.loads(path.read_text(), parse_constant=_no_constant)
+            elif path.suffix == ".csv":
+                rows = path.read_text().splitlines()[1:]
+                assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))

@@ -5,10 +5,12 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from greenkit import (
+    EigenSystem,
     FreqResponse,
     Kernel,
     PhysicalConstants,
     SampledFunction,
+    SourceField,
     TimeWindow,
     auxiliary_kernel,
     build_free_basis,
@@ -19,6 +21,7 @@ from greenkit import (
     composition_residual,
     convolution_response,
     em_kernel_closed_form,
+    field_from_source,
     free_kernel_closed_form,
     kernel_entry,
     momentum_response_relativistic,
@@ -84,11 +87,80 @@ def test_unknown_convention_is_rejected_everywhere(name, convention):
         _convention_calls()[name](convention)
 
 
-@pytest.mark.parametrize("tau", [np.nan, 0.25, -1.0])
+@pytest.mark.parametrize("tau", [np.nan, 0.25, -1.0, np.inf])
 def test_at_rejects_a_time_that_is_not_a_sample(tau):
     kern = auxiliary_kernel(build_well_basis(1.0, 4), TimeWindow(np.linspace(0.0, 1.0, 3)))
     with pytest.raises(ValueError, match="not a stored time sample"):
         kern.at(tau)
+
+
+def test_window_ends_share_one_slack():
+    """at, propagate, composition_residual and field_from_source (its
+    largest lag) accept a time past the window end by 1e-12 and refuse
+    one past it by 1e-6."""
+    window = TimeWindow(np.linspace(-1.0, 1.0, 5))
+    aux = auxiliary_kernel(build_well_basis(1.0, 4), window)
+    ret = step_factor_kernel(aux, "retarded")
+    psi = SampledFunction(aux.basis.grid, np.ones(4, dtype=complex))
+    wave = wave_step_factor_kernel(wave_auxiliary_kernel(build_helmholtz_basis(2 * np.pi, 2), window), "retarded")
+    source = SourceField(wave.basis.grid, [0.0, 0.5], np.ones((2, 5)))
+    calls = {
+        "at": lambda end: aux.at(end),
+        "propagate": lambda end: propagate(ret, psi, end),
+        "composition_residual": lambda end: composition_residual(aux, 0.5, end - 0.5),
+        "field_from_source": lambda end: field_from_source(wave, source, [0.0, end]),
+    }
+    for call in calls.values():
+        call(1 + 1e-12)
+        with pytest.raises(ValueError, match="window|stored time sample"):
+            call(1 + 1e-6)
+
+
+def _admission_calls(basis, order):
+    """Every entry point that builds a kernel's law on a basis, at one order."""
+    window = TimeWindow(np.array([0.0, 0.5]))
+    if order == "second":
+        return [lambda: wave_auxiliary_kernel(basis, window), lambda: Kernel(basis, window.samples, order="second")]
+    return [lambda: auxiliary_kernel(basis, window), lambda: Kernel(basis, window.samples),
+            lambda: kernel_entry(basis, 0, 1, 0.5), lambda: pde_jump_residual(basis, "eq24", 1e-3)]
+
+
+def _hand_built(energies):
+    free = build_free_basis(10.0, 2)
+    return EigenSystem(free.grid, energies, free.mode_values[: len(energies)], free.constants, "free")
+
+
+ADMISSION_BASES = {
+    "free": lambda: build_free_basis(10.0, 4),
+    "well": lambda: build_well_basis(1.0, 4),
+    "oscillator": lambda: build_oscillator_basis(n_max=6, grid_kind="gauss"),
+    "relativistic": lambda: build_relativistic_branches(PhysicalConstants(), 2, 10.0),
+    "helmholtz": lambda: build_helmholtz_basis(10.0, 4),
+    "relativistic hbar=2": lambda: build_relativistic_branches(PhysicalConstants(hbar=2.0), 2, 10.0),
+    "negative eigenvalue": lambda: _hand_built([-1.0, 0.0, 1.0]),
+    "empty": lambda: _hand_built([]),
+}
+# the bases each order's law is not defined on, with the reason it raises
+REFUSED = {
+    "first": {"empty": "empty basis"},
+    "second": {"empty": "empty basis", "negative eigenvalue": "non-negative eigenvalues",
+               "relativistic hbar=2": "hbar = c = 1"},
+}
+
+
+@pytest.mark.parametrize("order", ["first", "second"])
+@pytest.mark.parametrize("model", list(ADMISSION_BASES))
+def test_every_entry_point_admits_the_bases_of_the_law(model, order):
+    """The factory, a Kernel built directly and, at first order, kernel_entry
+    and pde_jump_residual all take a basis or all refuse it at construction,
+    by the one rule in Kernel.__post_init__."""
+    basis = ADMISSION_BASES[model]()
+    for call in _admission_calls(basis, order):
+        if model in REFUSED[order]:
+            with pytest.raises(ValueError, match=REFUSED[order][model]):
+                call()
+        else:
+            call()
 
 
 def test_time_window_validation():

@@ -1,0 +1,41 @@
+"""The package's import graph: sibling modules are imported at module level only."""
+
+import ast
+from pathlib import Path
+
+import greenkit
+
+SOURCES = sorted(Path(greenkit.__file__).parent.glob("*.py"))
+
+
+def _sibling_imports_in_functions(tree: ast.Module) -> list:
+    """(function, line) of every `from . import`, `from .x import` or
+    `import greenkit...` inside a function body, nested ones included."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom):
+                sibling = node.level > 0 or (node.module or "").split(".")[0] == "greenkit"
+            elif isinstance(node, ast.Import):
+                sibling = any(alias.name.split(".")[0] == "greenkit" for alias in node.names)
+            else:
+                continue
+            if sibling:
+                found.append((getattr(fn, "name", "<lambda>"), node.lineno))
+    return found
+
+
+def test_no_sibling_import_inside_a_function():
+    """A function-local sibling import is how an import cycle hides; every
+    sibling import sits at module level, where a cycle fails at import."""
+    assert {"firstorder.py", "secondorder.py", "spectra.py", "cli.py"} <= {p.name for p in SOURCES}
+    offenders = {p.name: _sibling_imports_in_functions(ast.parse(p.read_text())) for p in SOURCES}
+    assert {name: hits for name, hits in offenders.items() if hits} == {}
+
+
+def test_the_check_sees_a_function_local_import():
+    tree = ast.parse("def f():\n    if True:\n        from .secondorder import x\n"
+                     "def g():\n    import greenkit.spectra\n")
+    assert _sibling_imports_in_functions(tree) == [("f", 3), ("g", 5)]

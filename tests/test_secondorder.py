@@ -8,7 +8,9 @@ from greenkit import (
     PhysicalConstants,
     SourceField,
     TimeWindow,
+    build_free_basis,
     build_helmholtz_basis,
+    build_oscillator_basis,
     build_relativistic_branches,
     build_well_basis,
     em_kernel_closed_form,
@@ -20,6 +22,7 @@ from greenkit import (
     wave_pde_residual,
     wave_step_factor_kernel,
 )
+from greenkit.spectra import mode_sum
 
 L = 2 * np.pi
 
@@ -54,10 +57,20 @@ def test_wave_step_factor_support():
         wave_step_factor_kernel(aux, "sideways")
 
 
-def test_wave_kernel_rejects_first_order_models():
-    basis = build_well_basis(1.0, 4)
-    with pytest.raises(ValueError, match="second-order"):
-        wave_auxiliary_kernel(basis, TimeWindow(np.array([0.0, 1.0])))
+@pytest.mark.parametrize("build", [lambda: build_well_basis(1.0, 8), lambda: build_free_basis(L, 4),
+                                   lambda: build_oscillator_basis(n_max=8, grid_kind="gauss")],
+                         ids=["well", "free", "oscillator"])
+def test_wave_kernel_takes_every_basis_with_non_negative_eigenvalues(build):
+    """The wave law is defined on any basis whose eigenvalues are >= 0: it is
+    odd, zero at tau = 0, and c sum_n phi_n sin(sqrt(E_n) c tau) / sqrt(E_n) phi_n*."""
+    basis = build()
+    kern = wave_auxiliary_kernel(basis, TimeWindow(np.array([-0.5, 0.0, 0.5])))
+    assert np.all(kern.at(0.0) == 0)
+    assert np.allclose(kern.at(-0.5), -kern.at(0.5), rtol=0, atol=1e-13)
+    root = np.sqrt(basis.energies)
+    amps = np.where(root == 0, 0.5, np.sin(0.5 * root) / np.where(root == 0, 1.0, root))
+    ref = mode_sum(basis.mode_values, amps)
+    assert np.max(np.abs(kern.at(0.5) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_kg_kernel_uses_two_branch_basis():

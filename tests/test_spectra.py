@@ -1,5 +1,7 @@
 """Eigenbasis builders: orthonormality, completeness, projections."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -229,6 +231,36 @@ def test_well_kernel_blocks_vanish_off_the_causal_side(direction, convention):
     assert not values.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         values[0, 0, 0] = 1
+
+
+def test_dense_blocks_are_built_without_a_second_copy():
+    """Dense blocks are mode_sum's own zeroed array, scaled in place: the
+    n = 192 Gauss-oscillator kernel's build peaks below 1.2 times its size."""
+    basis = build_oscillator_basis(n_max=192, grid_kind="gauss")
+    kern = auxiliary_kernel(basis, TimeWindow(np.linspace(-1.0, 1.0, 31)))
+    kern.amplitudes  # built first: only the blocks are measured
+    tracemalloc.start()
+    try:
+        values = kern.values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * values.nbytes
+
+
+@pytest.mark.parametrize("direction", ["auxiliary", "retarded"])
+def test_dense_blocks_are_one_mode_sum_per_live_row(direction):
+    """Each live dense block is the one-block mode_sum of its amplitudes,
+    bit for bit, the rest exact zeros; minus-i is exactly -i times eq24."""
+    basis = build_oscillator_basis(n_max=24, grid_kind="gauss")
+    window = TimeWindow(np.linspace(-1.0, 1.0, 7))
+    kernels = [auxiliary_kernel(basis, window, c) for c in ("eq24", "minus-i")]
+    if direction != "auxiliary":
+        kernels = [step_factor_kernel(k, direction) for k in kernels]
+    eq24, minus_i = kernels
+    for block, a in zip(eq24.values, eq24.amplitudes):
+        assert np.array_equal(block, mode_sum(basis.mode_values, a) if a.any() else np.zeros_like(block))
+    assert np.array_equal(minus_i.values, -1j * eq24.values)
 
 
 def test_oscillator_gauss_rule_is_cached_per_size():
