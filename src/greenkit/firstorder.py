@@ -21,6 +21,9 @@ from .spectra import (
     Coefficients,
     EigenSystem,
     PhysicalConstants,
+    _expand,
+    _first_columns,
+    _project,
     _wave_modes,
     column_max_norm,
     mode_blocks,
@@ -202,7 +205,7 @@ def kernel_entry(basis: EigenSystem, i: int, j: int, tau: complex, convention: s
     basis.check_point_indices(i, j)
     # the law does not read the window, so one sample stands in for it
     amps = Kernel(basis, [0.0], convention=convention).amplitude(tau)
-    val = np.sum(basis.mode_values[:, i] * np.conj(basis.mode_values[:, j]) * amps)
+    val = np.sum(basis.modes_at(i) * np.conj(basis.modes_at(j)) * amps)
     return complex(_prefactor(convention) * val)
 
 
@@ -233,20 +236,22 @@ def composition_residual(kernel: Kernel, tau1: float, tau2: float) -> float:
     On bases with waves every block, and so the residual, lies in the
     basis algebra (circulant, or Toeplitz minus Hankel: a sine mode past m
     aliases onto +- a retained one, and the weights are uniform), where a
-    block is rebuilt from its first column.  The residual's first column is
-    one O(m^2) matrix-vector product, and column_max_norm turns it into the
-    max-norm.  A basis without waves (the oscillator, any hand-built one)
-    forms the dense O(m^3) product.
+    block is fixed by its first column.  That column is the lhs column minus
+    K(tau1) applied to the weighted K(tau2) column, sum_n phi_n a_n(tau1)
+    <phi_n, K(tau2) column>: a few transforms and no block.
+    column_max_norm turns it into the max-norm.  A basis without waves (the
+    oscillator, any hand-built one) forms the dense O(m^3) product.
     """
     if tau1 < 0 or tau2 < 0:
         raise ValueError("split times must be non-negative")
     kernel._check_window(tau1 + tau2, "tau1 + tau2 outside the kernel window")
     basis = kernel.basis
-    lhs, k1, k2 = mode_blocks(basis, kernel.amplitude(np.array([tau1 + tau2, tau1, tau2])))
-    w = basis.grid.weights
+    amps = kernel.amplitude(np.array([tau1 + tau2, tau1, tau2]))
     if basis.waves is None:
-        return float(np.max(np.abs(lhs - k1 @ (w[:, None] * k2))))
-    return column_max_norm(basis, lhs[:, 0] - k1 @ (w * k2[:, 0]))
+        lhs, k1, k2 = mode_blocks(basis, amps)
+        return float(np.max(np.abs(lhs - k1 @ (basis.grid.weights[:, None] * k2))))
+    lhs, k2 = _first_columns(basis, amps[[0, 2]])
+    return column_max_norm(basis, lhs - _expand(basis, amps[1] * _project(basis, k2)))
 
 
 def free_kernel_closed_form(

@@ -95,7 +95,7 @@ def spectral_density(basis: EigenSystem, i: int, j: int, order: str = "first") -
     grid raise ValueError.
     """
     basis.check_point_indices(i, j)
-    phi = basis.mode_values[:, i] * np.conj(basis.mode_values[:, j])
+    phi = basis.modes_at(i) * np.conj(basis.modes_at(j))
     if order == "first":
         return SpectralDensity(basis.energies / basis.constants.hbar, phi)
     if order == "second":

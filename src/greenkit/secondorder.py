@@ -16,7 +16,7 @@ import numpy as np
 
 from .firstorder import Kernel, TimeWindow, _sign, step_factor_kernel, theta
 from .grid import Grid1D
-from .spectra import EigenSystem, _wave_modes, mode_blocks
+from .spectra import EigenSystem, _expand, _project, _wave_modes, mode_blocks
 
 __all__ = [
     "SourceField",
@@ -134,9 +134,8 @@ def field_from_source(kernel: Kernel, source: SourceField, eval_times: np.ndarra
     dt = np.diff(ts)  # trapezoid weights, 1 for a single source sample
     wt = np.concatenate([dt[:1], dt[:-1] + dt[1:], dt[-1:]]) / 2 if ts.size > 1 else np.ones(1)
     index, root_e, c = _wave_modes(basis)
-    modes = basis.mode_values[index]
     # project the source once: s_n(t') = <phi_n, f(., t')>, one row per t'
-    s_modes = source.values @ (basis.grid.weights[:, None] * np.conj(modes.T))
+    s_modes = _project(basis, source.values)[:, index]
     # sin(r c (t - t')) = sin(r c t) cos(r c t') - cos(r c t) sin(r c t'), and
     # c (t - t') for the zero mode, with both times measured from ts[0] so
     # that the lag-0 terms at the onset are exact zeros
@@ -150,7 +149,9 @@ def field_from_source(kernel: Kernel, source: SourceField, eval_times: np.ndarra
     causal = theta(t - tp.T) * wt  # (eval, source): theta(t - t') w_t'
     both = (causal @ src.view(float)).view(complex)
     n = index.size
-    return (early * both[:, :n] + late * both[:, n:]) @ modes
+    coefficients = np.zeros((eval_times.size, basis.size), dtype=complex)
+    coefficients[:, index] = early * both[:, :n] + late * both[:, n:]
+    return _expand(basis, coefficients)
 
 
 def point_charge_potential(q: float, eps0: float, r: float, t: float, c: float) -> float:

@@ -49,6 +49,37 @@ class PhysicalConstants:
 
 
 @dataclass(frozen=True)
+class _ModeTable:
+    """A builder's modes: mode n at grid point l is
+    table[(waves[n] * offsets[l]) mod len(table)], each of amplitude scale.
+
+    Plane waves e^{2 pi i j x / L} / sqrt(L) on x_l = l L / m: the m-th roots
+    of unity over sqrt(L), offsets l, scale 1 / sqrt(L).  Well sines
+    sqrt(2/a) sin(n pi x / a) on x_l = (l + 1) a / (m + 1):
+    sqrt(2/a) sin(pi k / (m + 1)) for k < 2 (m + 1), offsets l + 1, scale
+    sqrt(2/a).  Every entry comes from an argument below 2 pi, not one per
+    (mode, point) pair at up to 2 pi max|waves|.  waves is made read-only,
+    so no write can break the structure it marks.
+    """
+
+    table: np.ndarray
+    offsets: np.ndarray
+    waves: np.ndarray
+    scale: float
+
+    def __post_init__(self):
+        self.waves.flags.writeable = False
+
+    def at(self, point: int) -> np.ndarray:
+        return self.table[self.waves * self.offsets[point] % self.table.size]
+
+    def gather(self) -> np.ndarray:
+        index = np.outer(self.waves, self.offsets)
+        index %= self.table.size
+        return self.table[index]
+
+
+@dataclass(frozen=True)
 class EigenSystem:
     """Truncated spectrum {E_n} with grid-sampled modes.
 
@@ -57,11 +88,16 @@ class EigenSystem:
     case the spatial plane waves repeat across branches, so orthonormality
     only holds within a branch.
 
-    waves, set only by the builders (_table_system), is each mode's integer
+    waves, set only by the builders (_ModeTable), is each mode's integer
     wave index: j for plane waves on a periodic grid, whose mode sums are
     circulant, n for the well's sines, whose mode sums are Toeplitz minus
-    Hankel.  mode_blocks rebuilds such blocks from their first columns.  A
+    Hankel.  mode_blocks rebuilds such blocks from their first columns, and
+    the products with the modes are transforms (_expand, _project).  A
     basis without waves, whatever its model label, takes the dense path.
+
+    A builder passes a _ModeTable as mode_values: the basis keeps the table
+    and gathers mode_values, read-only, only when it is first read, which
+    no structured path does.
     """
 
     grid: Grid1D
@@ -71,15 +107,24 @@ class EigenSystem:
     model: str
     branches: np.ndarray | None = None
     waves: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _table: _ModeTable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         en = np.asarray(self.energies, dtype=float)
-        mv = np.asarray(self.mode_values, dtype=complex)
         object.__setattr__(self, "energies", en)
-        object.__setattr__(self, "mode_values", mv)
         if not np.all(np.isfinite(en)):
             raise ValueError("energies must be finite")
-        if mv.shape != (en.size, self.grid.size):
+        if isinstance(self.mode_values, _ModeTable):
+            table = self.mode_values
+            object.__delattr__(self, "mode_values")  # gathered by __getattr__ on first read
+            object.__setattr__(self, "_table", table)
+            object.__setattr__(self, "waves", table.waves)
+            shape = (table.waves.size, table.offsets.size)
+        else:
+            mv = np.asarray(self.mode_values, dtype=complex)
+            object.__setattr__(self, "mode_values", mv)
+            shape = mv.shape
+        if shape != (en.size, self.grid.size):
             raise ValueError("mode count must equal energy count, sampled on the grid")
         if self.branches is not None:
             br = np.asarray(self.branches, dtype=int)
@@ -87,9 +132,26 @@ class EigenSystem:
             if br.shape != en.shape:
                 raise ValueError("one branch tag per mode")
 
+    def __getattr__(self, name):
+        """Reached only for an attribute that is not set: a builder's
+        mode_values, gathered from its table, read-only, on first read."""
+        if name != "mode_values" or self._table is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        modes = self._table.gather()
+        modes.flags.writeable = False
+        object.__setattr__(self, "mode_values", modes)
+        return modes
+
     @property
     def size(self) -> int:
         return self.energies.size
+
+    def modes_at(self, point: int) -> np.ndarray:
+        """(n,) values phi_n(x_point) of every mode, read off the table on a
+        builder's basis, so mode_values is not gathered."""
+        if self._table is None:
+            return self.mode_values[:, point]
+        return self._table.at(point)
 
     def check_point_indices(self, *indices: int) -> None:
         """Raise ValueError unless 0 <= index < grid.size for every index;
@@ -133,34 +195,16 @@ def _plane_waves(length: float, n_max: int, n_points: int | None) -> tuple:
     return Grid1D.periodic(length, m), j, 2 * np.pi * j / length
 
 
-def _table_system(grid, table, offsets, waves, energies, constants, model, branches=None) -> EigenSystem:
-    """Basis whose mode n is table[(waves[n] * offsets) mod len(table)],
-    marked with its wave index for the structured block paths.
-
-    Plane waves e^{2 pi i j x / L} / sqrt(L) on x_l = l L / m: the m-th roots
-    of unity over sqrt(L), offsets l.  Well sines sqrt(2/a) sin(n pi x / a) on
-    x_l = (l + 1) a / (m + 1): sqrt(2/a) sin(pi k / (m + 1)) for
-    k < 2 (m + 1), offsets l + 1.  Every entry comes from an argument below
-    2 pi, not one per (mode, point) pair at up to 2 pi max|waves|.
-    """
-    index = np.outer(waves, offsets)
-    index %= table.size
-    basis = EigenSystem(grid, energies, table[index], constants, model, branches=branches)
-    # both fresh here; read-only, so no write can break the structure waves marks
-    basis.mode_values.flags.writeable = False
-    waves.flags.writeable = False
-    object.__setattr__(basis, "waves", waves)
-    return basis
-
-
 def _plane_wave_system(grid, j, energies, constants, model, branches=None) -> EigenSystem:
-    """Plane-wave _table_system, one wave per index in j, ordered by (|E|, E)."""
+    """Plane-wave basis read off a _ModeTable, one wave per index in j,
+    ordered by (|E|, E)."""
     order = np.lexsort((energies, np.abs(energies)))
-    m = grid.size
-    roots = np.exp(2j * np.pi * np.arange(m) / m) / np.sqrt(grid.period)
+    m, root_l = grid.size, np.sqrt(grid.period)
+    roots = np.exp(2j * np.pi * np.arange(m) / m) / root_l
     if branches is not None:
         branches = branches[order]
-    return _table_system(grid, roots, np.arange(m), j[order], energies[order], constants, model, branches)
+    modes = _ModeTable(roots, np.arange(m), j[order], 1 / root_l)
+    return EigenSystem(grid, energies[order], modes, constants, model, branches)
 
 
 def _relativistic_energy(k, constants: PhysicalConstants):
@@ -222,9 +266,10 @@ def build_well_basis(
     m = n_points if n_points is not None else n_max
     grid = Grid1D.open_interval(0.0, width, m)
     n = np.arange(1, n_max + 1)
-    table = np.sqrt(2.0 / width) * np.sin(np.pi * np.arange(2 * (m + 1)) / (m + 1))
+    scale = np.sqrt(2.0 / width)
+    table = (scale * np.sin(np.pi * np.arange(2 * (m + 1)) / (m + 1))).astype(complex)
     energies = np.pi**2 * constants.hbar**2 * n**2 / (2 * constants.mass * width**2)
-    return _table_system(grid, table, np.arange(1, m + 1), n, energies, constants, "well")
+    return EigenSystem(grid, energies, _ModeTable(table, np.arange(1, m + 1), n, scale), constants, "well")
 
 
 def hermite_modes(x: np.ndarray, n_max: int, alpha: float) -> np.ndarray:
@@ -380,14 +425,87 @@ def mode_sum(modes: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     return out if np.ndim(amplitudes) == 2 else out[0]
 
 
+def _scatter(rows: np.ndarray, waves: np.ndarray, size: int) -> np.ndarray:
+    """(..., size) bins of the (..., n) rows: bin b sums rows[..., n] over
+    every n with waves[n] = b mod size, so waves that share a bin (the two
+    relativistic branches of one j, or waves an aliased grid folds together)
+    add up.  One bincount each for the real and the imaginary parts."""
+    rows = np.asarray(rows, dtype=complex)
+    flat = rows.reshape(-1, rows.shape[-1])
+    index = (np.arange(flat.shape[0])[:, None] * size + waves % size).ravel()
+    out = np.empty(flat.shape[0] * size, dtype=complex)
+    out.real = np.bincount(index, flat.real.ravel(), out.size)
+    out.imag = np.bincount(index, flat.imag.ravel(), out.size)
+    return out.reshape(rows.shape[:-1] + (size,))
+
+
+def _sine_sums(x: np.ndarray) -> np.ndarray:
+    """S[p] = sum_k x[k] sin(2 pi k p / N) along the last axis, of length N,
+    from one FFT F of x: S[p] = (i / 2) (F[p] - F[-p])."""
+    f = np.fft.fft(x)
+    return 0.5j * (f - f[..., -np.arange(x.shape[-1])])
+
+
+def _expand(basis: EigenSystem, coefficients: np.ndarray) -> np.ndarray:
+    """(..., m) sums sum_n coefficients[..., n] phi_n(x_l) on the grid.
+
+    On bases with waves each row is one transform of its binned coefficients
+    (_scatter): plane waves take one inverse FFT over the bins waves mod m.
+    The well's sines are sin(2 pi n (l + 1) / N) with N = 2 (m + 1), so they
+    take the sine sums (a DST-I) over the bins waves mod N, which also
+    covers grids with m != n.  A basis without waves takes the product with
+    mode_values.
+    """
+    if basis.waves is None:
+        return coefficients @ basis.mode_values
+    m, scale = basis.grid.size, basis._table.scale
+    if basis.grid.kind == "periodic":
+        return scale * np.fft.ifft(_scatter(coefficients, basis.waves, m), norm="forward")
+    return scale * _sine_sums(_scatter(coefficients, basis.waves, 2 * (m + 1)))[..., 1:m + 1]
+
+
+def _project(basis: EigenSystem, values: np.ndarray) -> np.ndarray:
+    """(..., n) projections <phi_n, values[...]> under the grid weights.
+
+    On bases with waves one transform per row, read at each mode's bin: an
+    FFT on plane waves, and on the well the sine sums of the values placed
+    at k = l + 1 of a zero row of length 2 (m + 1).  A basis without waves
+    takes the product with conj(mode_values).
+    """
+    weighted = basis.grid.weights * values
+    if basis.waves is None:
+        return weighted @ np.conj(basis.mode_values).T
+    m, scale = basis.grid.size, basis._table.scale
+    if basis.grid.kind == "periodic":
+        return scale * np.fft.fft(weighted)[..., basis.waves % m]
+    padded = np.zeros(weighted.shape[:-1] + (2 * (m + 1),), dtype=complex)
+    padded[..., 1:m + 1] = weighted
+    return scale * _sine_sums(padded)[..., basis.waves % padded.shape[-1]]
+
+
 def _first_columns(basis: EigenSystem, rows: np.ndarray) -> np.ndarray:
     """(k, m) first columns c[i] = sum_n phi_n(x_i) a_n phi_n*(x_0) of the mode
-    sums, one (k, n) x (n, m) product; rows of all-zero amplitudes give exact
-    zero columns."""
-    live = np.flatnonzero(np.any(rows != 0, axis=1))
-    columns = np.zeros((rows.shape[0], basis.grid.size), dtype=complex)
-    columns[live] = (rows[live] * np.conj(basis.mode_values[:, 0])) @ basis.mode_values
-    return columns
+    sums, one _expand of the rows a_n phi_n*(x_0); rows of all-zero
+    amplitudes give exact zero columns."""
+    return _expand(basis, rows * np.conj(basis.modes_at(0)))
+
+
+def _well_generators(columns: np.ndarray) -> np.ndarray:
+    """(k, 2m + 1) g of the well blocks g[|i - j|] - g[i + j + 2] from their
+    (k, m) first columns (see _column_blocks)."""
+    k, m = columns.shape
+    g = np.zeros((k, 2 * m + 1), dtype=complex)
+    for p in (0, 1):
+        g[:, p:m:2] = np.cumsum(columns[:, p::2][:, ::-1], axis=1)[:, ::-1]
+    g[:, m + 2:] = g[:, m:1:-1]
+    return g
+
+
+def _well_rows(g: np.ndarray, rows: slice, out: np.ndarray | None = None) -> np.ndarray:
+    """The rows `rows` of the well block g[|i - j|] - g[i + j + 2] of one g."""
+    m = g.size // 2
+    toeplitz = np.concatenate([g[m - 1:0:-1], g[:m]])  # g[|p - (m - 1)|]
+    return np.subtract(sliding_window_view(toeplitz, m)[::-1][rows], sliding_window_view(g[2:], m)[rows], out=out)
 
 
 def _column_blocks(basis: EigenSystem, columns: np.ndarray) -> np.ndarray:
@@ -406,9 +524,10 @@ def _column_blocks(basis: EigenSystem, columns: np.ndarray) -> np.ndarray:
     fixes g up to one constant per index parity, and those constants cancel
     in the block because |i - j| and i + j + 2 share a parity: g comes from a
     reverse cumulative sum over each parity with g[m] = g[m + 1] = 0, and is
-    extended by the mirror g[d] = g[2m + 2 - d].  Only the live blocks, those
-    whose column is not all zero, are written: the rest stay the untouched
-    pages of np.zeros, such as the wrong side of a retarded or advanced kernel.
+    extended by the mirror g[d] = g[2m + 2 - d] (_well_generators).  Only the
+    live blocks, those whose column is not all zero, are written: the rest
+    stay the untouched pages of np.zeros, such as the wrong side of a
+    retarded or advanced kernel.
     """
     k, m = columns.shape
     if basis.grid.kind == "periodic":
@@ -416,14 +535,9 @@ def _column_blocks(basis: EigenSystem, columns: np.ndarray) -> np.ndarray:
         row, item = wrapped.strides
         return as_strided(wrapped[:, m - 1:], (k, m, m), (row, -item, item), writeable=False)
     live = np.flatnonzero(np.any(columns != 0, axis=1))
-    g = np.zeros((live.size, 2 * m + 1), dtype=complex)
-    for p in (0, 1):
-        g[:, p:m:2] = np.cumsum(columns[live, p::2][:, ::-1], axis=1)[:, ::-1]
-    g[:, m + 2:] = g[:, m:1:-1]
     out = np.zeros((k, m, m), dtype=complex)
-    toeplitz = np.concatenate([g[:, m - 1:0:-1], g[:, :m]], axis=1)  # g[|p - (m - 1)|]
-    for i, t, h in zip(live, toeplitz, g[:, 2:]):
-        np.subtract(sliding_window_view(t, m)[::-1], sliding_window_view(h, m), out=out[i])
+    for i, g in zip(live, _well_generators(columns[live])):
+        _well_rows(g, slice(None), out=out[i])
     out.flags.writeable = False
     return out
 
@@ -433,12 +547,12 @@ def mode_blocks(basis: EigenSystem, amplitudes: np.ndarray, factor: complex = 1)
     built from the basis structure, returned read-only.
 
     On bases with waves every block is rebuilt from its first column
-    c[i] = block[i, 0], one (k, n) x (n, m) product for all k blocks, in
-    O(m^2) per block instead of O(m^2 n): a zero-copy circulant view on
-    periodic bases, Toeplitz minus Hankel on the well (_column_blocks).
-    Bases without waves use mode_sum, scaled in place.  factor scales the
-    columns (or the dense blocks), so every entry is exactly factor times its
-    unscaled value.  Rows of all-zero amplitudes give exact zero blocks.
+    c[i] = block[i, 0], one transform per block (_first_columns), in O(m^2)
+    per block instead of O(m^2 n): a zero-copy circulant view on periodic
+    bases, Toeplitz minus Hankel on the well (_column_blocks).  Bases without
+    waves use mode_sum, scaled in place.  factor scales the columns (or the
+    dense blocks), so every entry is exactly factor times its unscaled
+    value.  Rows of all-zero amplitudes give exact zero blocks.
     """
     rows = np.atleast_2d(amplitudes)
     if basis.waves is not None:
@@ -452,20 +566,28 @@ def mode_blocks(basis: EigenSystem, amplitudes: np.ndarray, factor: complex = 1)
     return out if np.ndim(amplitudes) == 2 else out[0]
 
 
+# entries per chunk of well block rows in column_max_norm, 1 MB of complex
+_CHUNK = 1 << 16
+
+
 def column_max_norm(basis: EigenSystem, column: np.ndarray) -> float:
     """max_ij |B_ij| of the block B of the basis algebra whose first column
-    is `column`, in O(m^2) from that column alone.
+    is `column`, in O(m^2) time from that column alone.
 
     On periodic bases B is circulant, so its entries are the column's and
-    the max takes O(m).  On the well B is rebuilt by _column_blocks, the
-    same code that builds every mode_blocks block.  A basis without waves
-    has no such algebra and raises ValueError.
+    the max takes O(m).  On the well B's rows are built by _well_rows, the
+    code that builds every mode_blocks block, one chunk of rows at a time,
+    so the memory is O(m) per chunk row instead of B's m^2.  A basis without
+    waves has no such algebra and raises ValueError.
     """
     if basis.waves is None:
         raise ValueError(f"{basis.model!r} basis without waves has no structured block algebra")
     if basis.grid.kind == "periodic":
         return float(np.max(np.abs(column)))
-    return float(np.max(np.abs(_column_blocks(basis, column[None])[0])))
+    m = column.size
+    g = _well_generators(column[None])[0]
+    step = max(1, _CHUNK // m)
+    return max(float(np.max(np.abs(_well_rows(g, slice(r, r + step))))) for r in range(0, m, step))
 
 
 def delta_residual(block: np.ndarray, weights: np.ndarray) -> float:
@@ -490,14 +612,12 @@ def completeness_residual(basis: EigenSystem) -> float:
 
 
 def project_state(basis: EigenSystem, psi0: SampledFunction) -> Coefficients:
-    """c_n = <phi_n, psi0> under the grid measure."""
+    """c_n = <phi_n, psi0> under the grid measure (_project)."""
     if psi0.grid != basis.grid:
         raise ValueError("state must live on the basis grid")
-    c = np.conj(basis.mode_values) @ (basis.grid.weights * psi0.values)
-    return Coefficients(c, basis)
+    return Coefficients(_project(basis, psi0.values), basis)
 
 
 def reconstruct(coeffs: Coefficients) -> SampledFunction:
-    """sum_n c_n phi_n back on the grid."""
-    vals = coeffs.values @ coeffs.basis.mode_values
-    return SampledFunction(coeffs.basis.grid, vals)
+    """sum_n c_n phi_n back on the grid (_expand)."""
+    return SampledFunction(coeffs.basis.grid, _expand(coeffs.basis, coeffs.values))

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+import greenkit
 from greenkit import build_oscillator_basis, build_well_basis
 from greenkit.cli import main
 from greenkit.firstorder import Kernel
@@ -64,6 +67,22 @@ def test_kernel_minus_i_flag_is_exact_factor(tmp_path):
     report = json.loads((out / "kernel_report.json").read_text())
     assert report["convention"] == "minus-i"
     assert report["minus_i_factor_exact"] is True
+
+
+def test_cold_subcommands_never_import_numpy_ma(tmp_path):
+    """numpy.ma, which np.unique imports on its first call, costs a fresh CLI
+    child 15-20 ms and 1.5 MB; the subcommands a cold child runs leave it out."""
+    src = os.path.dirname(os.path.dirname(greenkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import contextlib, io, sys\n"
+        "from greenkit.cli import main\n"
+        "for argv in (['kernel'], ['propagate'], ['field'], ['basis'], ['validate', '--only', 'kernel']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main([*argv, '--out', sys.argv[1]]) == 0, argv\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True)
 
 
 @pytest.mark.parametrize("order", ["first", "second"])

@@ -35,7 +35,7 @@ from greenkit import (
     wave_auxiliary_kernel,
     wave_step_factor_kernel,
 )
-from greenkit.spectra import mode_sum
+from greenkit.spectra import _first_columns, mode_sum
 
 
 def test_theta_half_at_zero():
@@ -385,12 +385,15 @@ def test_kernel_blocks_are_read_only(model):
 
 def _copied_circulant_blocks(basis, amplitudes):
     """The circulant builder mode_blocks used before its blocks became views:
-    each block copied out of sliding windows over the wrapped generating row."""
+    each block copied out of sliding windows over the wrapped generating row,
+    the first column, which matches the dense product with the modes."""
     m = basis.grid.size
     modes = basis.mode_values
     out = np.zeros((amplitudes.shape[0], m, m), dtype=complex)
     live = np.flatnonzero(np.any(amplitudes != 0, axis=1))
-    gen = (amplitudes[live] * np.conj(modes[:, 0])) @ modes
+    gen = _first_columns(basis, amplitudes[live])
+    dense = (amplitudes[live] * np.conj(modes[:, 0])) @ modes
+    assert np.max(np.abs(gen - dense)) <= 1e-13 * np.max(np.abs(dense))
     wrapped = np.concatenate([gen[:, ::-1], gen[:, :0:-1]], axis=1)
     for k, w in zip(live, wrapped):
         out[k] = sliding_window_view(w, m)[::-1]

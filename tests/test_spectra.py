@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from greenkit import (
+    Coefficients,
     EigenSystem,
     PhysicalConstants,
     SampledFunction,
+    SourceField,
     TimeWindow,
     auxiliary_kernel,
     build_free_basis,
@@ -18,12 +20,20 @@ from greenkit import (
     build_well_basis,
     completeness_residual,
     composition_residual,
+    field_from_source,
+    kernel_entry,
     orthonormality_residual,
     project_state,
+    propagate,
     reconstruct,
+    spectral_density,
     step_factor_kernel,
+    wave_auxiliary_kernel,
+    wave_step_factor_kernel,
 )
 from greenkit.spectra import (
+    _column_blocks,
+    _first_columns,
     _gauss_hermite,
     _plane_wave_system,
     _plane_waves,
@@ -423,3 +433,136 @@ def _with_energies(e):
 def test_builder_validation(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+STRUCTURED_BASES = {
+    "well-2": lambda: build_well_basis(1.0, 2),
+    "well-9": lambda: build_well_basis(1.0, 9),
+    "well-finer-grid": lambda: build_well_basis(1.0, 6, n_points=11),
+    "well-aliased": lambda: build_well_basis(1.0, 30, n_points=7),
+    "free": lambda: build_free_basis(10.0, 5),
+    "relativistic-shared-bins": lambda: build_relativistic_branches(PhysicalConstants(), 4, 10.0, n_points=6),
+    "relativistic": lambda: build_relativistic_branches(PhysicalConstants(), 6, 10.0),
+    "helmholtz": lambda: build_helmholtz_basis(10.0, 8),
+}
+
+
+def _dense_twin(basis):
+    """A hand-built copy of a builder's basis: no waves, so every product
+    with its modes is the dense one."""
+    return EigenSystem(basis.grid, basis.energies, basis.mode_values, basis.constants, basis.model, basis.branches)
+
+
+def _assert_close(got, ref):
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("case", STRUCTURED_BASES)
+def test_transforms_match_the_dense_products(case):
+    """Each FFT or DST-I against the GEMM with mode_values it replaces."""
+    basis = STRUCTURED_BASES[case]()
+    twin = _dense_twin(basis)
+    assert twin.waves is None
+    modes, w = basis.mode_values, basis.grid.weights
+    n, m = basis.size, basis.grid.size
+    rng = np.random.default_rng(2)
+    rows = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    _assert_close(_first_columns(basis, rows), (rows * np.conj(modes[:, 0])) @ modes)
+    psi = SampledFunction(basis.grid, rng.normal(size=m) + 1j * rng.normal(size=m))
+    _assert_close(project_state(basis, psi).values, np.conj(modes) @ (w * psi.values))
+    _assert_close(reconstruct(Coefficients(rows[0], basis)).values, rows[0] @ modes)
+
+    window = TimeWindow(np.linspace(0.0, 1.0, 5))
+    aux = auxiliary_kernel(basis, window)
+    ret = step_factor_kernel(aux, "retarded")
+    twin_ret = step_factor_kernel(auxiliary_kernel(twin, window), "retarded")
+    _assert_close(propagate(ret, psi, 0.6).values, propagate(twin_ret, psi, 0.6).values)
+    # composition: the residual's first column, here from three dense blocks
+    lhs, k1, k2 = mode_sum(modes, aux.amplitude(np.array([0.7, 0.3, 0.4])))
+    column = lhs[:, 0] - k1 @ (w * k2[:, 0])
+    assert abs(composition_residual(aux, 0.3, 0.4) - column_max_norm(basis, column)) <= 1e-13 * np.max(np.abs(lhs))
+
+    source = SourceField(basis.grid, np.linspace(0.0, 0.5, 4), rng.normal(size=(4, m)) + 1j * rng.normal(size=(4, m)))
+    eval_times = np.linspace(0.0, 1.0, 6)
+    fields = [
+        field_from_source(wave_step_factor_kernel(wave_auxiliary_kernel(b, window), "retarded"), source, eval_times)
+        for b in (basis, twin)
+    ]
+    _assert_close(*fields)
+
+
+def test_builder_modes_are_the_exact_table_gather():
+    """mode_values, gathered on first read, is the exact table read at
+    (waves * offsets) mod len(table)."""
+    well = build_well_basis(1.0, 6, n_points=11)
+    sines = np.sqrt(2.0) * np.sin(np.pi * np.arange(24) / 12)
+    assert np.array_equal(well.mode_values, sines[np.outer(np.arange(1, 7), np.arange(1, 12)) % 24])
+    assert well.mode_values.dtype == well.modes_at(0).dtype == complex
+    free = build_free_basis(10.0, 5, n_points=7)
+    roots = np.exp(2j * np.pi * np.arange(7) / 7) / np.sqrt(10.0)
+    assert np.array_equal(free.mode_values, roots[np.outer(free.waves, np.arange(7)) % 7])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_free_basis(10.0, 6),
+        lambda: build_well_basis(1.0, 9, n_points=13),
+        lambda: build_relativistic_branches(PhysicalConstants(), 4, 10.0),
+        lambda: build_helmholtz_basis(10.0, 6),
+    ],
+    ids=["free", "well", "relativistic", "helmholtz"],
+)
+def test_hot_paths_never_gather_the_modes(build):
+    """Transforms and table columns serve every hot path; a builder's
+    mode_values is gathered only when it is read, and read-only then."""
+    basis = build()
+    m = basis.grid.size
+    window = TimeWindow(np.linspace(-1.0, 1.0, 5))
+    aux = auxiliary_kernel(basis, window)
+    ret = step_factor_kernel(aux, "retarded")
+    psi = SampledFunction(basis.grid, np.ones(m))
+    aux.values, ret.at(0.5), completeness_residual(basis), composition_residual(aux, 0.25, 0.5)
+    reconstruct(project_state(basis, psi)), propagate(ret, psi, 0.5)
+    kernel_entry(basis, 0, 1, 0.5 - 0.1j), spectral_density(basis, 0, 1)
+    wave = wave_step_factor_kernel(wave_auxiliary_kernel(basis, window), "retarded")
+    wave.values, field_from_source(wave, SourceField(basis.grid, [0.0, 0.5], np.ones((2, m))), [0.5, 1.0])
+    assert "mode_values" not in vars(basis)
+    assert not basis.mode_values.flags.writeable
+    assert "mode_values" in vars(basis)
+
+
+def test_closed_form_check_never_gathers_the_modes():
+    """Criterion 4's free half reads 21 kernel entries on the m = 1025 basis:
+    two table columns each, where the gathered modes would take 16.8 MB and
+    their index 8.4 MB."""
+    tracemalloc.start()
+    try:
+        free = build_free_basis(40.0, 512)
+        jmid = free.grid.index_of(20.0)
+        for i in range(jmid - 10, jmid + 11):
+            kernel_entry(free, i, jmid, 0.5 - 4e-3j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    assert "mode_values" not in vars(free)
+
+
+def test_well_column_max_norm_holds_row_chunks_only():
+    """At m = 1024 the max over row chunks equals the whole block's max and
+    holds under a quarter of the block's 16.8 MB."""
+    basis = build_well_basis(1.0, 1024)
+    rng = np.random.default_rng(9)
+    amps = np.concatenate([rng.normal(size=(2, basis.size)) + 1j * rng.normal(size=(2, basis.size)),
+                           np.ones((1, basis.size))])
+    for column in _first_columns(basis, amps):
+        block = _column_blocks(basis, column[None])[0]
+        tracemalloc.start()
+        try:
+            got = column_max_norm(basis, column)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == float(np.max(np.abs(block)))
+        assert peak < block.nbytes / 4
