@@ -25,7 +25,7 @@ from .distlab import (
 )
 from .firstorder import _SIGNS, TimeWindow, auxiliary_kernel, composition_residual, propagate, step_factor_kernel
 from .freqdomain import response_from_density, spectral_density
-from .grid import SampledFunction
+from .grid import SampledFunction, _require_scale
 from .secondorder import SourceField, field_from_source, wave_auxiliary_kernel, wave_step_factor_kernel
 from .spectra import (
     PhysicalConstants,
@@ -71,8 +71,7 @@ def _linspace(start: float, stop: float, num: int, name: str) -> np.ndarray:
 def _gaussian(basis, args) -> SampledFunction:
     """exp(-(x - x0)^2 / (2 sigma^2)) on the basis grid, x0 mid-grid by default;
     sigma is checked first, and a Gaussian of zero norm on the grid is rejected."""
-    if not 1e-150 <= args.sigma <= 1e150:  # so that 2 sigma^2 is a normal float
-        raise ValueError("sigma must be positive and finite, within [1e-150, 1e150]")
+    _require_scale(args.sigma, "sigma")  # so that 2 sigma^2 is a normal float
     x = basis.grid.points
     x0 = args.x0 if args.x0 is not None else float(x[len(x) // 2])
     with np.errstate(over="ignore"):  # an exponent past the float range gives exp(-inf) = 0

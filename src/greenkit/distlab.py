@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SampledFunction
+from .grid import SampledFunction, _require_scale
 
 __all__ = [
     "RegularizedFamily",
@@ -50,8 +50,7 @@ class RegularizedFamily:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.flavor not in _FLAVORS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        if not 1e-150 <= self.eta <= 1e150:  # outside, eta**2 + x**2 underflows to 0 or overflows
-            raise ValueError("eta must be positive and finite, within [1e-150, 1e150]")
+        _require_scale(self.eta, "eta")
 
 
 @dataclass(frozen=True)
@@ -165,8 +164,7 @@ def sokhotski_plemelj(f: SampledFunction, eta: float) -> PrincipalValueResult:
     _SP_BLOCK points, each into one reused block buffer (128 kB), so no
     temporary of the grid's length is formed.
     """
-    if not eta > 0:
-        raise ValueError("eta must be positive")
+    _require_scale(eta, "eta")
     x = f.grid.points
     w = f.grid.weights
     v = np.ascontiguousarray(f.values)
@@ -223,47 +221,43 @@ def sokhotski_plemelj(f: SampledFunction, eta: float) -> PrincipalValueResult:
     return PrincipalValueResult(principal, delta_part, full, residual)
 
 
-def _damped_delta_ft(flavor: str, eta: float, etap: float, k: np.ndarray) -> np.ndarray:
-    """D(k) = int e^{s x} delta_eta(x) dx with s = ik - eta', in closed form.
+def _damped_delta_ft(flavor: str, eta: float, k: np.ndarray) -> np.ndarray:
+    """D(k) = int e^{s x} delta_eta(x) dx, s = ik - eta (damped by eta itself), in closed form.
 
     Box: 2 sinh(s eta/2)/(s eta).  Two-sided exponential: the half-lines give
-    (1/2 eta)[1/(1/eta - s) + 1/(1/eta + s)], finite while eta' < 1/eta.
-    Lorentzian: its anti-damped half-line diverges as a plain integral, and
-    the Abel value is the analytic continuation of the Fourier transform
-    e^{-eta |k|} from k to k + i eta', that is e^{-eta(|k| + i eta')}.  Real
-    integrands give D(-k) = conj(D(k)), the conjugate taken for k < 0.
+    (1/2 eta)[1/(1/eta - s) + 1/(1/eta + s)], finite while eta < 1/eta, that
+    is eta < 1.  Lorentzian: its anti-damped half-line diverges as a plain
+    integral, and the Abel value is the analytic continuation of the Fourier
+    transform e^{-eta |k|} from k to k + i eta, that is e^{-eta(|k| + i eta)}.
+    Real integrands give D(-k) = conj(D(k)), the conjugate taken for k < 0.
     """
-    s = 1j * k - etap
+    s = 1j * k - eta
     if flavor == "linear":
         return 2 * np.sinh(s * eta / 2) / (s * eta)
     if flavor == "exponential":
-        if etap >= 1 / eta:
+        if eta >= 1 / eta:
             raise ValueError("damping must stay below the family decay rate 1/eta")
         return (1 / (1 / eta - s) + 1 / (1 / eta + s)) / (2 * eta)
-    half = np.exp(-eta * (np.abs(k) + 1j * etap))
+    half = np.exp(-eta * (np.abs(k) + 1j * eta))
     return np.where(k < 0, np.conj(half), half)
 
 
-def regularized_ft(family: RegularizedFamily, k: np.ndarray, eta_damp: float | None = None) -> dict:
+def regularized_ft(family: RegularizedFamily, k: np.ndarray) -> dict:
     """Damped Fourier transform of a step family vs the reference i/(k + i eta).
 
-    The limit-style transform int e^{(ik - eta') x} step_eta(x) dx is
-    evaluated through its integration-by-parts form i/(k + i eta') * D(k),
-    where D is the damped transform of the paired delta; the surface term
-    vanishes in the damped limit.  eta' defaults to eta (both regulators
-    driven jointly); eta_damp decouples them for order-of-limits studies.
+    The limit-style transform int e^{(ik - eta) x} step_eta(x) dx, damped
+    by the family's own width eta, is evaluated through its
+    integration-by-parts form i/(k + i eta) * D(k), where D is the damped
+    transform of the paired delta; the surface term vanishes in the damped
+    limit.
     """
     if family.kind != "step":
         raise ValueError("regularized_ft takes a step family")
     k = np.atleast_1d(np.asarray(k, dtype=float))
     if np.any(k == 0):
         raise ValueError("k = 0 is not in the transform's domain")
-    eta = family.eta
-    etap = eta if eta_damp is None else eta_damp
-    if not etap > 0:
-        raise ValueError("damping must be positive")
-    vals = 1j / (k + 1j * etap) * _damped_delta_ft(family.flavor, eta, etap, k)
-    reference = 1j / (k + 1j * eta)
+    reference = 1j / (k + 1j * family.eta)
+    vals = reference * _damped_delta_ft(family.flavor, family.eta, k)
     return {
         "k": k,
         "transform": vals,
@@ -272,19 +266,16 @@ def regularized_ft(family: RegularizedFamily, k: np.ndarray, eta_damp: float | N
     }
 
 
-def delta_ft_check(family: RegularizedFamily, k: np.ndarray, eta_damp: float | None = None) -> dict:
-    """max_k |int e^{(ik - eta') x} delta_eta(x) dx - 1| over |k| <= 1/(10 eta)."""
+def delta_ft_check(family: RegularizedFamily, k: np.ndarray) -> dict:
+    """max_k |int e^{(ik - eta) x} delta_eta(x) dx - 1| over |k| <= 1/(10 eta)."""
     if family.kind != "delta":
         raise ValueError("delta_ft_check takes a delta family")
     k = np.atleast_1d(np.asarray(k, dtype=float))
     eta = family.eta
-    etap = eta if eta_damp is None else eta_damp
-    if not etap > 0:
-        raise ValueError("damping must be positive")
     k_used = k[np.abs(k) <= 1.0 / (10 * eta)]
     if k_used.size == 0:
         raise ValueError("no k samples within |k| <= 1/(10 eta)")
-    vals = _damped_delta_ft(family.flavor, eta, etap, k_used)
+    vals = _damped_delta_ft(family.flavor, eta, k_used)
     return {
         "k": k_used,
         "transform": vals,

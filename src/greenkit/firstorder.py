@@ -75,7 +75,8 @@ def _prefactor(convention: str) -> complex:
 
 @dataclass(frozen=True)
 class TimeWindow:
-    """Ordered tau = t - t' samples."""
+    """Ordered tau = t - t' samples; the one time-axis rule (1-D, at least one
+    sample, finite, strictly increasing), which Kernel and SourceField use."""
 
     samples: np.ndarray
 
@@ -84,6 +85,8 @@ class TimeWindow:
         object.__setattr__(self, "samples", s)
         if s.ndim != 1 or s.size < 1:
             raise ValueError("need at least one time sample")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("time samples must be finite")
         if not np.all(np.diff(s) > 0):
             raise ValueError("time samples must be strictly increasing")
 

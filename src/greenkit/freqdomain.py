@@ -3,11 +3,12 @@
 A spectral density is a finite list of weighted frequency lines; shifting the
 lines off the real axis by -i eta (retarded) or +i eta (advanced) gives the
 frequency response in closed pole form.  The same response is recomputed by
-numerically convolving the broadened density against 1/(omega - omega' +- i
-eta'), which is the artifact's demonstration that the convolution route and
-the pole representation are the same object.  The relativistic per-momentum
-responses and their Feynman recombination carry an explicit pole inventory so
-the half-plane census is an exact assertion, not a fit.
+numerically convolving the density, its lines broadened to width eta/10,
+against 1/(omega - omega' +- i 9 eta/10), the demonstration that the
+convolution route and the pole representation are the same object.  The
+relativistic per-momentum responses and their Feynman recombination carry an
+explicit pole inventory so the half-plane census is an exact assertion, not a
+fit.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ class SpectralDensity:
         object.__setattr__(self, "weights", wt)
         if om.shape != wt.shape:
             raise ValueError("omegas and weights must align")
-        if not np.all(np.isfinite(wt)):
-            raise ValueError("line weights must be finite")
+        if not (np.all(np.isfinite(om)) and np.all(np.isfinite(wt))):
+            raise ValueError("line frequencies and weights must be finite")
 
 
 @dataclass(frozen=True)
@@ -64,15 +65,13 @@ class FreqResponse:
     poles: tuple = ()
 
     def __post_init__(self):
-        om = np.asarray(self.omega, dtype=float)
+        om = _response_axis(self.omega, self.eta)
         v = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "omega", om)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "poles", tuple((complex(p), complex(r)) for p, r in self.poles))
         if v.shape != om.shape:
             raise ValueError("one value per omega sample")
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
         ims = np.array([p.imag for p, _ in self.poles])
         if self.direction == "feynman":
             if ims.size and not (np.any(ims < 0) and np.any(ims > 0)):
@@ -120,13 +119,19 @@ def _shifted_poles(omegas, residues, eta: float, direction: str) -> tuple:
     return tuple((om + shift, r) for om, r in zip(omegas, residues))
 
 
-def _pole_response(omega, poles: tuple, eta: float, direction: str) -> FreqResponse:
-    """sum_n r_n / (omega - p_n) over the (p_n, r_n) poles; eta and omega come checked first."""
+def _response_axis(omega, eta: float) -> np.ndarray:
+    """omega as floats, once the check both routes and FreqResponse share passes: finite omega, finite eta > 0."""
     if not 0 < eta < np.inf:
         raise ValueError("eta must be positive and finite")
     omega = np.asarray(omega, dtype=float)
     if not np.all(np.isfinite(omega)):
         raise ValueError("omega samples must be finite")
+    return omega
+
+
+def _pole_response(omega, poles: tuple, eta: float, direction: str) -> FreqResponse:
+    """sum_n r_n / (omega - p_n) over the (p_n, r_n) poles; eta and omega come checked first."""
+    omega = _response_axis(omega, eta)
     vals = np.zeros(omega.shape, dtype=complex)
     for p, r in poles:
         vals += r / (omega - p)
@@ -141,12 +146,12 @@ def response_from_density(
     return _pole_response(omega, poles, eta, direction)
 
 
-def _line_integrals(omega, lines, eta: float, direction: str, broadening: float | None = None) -> np.ndarray:
+def _line_integrals(omega, lines, eta: float, direction: str) -> np.ndarray:
     """Table J[k, l] = J(omega_k - lines_l) of broadened-line integrals.
 
-    Each line is broadened to a unit-area Lorentzian L of width eta_b
-    (default eta/10), and the convolution kernel carries the remaining
-    eta_k = eta - eta_b, so that J(v) = int L(u) / (v - u + i s eta_k) du
+    Each line is broadened to a unit-area Lorentzian L of width eta_b =
+    eta/10, and the convolution kernel carries the remaining eta_k = eta -
+    eta_b, so that J(v) = int L(u) / (v - u + i s eta_k) du
     depends only on v.  Every (omega, line) pair gets its own two-scale
     trapezoid grid: fine patches |u| <= 40 eta_b and |u| <= 60 eta around
     the line, geometric legs out to 60 (max(|v|, eta) + eta), and a +-40
@@ -156,17 +161,19 @@ def _line_integrals(omega, lines, eta: float, direction: str, broadening: float 
     row of a sorted node array (about 8k nodes), in four (_CONV_ROWS, nodes)
     buffers allocated once.  Returns the complex (omega.size, lines.size)
     table.
-    """
-    if not eta > 0:
-        raise ValueError("eta must be positive")
-    eta_b = eta / 10 if broadening is None else broadening
-    if not 0 < eta_b < eta:
-        raise ValueError("broadening must lie strictly between 0 and eta")
-    sgn = _sign(direction)
-    eta_k = eta - eta_b
-    omega = np.asarray(omega, dtype=float)
 
-    v_all = (omega[:, None] - lines[None, :]).ravel()
+    The products (eta_b^2 + u^2)(d^2 + eta_k^2), 8e-3 eta^4 to 2e8 max(eta,
+    |v|)^4, and the weights w / product, up to 1 / eta^3, are normal floats
+    while eta is within [1e-70, 1e70] and every |v| <= 1e70.
+    """
+    omega = _response_axis(omega, eta)
+    sgn = _sign(direction)
+    with np.errstate(over="ignore"):  # a v past the float range is rejected below
+        v_all = (omega[:, None] - lines[None, :]).ravel()
+    if not (1e-70 <= eta <= 1e70 and np.all(np.abs(v_all) <= 1e70)):
+        raise ValueError("the convolution route needs eta within [1e-70, 1e70] and |omega - omega_l| <= 1e70")
+    eta_b = eta / 10
+    eta_k = eta - eta_b
     patch = np.unique(np.concatenate([
         np.linspace(-40 * eta_b, 40 * eta_b, 3201),
         np.linspace(-60 * eta, 60 * eta, 1601),
@@ -217,15 +224,15 @@ def convolution_response(
     omega: np.ndarray,
     eta: float,
     direction: str,
-    broadening: float | None = None,
 ) -> FreqResponse:
     """Quadrature evaluation of the convolution integral over omega'.
 
-    Each line is broadened to a unit-area Lorentzian of width eta_b
-    (default eta/10); the convolution kernel carries the remaining eta -
-    eta_b, so the total regularization matches the pole form exactly in the
-    continuum and the residual against response_from_density is pure
-    quadrature error.
+    Each line is broadened to a unit-area Lorentzian of width eta/10; the
+    convolution kernel carries the remaining 9 eta/10, so the total
+    regularization matches the pole form exactly in the continuum and the
+    residual against response_from_density is pure quadrature error.  eta
+    must lie within [1e-70, 1e70] and every |omega - omega_l| at most 1e70
+    (see _line_integrals); the pole form takes any finite eta > 0.
 
     The integral over omega' depends on omega and a line only through
     omega - omega_l, so the response is the table J(omega_k - omega_l) of
@@ -233,7 +240,7 @@ def convolution_response(
     weights.  Densities with the same lines (every entry of one basis) share
     that table; its nodes and memory are described at _line_integrals.
     """
-    table = _line_integrals(omega, density.omegas, eta, direction, broadening)
+    table = _line_integrals(omega, density.omegas, eta, direction)
     poles = _shifted_poles(density.omegas, density.weights, eta, direction)
     return FreqResponse(omega, table @ density.weights, eta, direction, poles)
 

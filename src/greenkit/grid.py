@@ -30,6 +30,13 @@ def _require_points(n: int, kind: str) -> None:
         raise ValueError("need at least one grid point" if kind == "open-interval" else "need at least two grid points")
 
 
+def _require_scale(value: float, name: str) -> None:
+    """Raise ValueError unless 1e-150 <= value <= 1e150: a positive scale
+    (a length, a width, eta) whose square is a normal float."""
+    if not 1e-150 <= value <= 1e150:
+        raise ValueError(f"{name} must be positive and finite, within [1e-150, 1e150]")
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Ordered sample points with positive quadrature weights.

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .firstorder import Kernel, TimeWindow, _sign, step_factor_kernel, theta
-from .grid import Grid1D
+from .grid import Grid1D, _require_scale
 from .spectra import EigenSystem, _expand, _project, _wave_modes, mode_blocks
 
 __all__ = [
@@ -33,21 +33,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SourceField:
-    """Source density f(x, t) sampled on (grid x times)."""
+    """Source density f(x, t) sampled on (grid x times); the times follow
+    TimeWindow's rule."""
 
     grid: Grid1D
     times: np.ndarray
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = TimeWindow(self.times).samples
         v = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
-        if t.ndim != 1 or t.size < 1:
-            raise ValueError("need a 1-D array of at least one source time")
-        if not np.all(np.diff(t) > 0):
-            raise ValueError("time samples must be strictly increasing")
         if v.shape != (t.size, self.grid.size):
             raise ValueError("values must be (times x grid points)")
         if not np.all(np.isfinite(v)):
@@ -67,9 +64,8 @@ class PulseDescriptor:
     width: float = 0.0
 
     def sample(self, tau: np.ndarray) -> np.ndarray:
-        """Nascent-Gaussian sampling of the pulse (width must be > 0)."""
-        if self.width <= 0:
-            raise ValueError("sampling needs a positive pulse width")
+        """Nascent-Gaussian sampling of the pulse (width within [1e-150, 1e150])."""
+        _require_scale(self.width, "pulse width")  # so that 2 width^2 is a normal float
         g = np.exp(-((tau - self.arrival) ** 2) / (2 * self.width**2))
         return self.amplitude * g / (self.width * np.sqrt(2 * np.pi))
 

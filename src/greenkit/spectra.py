@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .grid import Grid1D, SampledFunction
+from .grid import Grid1D, SampledFunction, _require_scale
 
 __all__ = [
     "PhysicalConstants",
@@ -129,8 +129,8 @@ class EigenSystem:
         if self.branches is not None:
             br = np.asarray(self.branches, dtype=int)
             object.__setattr__(self, "branches", br)
-            if br.shape != en.shape:
-                raise ValueError("one branch tag per mode")
+            if br.shape != en.shape or not np.all(np.abs(br) == 1):
+                raise ValueError("one branch tag per mode, +1 or -1")
 
     def __getattr__(self, name):
         """Reached only for an attribute that is not set: a builder's
@@ -177,17 +177,10 @@ class Coefficients:
             raise ValueError("coefficients must be finite")
 
 
-def _require_extent(value: float, name: str) -> None:
-    """Raise ValueError unless 1e-150 <= value <= 1e150, so that its square
-    (and k^2 or E_n built from it) is a normal float."""
-    if not 1e-150 <= value <= 1e150:
-        raise ValueError(f"{name} must be positive and finite, within [1e-150, 1e150]")
-
-
 def _plane_waves(length: float, n_max: int, n_points: int | None) -> tuple:
     """(grid, j, k) on the periodic box: the integer wave indices |j| <= n_max
     and their k = 2 pi j / L, with the builders' shared checks."""
-    _require_extent(length, "box length")
+    _require_scale(length, "box length")
     if n_max < 1:
         raise ValueError("mode cutoff must be >= 1")
     m = n_points if n_points is not None else 2 * n_max + 1
@@ -216,11 +209,11 @@ def _wave_modes(basis: EigenSystem) -> tuple:
     """(mode indices, sqrt(E_n), c) of the second-order law, which the wave
     kernels and the second-order density share; rejects negative eigenvalues.
 
-    The relativistic two-branch basis is the Klein-Gordon case: it repeats
-    each momentum at +-E_k, so only the positive branch is kept, with
-    E = E_k^2.  Any other basis keeps every mode.
+    A basis with branches is the Klein-Gordon case: it repeats each
+    momentum at +-E_k, so only the positive branch is kept, with E = E_k^2.
+    Any other basis, whatever its model label, keeps every mode.
     """
-    if basis.model == "relativistic":
+    if basis.branches is not None:
         if not (basis.constants.hbar == 1.0 and basis.constants.c == 1.0):
             raise ValueError("Klein-Gordon kernel assumes hbar = c = 1 units")
         index = np.flatnonzero(basis.branches > 0)
@@ -260,7 +253,7 @@ def build_well_basis(
     The default grid keeps n_max interior points, on which the retained sine
     set is exactly orthonormal and complete (discrete sine transform).
     """
-    _require_extent(width, "well width")
+    _require_scale(width, "well width")
     if n_max < 1:
         raise ValueError("mode cutoff must be >= 1")
     m = n_points if n_points is not None else n_max
@@ -377,9 +370,9 @@ def build_helmholtz_basis(
 def orthonormality_residual(basis: EigenSystem) -> float:
     """max |<phi_m, phi_n> - delta_mn| over retained pairs.
 
-    For the two-branch relativistic basis the Gram matrix is taken within
-    each branch; cross-branch pairs share spatial modes and are not expected
-    to be orthogonal.
+    For a basis with branches the Gram matrix is taken within each branch
+    it has; cross-branch pairs share spatial modes and are not expected to
+    be orthogonal.
     """
     w = basis.grid.weights
 
@@ -389,9 +382,7 @@ def orthonormality_residual(basis: EigenSystem) -> float:
 
     if basis.branches is None:
         return gram_dev(basis.mode_values)
-    return max(
-        gram_dev(basis.mode_values[basis.branches == s]) for s in (+1, -1)
-    )
+    return max(gram_dev(basis.mode_values[basis.branches == s]) for s in np.unique(basis.branches))
 
 
 def mode_sum(modes: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:

@@ -319,25 +319,13 @@ def test_delta_transform_requires_in_range_k():
 
 
 def test_exponential_damping_must_stay_below_decay_rate():
-    fam = RegularizedFamily("delta", "exponential", 0.1)
-    with pytest.raises(ValueError, match="decay rate"):
-        delta_ft_check(fam, np.array([0.5]), eta_damp=20.0)
-
-
-def test_exponential_damping_up_to_the_decay_rate():
-    # |k| = 1 sits inside delta_ft_check's |k| <= 1/(10 eta)
-    eta, k = 0.1, np.array([-1.0, 1.0])
-    etap = 0.99 / eta
-    s = 1j * k - etap
-    expected = (1 / (1 / eta - s) + 1 / (1 / eta + s)) / (2 * eta)
-    vals = delta_ft_check(RegularizedFamily("delta", "exponential", eta), k, eta_damp=etap)["transform"]
-    assert np.all(np.isfinite(vals))
-    assert np.allclose(vals, expected, rtol=1e-14, atol=0)
-    step = regularized_ft(RegularizedFamily("step", "exponential", eta), k, eta_damp=etap)["transform"]
-    assert np.allclose(step, 1j / (k + 1j * etap) * expected, rtol=1e-14, atol=0)
-    for fn, kind in ((delta_ft_check, "delta"), (regularized_ft, "step")):
-        with pytest.raises(ValueError, match="decay rate 1/eta"):
-            fn(RegularizedFamily(kind, "exponential", eta), k, eta_damp=1 / eta)
+    # the damping is eta itself, so eta >= 1 reaches the guard eta < 1/eta;
+    # k = 0.05 sits inside delta_ft_check's |k| <= 1/(10 eta)
+    for eta in (1.0, 2.0):
+        with pytest.raises(ValueError, match="decay rate"):
+            delta_ft_check(RegularizedFamily("delta", "exponential", eta), np.array([0.05]))
+        with pytest.raises(ValueError, match="decay rate"):
+            regularized_ft(RegularizedFamily("step", "exponential", eta), np.array([0.05]))
 
 
 def _transform_cases():

@@ -228,9 +228,11 @@ def test_kernel_rejects_unknown_fields(field, value, match):
     "times, match",
     [
         (np.array([0.5, 0.1]), "increasing"),
-        (np.array([np.nan, 1.0]), "increasing"),
+        (np.array([np.nan, 1.0]), "finite"),
         (np.array([[0.0, 1.0]]), "at least one time sample"),
         (np.array([]), "at least one time sample"),
+        (np.array([np.nan]), "finite"),
+        (np.array([0.0, np.inf]), "finite"),
     ],
 )
 def test_kernel_checks_its_times(times, match):

@@ -1,21 +1,30 @@
 """Frequency responses: pole placement, convolution route, inverse transform."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 import greenkit
 from greenkit import (
     FreqResponse,
+    Grid1D,
     PhysicalConstants,
+    RegularizedFamily,
+    SampledFunction,
+    SpectralDensity,
     TimeWindow,
     build_helmholtz_basis,
     build_relativistic_branches,
     build_well_basis,
     convolution_response,
+    family_eval,
     feynman_combination,
     inverse_transform_roundtrip,
     momentum_response_relativistic,
     response_from_density,
+    sokhotski_plemelj,
     spectral_density,
     wave_auxiliary_kernel,
 )
@@ -28,8 +37,8 @@ from greenkit.freqdomain import _CONV_ROWS, _line_integrals
 # floating-point noise.
 
 
-def _line_integral_loop(omega, lines, eta, direction, broadening=None):
-    eta_b = eta / 10 if broadening is None else broadening
+def _line_integral_loop(omega, lines, eta, direction):
+    eta_b = eta / 10
     sgn = 1 if direction == "retarded" else -1
     eta_k = eta - eta_b
 
@@ -123,8 +132,8 @@ def test_convolution_route_matches_pole_form():
     assert np.max(np.abs(conv.values - ref.values)) / peak < 1e-5
 
 
-@pytest.mark.parametrize("direction, broadening", [("retarded", None), ("advanced", 0.02)])
-def test_convolution_matches_per_element_loop(direction, broadening):
+@pytest.mark.parametrize("direction", ["retarded", "advanced"])
+def test_convolution_matches_per_element_loop(direction):
     basis = build_well_basis(1.0, 3)
     dens = spectral_density(basis, 0, 1)
     eta = 0.05
@@ -133,10 +142,10 @@ def test_convolution_matches_per_element_loop(direction, broadening):
     omega = np.concatenate([np.linspace(0.0, 60.0, 5), near])
     # 7 omega x 3 lines = 21 pairs, not a multiple of the chunk's row count
     assert omega.size * dens.omegas.size % _CONV_ROWS != 0
-    table = _line_integrals(omega, dens.omegas, eta, direction, broadening)
-    loop = _line_integral_loop(omega, dens.omegas, eta, direction, broadening)
+    table = _line_integrals(omega, dens.omegas, eta, direction)
+    loop = _line_integral_loop(omega, dens.omegas, eta, direction)
     assert np.max(np.abs(table - loop)) <= 1e-12 * np.max(np.abs(loop))
-    conv = convolution_response(dens, omega, eta, direction, broadening=broadening)
+    conv = convolution_response(dens, omega, eta, direction)
     ref = loop @ dens.weights
     assert np.max(np.abs(conv.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -168,11 +177,88 @@ def test_criterion_7_builds_one_line_table(monkeypatch):
     assert len(calls) == 1
 
 
-def test_convolution_broadening_budget_is_validated():
-    basis = build_well_basis(1.0, 2)
-    dens = spectral_density(basis, 0, 0)
-    with pytest.raises(ValueError, match="broadening"):
-        convolution_response(dens, np.array([1.0]), 0.05, "retarded", broadening=0.05)
+def _well_density():
+    return spectral_density(build_well_basis(1.0, 4), 1, 1)
+
+
+def _gaussian_on_a_line():
+    grid = Grid1D.uniform(-10.0, 10.0, 2001)
+    return SampledFunction(grid, np.exp(-grid.points**2))
+
+
+OMEGA = np.linspace(0.0, 30.0, 7)  # off the well's lines
+
+# every public entry that takes eta, each called once with a given eta
+ETA_ENTRIES = {
+    "RegularizedFamily": lambda eta: family_eval(RegularizedFamily("delta", "arctan", eta), np.linspace(-1.0, 1.0, 5)),
+    "sokhotski_plemelj": lambda eta: sokhotski_plemelj(_gaussian_on_a_line(), eta).full_integral,
+    "convolution_response": lambda eta: convolution_response(_well_density(), OMEGA, eta, "retarded").values,
+    "response_from_density": lambda eta: response_from_density(_well_density(), OMEGA, eta, "retarded").values,
+}
+
+
+@pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf, -math.inf, 1e-300, 1e300])
+@pytest.mark.parametrize("entry", ETA_ENTRIES)
+def test_every_eta_entry_returns_finite_values_or_raises(entry, eta):
+    """A bad eta fails at the boundary with a ValueError, never with a
+    warning, an OverflowError or a non-finite result; the pole form takes
+    any finite eta > 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = ETA_ENTRIES[entry](eta)
+        except ValueError:
+            assert not (entry == "response_from_density" and 0 < eta < math.inf)
+            return
+    assert np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize(
+    "eta, omega, ok",
+    [
+        (1e70, 0.0, True),
+        (1e71, 0.0, False),
+        (1e-70, 1.0, True),
+        (1e-71, 1.0, False),
+        (0.05, 1e70, True),
+        (0.05, -1e70, True),
+        (0.05, 1.01e70, False),
+        (0.05, 1e76, False),
+        (1e100, 0.0, False),
+    ],
+)
+def test_convolution_route_states_its_range(eta, omega, ok):
+    """eta within [1e-70, 1e70] and |omega - omega_l| <= 1e70 give finite
+    values and no warning; past either bound is a ValueError.  At the bounds
+    the route still tracks the pole form, to the 0.4 % its legs leave far
+    from every line (|omega - omega_l| >> eta)."""
+    dens = _well_density()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if not ok:
+            with pytest.raises(ValueError, match=r"convolution route needs eta within \[1e-70, 1e70\]"):
+                convolution_response(dens, np.array([omega]), eta, "retarded")
+            return
+        conv = convolution_response(dens, np.array([omega]), eta, "retarded")
+    ref = response_from_density(dens, np.array([omega]), eta, "retarded")
+    assert np.all(np.isfinite(conv.values))
+    assert np.max(np.abs(conv.values - ref.values)) <= 1e-2 * np.max(np.abs(ref.values))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_both_response_routes_share_one_axis_check(bad):
+    dens = _well_density()
+    for route in (response_from_density, convolution_response):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="omega samples must be finite"):
+                route(dens, np.array([1.0, bad]), 0.05, "retarded")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spectral_density_rejects_non_finite_lines(bad):
+    with pytest.raises(ValueError, match="line frequencies and weights must be finite"):
+        SpectralDensity([bad], [1.0])
 
 
 def test_relativistic_response_equals_combined_rational_form():

@@ -98,9 +98,9 @@ def test_pulse_sampling_integrates_to_amplitude():
     p = em_kernel_closed_form(1.0, 1.0, "retarded", width=0.02)
     tau = np.linspace(0.0, 2.0, 4001)
     assert np.isclose(np.trapezoid(p.sample(tau), tau), p.amplitude, rtol=1e-8)
-    zero_width = em_kernel_closed_form(1.0, 1.0, "retarded")
-    with pytest.raises(ValueError, match="width"):
-        zero_width.sample(tau)
+    for width in (0.0, 1e-200, np.nan, np.inf):
+        with pytest.raises(ValueError, match="width"):
+            em_kernel_closed_form(1.0, 1.0, "retarded", width=width).sample(tau)
 
 
 def test_point_charge_potential_front():
@@ -271,8 +271,15 @@ def test_source_field_validation():
 @pytest.mark.parametrize("times", [np.array([]), np.array(0.5), np.zeros((1, 1))], ids=["empty", "0-d", "2-d"])
 def test_source_field_rejects_times_that_are_not_a_1d_sequence(times):
     basis = build_helmholtz_basis(L, 4)
-    with pytest.raises(ValueError, match="1-D array of at least one source time"):
+    with pytest.raises(ValueError, match="at least one time sample"):
         SourceField(basis.grid, times, np.ones((np.size(times), basis.grid.size)))
+
+
+@pytest.mark.parametrize("times", [np.array([np.nan]), np.array([0.0, np.inf])], ids=["nan", "inf"])
+def test_source_field_rejects_non_finite_times(times):
+    basis = build_helmholtz_basis(L, 4)
+    with pytest.raises(ValueError, match="time samples must be finite"):
+        SourceField(basis.grid, times, np.ones((times.size, basis.grid.size)))
 
 
 def test_wave_residual_converges_second_order():

@@ -435,6 +435,39 @@ def test_builder_validation(call, match):
         call()
 
 
+@pytest.mark.parametrize("tags", [[1, 0, 1, -1], [2, -1, 1, -1], [1, -1, 1, -2]])
+def test_branch_tags_are_plus_or_minus_one(tags):
+    basis = build_well_basis(1.0, 4)
+    with pytest.raises(ValueError, match=r"one branch tag per mode, \+1 or -1"):
+        EigenSystem(basis.grid, basis.energies, basis.mode_values, basis.constants, "well", tags)
+
+
+def test_one_branch_basis_checks_its_one_gram_matrix():
+    basis = build_well_basis(1.0, 4)
+    one = EigenSystem(basis.grid, basis.energies, basis.mode_values, basis.constants, "well", [1, 1, 1, 1])
+    assert orthonormality_residual(one) == orthonormality_residual(basis)
+
+
+OTHER_LABEL = {
+    # a relativistic label without branches is an ordinary basis
+    "relativistic-label-no-branches": (lambda: build_well_basis(1.0, 4), "relativistic"),
+    # branches under any other label are the Klein-Gordon case
+    "branches-other-label": (lambda: build_relativistic_branches(PhysicalConstants(), 3, 5.0), "helmholtz"),
+}
+
+
+@pytest.mark.parametrize("case", OTHER_LABEL)
+def test_second_order_modes_follow_structure_not_label(case):
+    build, label = OTHER_LABEL[case]
+    basis = build()
+    twin, odd = (EigenSystem(basis.grid, basis.energies, basis.mode_values, basis.constants, model, basis.branches)
+                 for model in (basis.model, label))
+    window = TimeWindow(np.array([-0.4, 0.0, 0.7]))
+    assert np.array_equal(wave_auxiliary_kernel(odd, window).values, wave_auxiliary_kernel(twin, window).values)
+    got, ref = (spectral_density(b, 0, 2, order="second") for b in (odd, twin))
+    assert np.array_equal(got.omegas, ref.omegas) and np.array_equal(got.weights, ref.weights)
+
+
 STRUCTURED_BASES = {
     "well-2": lambda: build_well_basis(1.0, 2),
     "well-9": lambda: build_well_basis(1.0, 9),
