@@ -130,8 +130,25 @@ def _response_axis(omega, eta: float) -> np.ndarray:
 
 
 def _pole_response(omega, poles: tuple, eta: float, direction: str) -> FreqResponse:
-    """sum_n r_n / (omega - p_n) over the (p_n, r_n) poles; eta and omega come checked first."""
+    """sum_n r_n / (omega - p_n) over the (p_n, r_n) poles, p_n = omega_n -+ i eta.
+
+    Its range: every |omega| and every line |omega_n| at most 1e150, so that
+    omega - omega_n is a normal float; eta at least 1e-300, so that 1 / (omega
+    - p_n) is finite; and sum_n (|Re r_n| + |Im r_n|) at most 1e308 eta,
+    which keeps every value below sqrt(2) 1e308.  Inside it the values are
+    finite; outside it a ValueError names the range, before any numpy warning.
+    """
     omega = _response_axis(omega, eta)
+    lines = np.array([p.real for p, _ in poles])
+    res = np.array([r for _, r in poles], dtype=complex)
+    with np.errstate(over="ignore"):  # a sum or ratio past the float range is rejected below
+        weight = (np.sum(np.abs(res.real)) + np.sum(np.abs(res.imag))) / eta
+    if not (eta >= 1e-300 and weight <= 1e308
+            and np.all(np.abs(omega) <= 1e150) and np.all(np.abs(lines) <= 1e150)):
+        raise ValueError(
+            "the pole form needs |omega| and every |omega_n| <= 1e150, eta >= 1e-300 "
+            "and sum_n (|Re r_n| + |Im r_n|) <= 1e308 eta"
+        )
     vals = np.zeros(omega.shape, dtype=complex)
     for p, r in poles:
         vals += r / (omega - p)
@@ -174,10 +191,13 @@ def _line_integrals(omega, lines, eta: float, direction: str) -> np.ndarray:
         raise ValueError("the convolution route needs eta within [1e-70, 1e70] and |omega - omega_l| <= 1e70")
     eta_b = eta / 10
     eta_k = eta - eta_b
-    patch = np.unique(np.concatenate([
+    # the sorted union of both patches, as np.unique forms it (whose first
+    # call would import numpy.ma)
+    patch = np.sort(np.concatenate([
         np.linspace(-40 * eta_b, 40 * eta_b, 3201),
         np.linspace(-60 * eta, 60 * eta, 1601),
     ]))
+    patch = patch[np.concatenate([[True], patch[1:] != patch[:-1]])]
     cluster = np.linspace(-40 * eta_k, 40 * eta_k, 1601)
     legs = np.geomspace(40 * eta_b, 60 * np.maximum(np.abs(v_all), eta) + 60 * eta, 800, axis=1)
     n_leg = legs.shape[1]
@@ -232,7 +252,16 @@ def convolution_response(
     regularization matches the pole form exactly in the continuum and the
     residual against response_from_density is pure quadrature error.  eta
     must lie within [1e-70, 1e70] and every |omega - omega_l| at most 1e70
-    (see _line_integrals); the pole form takes any finite eta > 0.
+    (see _line_integrals); the pole form's range is stated at _pole_response.
+
+    The quadrature error grows with |omega - omega_l| / eta, the only
+    variable it depends on, because every node scales with eta.  Each line's
+    integral J(v), v = omega - omega_l, is within 5e-7 of 1 / (v + i s eta),
+    relative, while |v| <= 1e3 eta; within 1.7e-6 to 1e4 eta, 1.5e-5 to
+    1e10 eta, 1.1e-3 to 1e20 eta, 4e-3 to 1e70 eta, and 8e-3 at the far
+    corner of the range, |v| = 1e70 with eta = 1e-70.  The error is first
+    order in the leg node count: it comes from the principal-value point
+    u = v, where the geometric legs are coarse and not symmetric.
 
     The integral over omega' depends on omega and a line only through
     omega - omega_l, so the response is the table J(omega_k - omega_l) of

@@ -160,14 +160,6 @@ class SampledFunction:
         if not np.all(np.isfinite(vals)):
             raise ValueError("samples must be finite")
 
-    def __add__(self, other: "SampledFunction") -> "SampledFunction":
-        _require_same_grid(self, other)
-        return SampledFunction(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "SampledFunction") -> "SampledFunction":
-        _require_same_grid(self, other)
-        return SampledFunction(self.grid, self.values - other.values)
-
     def __mul__(self, scalar: complex) -> "SampledFunction":
         return SampledFunction(self.grid, self.values * scalar)
 

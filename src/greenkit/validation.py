@@ -148,22 +148,42 @@ def criterion_2_support():
     return [(worst, 0.0)], "exact zero off the causal side"
 
 
+# Criterion 3's (t1, t2) split times, five per basis in the order well, free,
+# oscillator: the 15 pairs that np.random.default_rng(7).uniform(0.05, 0.95, 2)
+# draws in a row, each written with its repr.  As literals they keep
+# numpy.random off the import path and the criterion off numpy's Generator
+# stream, which numpy does not promise across releases.
+_SPLIT_TIMES = (
+    (0.6125859199442003, 0.8574924208726179),
+    (0.7481171212206741, 0.25268647099153263),
+    (0.32014965642010285, 0.8361981008566357),
+    (0.05473877410901726, 0.7891055765444897),
+    (0.7673624858768415, 0.47114145755934866),
+    (0.32272918413738216, 0.300583050890696),
+    (0.2793826288887121, 0.4505686752943819),
+    (0.5040934330621579, 0.5481476168670432),
+    (0.9459502550909533, 0.7633957272923777),
+    (0.6099613064970464, 0.9400641329136964),
+    (0.24377782841203904, 0.1941908304720601),
+    (0.6012856438457277, 0.08954780716524502),
+    (0.08211225089623653, 0.5133999382442332),
+    (0.4695854227927601, 0.875450995873567),
+    (0.6163036290419094, 0.5127058819395625),
+)
+
+
 @_criterion(3, "kernel", "semigroup composition")
 def criterion_3_semigroup():
     """K(tau1 + tau2) = K(tau1) composed with K(tau2) on complete grids."""
-    rng = np.random.default_rng(7)
     window = TimeWindow(np.linspace(0.0, 2.0, 5))
     checks = []
-    for basis in (
+    for k, basis in enumerate((
         build_well_basis(1.0, 16),
         build_free_basis(10.0, 16),
         build_oscillator_basis(n_max=48, grid_kind="gauss"),
-    ):
+    )):
         kern = auxiliary_kernel(basis, window)
-        worst = 0.0
-        for _ in range(5):
-            t1, t2 = rng.uniform(0.05, 0.95, 2)
-            worst = max(worst, composition_residual(kern, float(t1), float(t2)))
+        worst = max(composition_residual(kern, t1, t2) for t1, t2 in _SPLIT_TIMES[5 * k:5 * k + 5])
         checks.append((worst, 1e-6))
     detail = "max residual per basis: " + ", ".join(f"{v:.2e}" for v, _ in checks)
     return checks, detail

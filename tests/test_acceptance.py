@@ -8,9 +8,10 @@ tolerance printed alongside.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from greenkit.validation import CRITERIA, run_acceptance
+from greenkit.validation import _SPLIT_TIMES, CRITERIA, run_acceptance
 
 # Criterion values recorded from the original per-element implementation; a
 # faster evaluation must reproduce them to floating-point noise.  Same rule
@@ -80,3 +81,11 @@ def test_only_filter_by_tag():
 def test_only_filter_rejects_unknown():
     with pytest.raises(ValueError):
         run_acceptance(only="nonexistent-tag")
+
+
+def test_split_times_are_the_seeded_draws():
+    """Criterion 3's literal split times are the 15 pairs that its seeded
+    generator drew before the table replaced it, in the same order."""
+    rng = np.random.default_rng(7)
+    drawn = tuple(tuple(map(float, rng.uniform(0.05, 0.95, 2))) for _ in range(15))
+    assert _SPLIT_TIMES == drawn

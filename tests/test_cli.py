@@ -69,18 +69,22 @@ def test_kernel_minus_i_flag_is_exact_factor(tmp_path):
     assert report["minus_i_factor_exact"] is True
 
 
-def test_cold_subcommands_never_import_numpy_ma(tmp_path):
-    """numpy.ma, which np.unique imports on its first call, costs a fresh CLI
-    child 15-20 ms and 1.5 MB; the subcommands a cold child runs leave it out."""
+def test_cold_subcommands_import_neither_numpy_ma_nor_random(tmp_path):
+    """Every subcommand, the full validate included, runs in one fresh child
+    that never imports numpy.ma (np.unique's first call without
+    return_inverse loads it: 1.5 MB and 15-20 ms) or numpy.random (5.3 MB and
+    15 ms): greenkit computes with neither."""
     src = os.path.dirname(os.path.dirname(greenkit.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import contextlib, io, sys\n"
         "from greenkit.cli import main\n"
-        "for argv in (['kernel'], ['propagate'], ['field'], ['basis'], ['validate', '--only', 'kernel']):\n"
+        "for argv in (['basis'], ['basis', '--model', 'relativistic'], ['kernel'], ['propagate'],\n"
+        "             ['field'], ['freq'], ['distcheck'], ['validate']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main([*argv, '--out', sys.argv[1]]) == 0, argv\n"
-        "assert 'numpy.ma' not in sys.modules\n"
+        "loaded = sorted({'numpy.ma', 'numpy.random'} & set(sys.modules))\n"
+        "assert not loaded, loaded\n"
     )
     subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True)
 

@@ -202,7 +202,7 @@ ETA_ENTRIES = {
 def test_every_eta_entry_returns_finite_values_or_raises(entry, eta):
     """A bad eta fails at the boundary with a ValueError, never with a
     warning, an OverflowError or a non-finite result; the pole form takes
-    any finite eta > 0."""
+    every finite eta > 0 listed here."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -243,6 +243,76 @@ def test_convolution_route_states_its_range(eta, omega, ok):
     ref = response_from_density(dens, np.array([omega]), eta, "retarded")
     assert np.all(np.isfinite(conv.values))
     assert np.max(np.abs(conv.values - ref.values)) <= 1e-2 * np.max(np.abs(ref.values))
+
+
+POLE_RANGE = r"the pole form needs \|omega\| and every \|omega_n\| <= 1e150, eta >= 1e-300"
+
+
+@pytest.mark.parametrize(
+    "lines, weights, omega, eta, ok",
+    [
+        ([-1e150], [1.0], 1e150, 0.05, True),
+        ([-1e308], [1.0], 1e308, 0.05, False),
+        ([0.0], [1.0], 1.01e150, 0.05, False),
+        ([1.01e150], [1.0], 0.0, 0.05, False),
+        ([0.0], [1e8], 0.0, 1e-300, True),
+        ([0.0], [1e-8], 0.0, 1e-301, False),
+        ([0.0], [2e8], 0.0, 1e-300, False),
+        ([0.0, 0.0], [0.5e8, 0.5e8j], 0.0, 1e-300, True),
+        ([0.0, 0.0], [0.5e8, 0.6e8j], 0.0, 1e-300, False),
+        ([0.0], [1.7e308], 0.0, 1.7e308, True),
+        ([0.0], [1.7e308], 0.0, 1.0, False),
+    ],
+)
+def test_pole_form_states_its_range(lines, weights, omega, eta, ok):
+    """|omega|, |omega_n| <= 1e150, eta >= 1e-300 and sum |r_n| <= 1e308 eta
+    give finite values and no warning, at the largest value the range
+    allows; past any bound is a ValueError that names the range."""
+    dens = SpectralDensity(lines, weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if not ok:
+            with pytest.raises(ValueError, match=POLE_RANGE):
+                response_from_density(dens, np.array([omega]), eta, "retarded")
+            return
+        out = response_from_density(dens, np.array([omega, -omega]), eta, "advanced")
+    assert np.all(np.isfinite(out.values))
+
+
+POLE_ROUTES = {
+    "momentum_response_relativistic": lambda omega, eta: momentum_response_relativistic(1.0, omega, eta, "retarded"),
+    "feynman_combination": lambda omega, eta: feynman_combination(1.0, omega, eta),
+}
+
+
+@pytest.mark.parametrize("omega, eta, ok", [(1e150, 1e-300, True), (1.01e150, 0.05, False), (0.0, 1e-301, False)])
+@pytest.mark.parametrize("route", POLE_ROUTES)
+def test_every_pole_route_shares_the_range(route, omega, eta, ok):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if not ok:
+            with pytest.raises(ValueError, match=POLE_RANGE):
+                POLE_ROUTES[route](np.array([omega]), eta)
+            return
+        assert np.all(np.isfinite(POLE_ROUTES[route](np.array([omega, 0.0, -omega]), eta).values))
+
+
+@pytest.mark.parametrize("reach, bound", [(1e3, 1e-6), (1e10, 3e-5), (1e140, 1e-2)])
+@pytest.mark.parametrize("direction", ["retarded", "advanced"])
+def test_convolution_error_is_bounded_by_distance_over_eta(reach, bound, direction):
+    """One unit line at omega_l: within |omega - omega_l| <= reach * eta, the
+    convolution route is within bound of 1 / (omega - omega_l + i s eta),
+    relative, at every point.  The error depends on (omega - omega_l) / eta
+    alone, and grows with it; reach 1e140 is the far corner of the route's
+    range (eta = 1e-70, |omega - omega_l| = 1e70)."""
+    eta = 1e70 / reach if reach > 1e70 else 0.05
+    line = 2.0 * eta
+    x = np.geomspace(1e-2, reach, 400)
+    omega = line + eta * np.concatenate([[0.0], x, -x])
+    dens = SpectralDensity([line], [1.0])
+    conv = convolution_response(dens, omega, eta, direction).values
+    ref = response_from_density(dens, omega, eta, direction).values
+    assert np.max(np.abs(conv - ref) / np.abs(ref)) <= bound
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

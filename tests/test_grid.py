@@ -148,9 +148,7 @@ def test_inner_product_conjugates_first_argument():
 def test_sampled_function_arithmetic():
     g = Grid1D.uniform(0.0, 1.0, 5)
     f = SampledFunction(g, np.ones(5))
-    h = SampledFunction(g, 2.0 * np.ones(5))
-    assert np.allclose((f + h).values, 3.0)
-    assert np.allclose((h - f).values, 1.0)
+    assert np.allclose((f * 2j).values, 2j)
     assert np.allclose((2j * f).values, 2j)
 
 
@@ -158,7 +156,7 @@ def test_sampled_function_grid_mismatch():
     f = SampledFunction(Grid1D.uniform(0.0, 1.0, 5), np.ones(5))
     h = SampledFunction(Grid1D.uniform(0.0, 2.0, 5), np.ones(5))
     with pytest.raises(ValueError, match="different grids"):
-        _ = f + h
+        inner(f, h)
 
 
 def test_sampled_function_rejects_nonfinite():
