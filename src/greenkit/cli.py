@@ -29,6 +29,7 @@ from .grid import SampledFunction, _require_scale
 from .secondorder import SourceField, field_from_source, wave_auxiliary_kernel, wave_step_factor_kernel
 from .spectra import (
     PhysicalConstants,
+    block_residual,
     build_free_basis,
     build_helmholtz_basis,
     build_oscillator_basis,
@@ -141,7 +142,7 @@ def cmd_kernel(args) -> int:
             ref = auxiliary_kernel(basis, window, convention="eq24")
             report["minus_i_factor_exact"] = all(np.array_equal(aux.at(tau), -1j * ref.at(tau)) for tau in t)
     else:
-        report["zero_time_value"] = float(np.max(np.abs(aux.at(0.0)))) if 0.0 in list(t) else None
+        report["zero_time_value"] = block_residual(basis, aux.amplitude(0.0)) if 0.0 in list(t) else None
     io.write_json(os.path.join(args.out, "kernel_report.json"), report)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0

@@ -21,11 +21,10 @@ from .spectra import (
     Coefficients,
     EigenSystem,
     PhysicalConstants,
-    _expand,
-    _first_columns,
-    _project,
     _wave_modes,
-    column_max_norm,
+    _wave_phases,
+    block_residual,
+    composition_norm,
     mode_blocks,
     project_state,
     reconstruct,
@@ -135,9 +134,8 @@ class Kernel:
             a = np.exp(-1j * self.basis.energies * tau / self.basis.constants.hbar)
         else:
             index, root_e, c = _wave_modes(self.basis)
-            zero = root_e == 0
             a = np.zeros(tau.shape[:-1] + (self.basis.size,), dtype=complex)
-            a[..., index] = np.where(zero, c * tau, c * np.sin(root_e * c * tau) / np.where(zero, 1.0, root_e))
+            a[..., index] = _wave_phases(root_e, c, tau)[0]
         if self.kind == "auxiliary":
             return a
         s = _SIGNS[self.kind]
@@ -148,9 +146,6 @@ class Kernel:
         """(nt, basis.size) amplitudes at the stored times, amplitude(times)."""
         return self.amplitude(self.times)
 
-    def _blocks(self, amplitudes: np.ndarray) -> np.ndarray:
-        return mode_blocks(self.basis, amplitudes, _prefactor(self.convention))
-
     @cached_property
     def values(self) -> np.ndarray:
         """Read-only (nt, m, m) blocks, built on first access and then kept.
@@ -159,7 +154,7 @@ class Kernel:
         columns (O(nt m) memory); on the well and the oscillator they are
         dense.
         """
-        return self._blocks(self.amplitudes)
+        return mode_blocks(self.basis, self.amplitudes, _prefactor(self.convention))
 
     def _check_window(self, tau: float, message: str, first: int | None = 0, last: int = -1) -> None:
         """Raise ValueError(message) unless tau is finite and in times[first]
@@ -174,7 +169,7 @@ class Kernel:
         closely); builds that one block only."""
         i = int(np.argmin(np.abs(self.times - tau)))
         self._check_window(tau, f"tau={tau} is not a stored time sample", i, i)
-        return self._blocks(self.amplitudes[i])
+        return mode_blocks(self.basis, self.amplitudes[i], _prefactor(self.convention))
 
 
 def auxiliary_kernel(basis: EigenSystem, window: TimeWindow, convention: str = "eq24") -> Kernel:
@@ -234,27 +229,13 @@ def composition_residual(kernel: Kernel, tau1: float, tau2: float) -> float:
     The composition o is the quadrature-weighted spatial contraction; the
     kernel's amplitude law is evaluated in the eq24-consistent convention,
     where phase additivity makes the auxiliary kernel's residual vanish on
-    complete grids.
-
-    On bases with waves every block, and so the residual, lies in the
-    basis algebra (circulant, or Toeplitz minus Hankel: a sine mode past m
-    aliases onto +- a retained one, and the weights are uniform), where a
-    block is fixed by its first column.  That column is the lhs column minus
-    K(tau1) applied to the weighted K(tau2) column, sum_n phi_n a_n(tau1)
-    <phi_n, K(tau2) column>: a few transforms and no block.
-    column_max_norm turns it into the max-norm.  A basis without waves (the
-    oscillator, any hand-built one) forms the dense O(m^3) product.
+    complete grids.  spectra.composition_norm takes the norm, without a
+    block on a builder's basis.
     """
     if tau1 < 0 or tau2 < 0:
         raise ValueError("split times must be non-negative")
     kernel._check_window(tau1 + tau2, "tau1 + tau2 outside the kernel window")
-    basis = kernel.basis
-    amps = kernel.amplitude(np.array([tau1 + tau2, tau1, tau2]))
-    if basis.waves is None:
-        lhs, k1, k2 = mode_blocks(basis, amps)
-        return float(np.max(np.abs(lhs - k1 @ (basis.grid.weights[:, None] * k2))))
-    lhs, k2 = _first_columns(basis, amps[[0, 2]])
-    return column_max_norm(basis, lhs - _expand(basis, amps[1] * _project(basis, k2)))
+    return composition_norm(kernel.basis, kernel.amplitude(np.array([tau1 + tau2, tau1, tau2])))
 
 
 def free_kernel_closed_form(
@@ -314,7 +295,6 @@ def pde_jump_residual(basis: EigenSystem, convention: str, dtau: float) -> float
     ret = Kernel(basis, [-dtau, 0.0, dtau], kind="retarded", convention=convention)
     before, now, after = ret.amplitudes
     # the operator i hbar d/dtau - H acts on each mode's amplitude: the
-    # central difference of G^R across the jump, and E times G^R(0): one block
-    lhs = ret._blocks(1j * hbar * (after - before) / (2 * dtau) - basis.energies * now)
-    rhs = 1j * hbar * np.diag(1.0 / basis.grid.weights) / (2 * dtau)
-    return float(np.max(np.abs(lhs - rhs)))
+    # central difference of G^R across the jump, and E times G^R(0): one row
+    row = _prefactor(convention) * (1j * hbar * (after - before) / (2 * dtau) - basis.energies * now)
+    return block_residual(basis, row, 1j * hbar / (2 * dtau))

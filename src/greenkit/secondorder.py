@@ -16,7 +16,7 @@ import numpy as np
 
 from .firstorder import Kernel, TimeWindow, _sign, step_factor_kernel, theta
 from .grid import Grid1D, _require_scale
-from .spectra import EigenSystem, _expand, _project, _wave_modes, mode_blocks
+from .spectra import EigenSystem, _expand, _project, _wave_modes, _wave_phases, block_residual
 
 __all__ = [
     "SourceField",
@@ -132,21 +132,17 @@ def field_from_source(kernel: Kernel, source: SourceField, eval_times: np.ndarra
     index, root_e, c = _wave_modes(basis)
     # project the source once: s_n(t') = <phi_n, f(., t')>, one row per t'
     s_modes = _project(basis, source.values)[:, index]
-    # sin(r c (t - t')) = sin(r c t) cos(r c t') - cos(r c t) sin(r c t'), and
-    # c (t - t') for the zero mode, with both times measured from ts[0] so
-    # that the lag-0 terms at the onset are exact zeros
+    # the law c S(t - t') = c S(t) C(t') - C(t) c S(t') (_wave_phases), both
+    # times measured from ts[0] so that the onset's lag-0 terms are exact zeros
     t, tp = eval_times[:, None] - ts[0], ts[:, None] - ts[0]
-    zero = root_e == 0
-    r = np.where(zero, 1.0, root_e)
-    early = np.where(zero, c * t, c * np.sin(r * c * t) / r)
-    late = np.where(zero, -c, -c * np.cos(r * c * t) / r)
-    src = np.concatenate([np.where(zero, 1.0, np.cos(r * c * tp)) * s_modes,
-                          np.where(zero, tp, np.sin(r * c * tp)) * s_modes], axis=1)
+    s_t, c_t = _wave_phases(root_e, c, t)
+    s_tp, c_tp = _wave_phases(root_e, c, tp)
+    src = np.concatenate([c_tp * s_modes, s_tp * s_modes], axis=1)
     causal = theta(t - tp.T) * wt  # (eval, source): theta(t - t') w_t'
     both = (causal @ src.view(float)).view(complex)
     n = index.size
     coefficients = np.zeros((eval_times.size, basis.size), dtype=complex)
-    coefficients[:, index] = early * both[:, :n] + late * both[:, n:]
+    coefficients[:, index] = s_t * both[:, :n] - c_t * both[:, n:]
     return _expand(basis, coefficients)
 
 
@@ -212,4 +208,4 @@ def wave_pde_residual(basis: EigenSystem, tau_grid: np.ndarray) -> float:
     d2 = ((g[2:] - g[1:-1]) / dt[1:] - (g[1:-1] - g[:-2]) / dt[:-1]) / ((dt[:-1] + dt[1:]) / 2)
     amps = np.zeros((t.size - 2, basis.size))
     amps[:, index] = -d2 / c**2 - root_e**2 * g[1:-1]
-    return float(np.max(np.abs(mode_blocks(basis, amps))))
+    return block_residual(basis, amps)

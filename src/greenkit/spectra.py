@@ -10,7 +10,7 @@ and the acceptance suite check directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -76,54 +76,48 @@ class _ModeTable:
     def gather(self) -> np.ndarray:
         index = np.outer(self.waves, self.offsets)
         index %= self.table.size
-        return self.table[index]
+        modes = self.table[index]
+        modes.flags.writeable = False
+        return modes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenSystem:
     """Truncated spectrum {E_n} with grid-sampled modes.
 
-    mode_values has one row per retained mode.  branches is +-1 per mode for
-    the relativistic two-branch spectrum, None otherwise.  For the two-branch
-    case the spatial plane waves repeat across branches, so orthonormality
-    only holds within a branch.
+    modes has one row per retained mode: an (n, m) array, or a builder's
+    _ModeTable.  branches is +-1 per mode for the relativistic two-branch
+    spectrum, None otherwise.  For the two-branch case the spatial plane
+    waves repeat across branches, so orthonormality only holds within a
+    branch.
 
-    waves, set only by the builders (_ModeTable), is each mode's integer
-    wave index: j for plane waves on a periodic grid, whose mode sums are
-    circulant, n for the well's sines, whose mode sums are Toeplitz minus
-    Hankel.  mode_blocks rebuilds such blocks from their first columns, and
-    the products with the modes are transforms (_expand, _project).  A
-    basis without waves, whatever its model label, takes the dense path.
-
-    A builder passes a _ModeTable as mode_values: the basis keeps the table
-    and gathers mode_values, read-only, only when it is first read, which
-    no structured path does.
+    waves, a table's only, is each mode's integer wave index: j for plane
+    waves on a periodic grid, whose mode sums are circulant, n for the
+    well's sines, whose mode sums are Toeplitz minus Hankel.  mode_blocks
+    rebuilds such blocks from their first columns, and the products with
+    the modes are transforms (_expand, _project).  A basis without waves,
+    whatever its model label, takes the dense path.  No other module reads
+    this structure.  mode_values gathers a table on first read, which no
+    structured path does.  Bases compare by identity, so == gathers nothing.
     """
 
     grid: Grid1D
     energies: np.ndarray
-    mode_values: np.ndarray = field(repr=False)
+    modes: np.ndarray | _ModeTable = field(repr=False)
     constants: PhysicalConstants
     model: str
     branches: np.ndarray | None = None
-    waves: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _table: _ModeTable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         en = np.asarray(self.energies, dtype=float)
         object.__setattr__(self, "energies", en)
         if not np.all(np.isfinite(en)):
             raise ValueError("energies must be finite")
-        if isinstance(self.mode_values, _ModeTable):
-            table = self.mode_values
-            object.__delattr__(self, "mode_values")  # gathered by __getattr__ on first read
-            object.__setattr__(self, "_table", table)
-            object.__setattr__(self, "waves", table.waves)
-            shape = (table.waves.size, table.offsets.size)
+        if self.waves is not None:
+            shape = (self.waves.size, self.modes.offsets.size)
         else:
-            mv = np.asarray(self.mode_values, dtype=complex)
-            object.__setattr__(self, "mode_values", mv)
-            shape = mv.shape
+            object.__setattr__(self, "modes", np.asarray(self.modes, dtype=complex))
+            shape = self.modes.shape
         if shape != (en.size, self.grid.size):
             raise ValueError("mode count must equal energy count, sampled on the grid")
         if self.branches is not None:
@@ -132,15 +126,13 @@ class EigenSystem:
             if br.shape != en.shape or not np.all(np.abs(br) == 1):
                 raise ValueError("one branch tag per mode, +1 or -1")
 
-    def __getattr__(self, name):
-        """Reached only for an attribute that is not set: a builder's
-        mode_values, gathered from its table, read-only, on first read."""
-        if name != "mode_values" or self._table is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        modes = self._table.gather()
-        modes.flags.writeable = False
-        object.__setattr__(self, "mode_values", modes)
-        return modes
+    @cached_property
+    def mode_values(self) -> np.ndarray:
+        return self.modes if self.waves is None else self.modes.gather()
+
+    @property
+    def waves(self) -> np.ndarray | None:
+        return self.modes.waves if isinstance(self.modes, _ModeTable) else None
 
     @property
     def size(self) -> int:
@@ -149,9 +141,7 @@ class EigenSystem:
     def modes_at(self, point: int) -> np.ndarray:
         """(n,) values phi_n(x_point) of every mode, read off the table on a
         builder's basis, so mode_values is not gathered."""
-        if self._table is None:
-            return self.mode_values[:, point]
-        return self._table.at(point)
+        return self.modes[:, point] if self.waves is None else self.modes.at(point)
 
     def check_point_indices(self, *indices: int) -> None:
         """Raise ValueError unless 0 <= index < grid.size for every index;
@@ -224,6 +214,15 @@ def _wave_modes(basis: EigenSystem) -> tuple:
     if np.any(e < 0):
         raise ValueError("second-order modes need non-negative eigenvalues")
     return index, np.sqrt(e), basis.constants.c
+
+
+def _wave_phases(root_e: np.ndarray, c: float, t) -> tuple:
+    """(c S, C) = (c sin(r c t) / r, cos(r c t)) of each mode r = sqrt(E_n)
+    of _wave_modes at the times t (broadcast against root_e), with the zero
+    mode's limit (c t, 1); c S is the wave law."""
+    zero = root_e == 0
+    r = np.where(zero, 1.0, root_e)
+    return np.where(zero, c * t, c * np.sin(r * c * t) / r), np.where(zero, 1.0, np.cos(r * c * t))
 
 
 def build_free_basis(
@@ -451,7 +450,7 @@ def _expand(basis: EigenSystem, coefficients: np.ndarray) -> np.ndarray:
     """
     if basis.waves is None:
         return coefficients @ basis.mode_values
-    m, scale = basis.grid.size, basis._table.scale
+    m, scale = basis.grid.size, basis.modes.scale
     if basis.grid.kind == "periodic":
         return scale * np.fft.ifft(_scatter(coefficients, basis.waves, m), norm="forward")
     return scale * _sine_sums(_scatter(coefficients, basis.waves, 2 * (m + 1)))[..., 1:m + 1]
@@ -468,7 +467,7 @@ def _project(basis: EigenSystem, values: np.ndarray) -> np.ndarray:
     weighted = basis.grid.weights * values
     if basis.waves is None:
         return weighted @ np.conj(basis.mode_values).T
-    m, scale = basis.grid.size, basis._table.scale
+    m, scale = basis.grid.size, basis.modes.scale
     if basis.grid.kind == "periodic":
         return scale * np.fft.fft(weighted)[..., basis.waves % m]
     padded = np.zeros(weighted.shape[:-1] + (2 * (m + 1),), dtype=complex)
@@ -589,19 +588,43 @@ def delta_residual(block: np.ndarray, weights: np.ndarray) -> float:
     return float(np.max(np.abs(block - np.diag(1.0 / weights))) * np.min(weights))
 
 
-def completeness_residual(basis: EigenSystem) -> float:
-    """Normalized distance of sum_n phi_n(x_i) phi_n*(x_j) from the grid delta.
-
-    0 for a discretely complete set, approaching 1 for a badly truncated one.
-    On bases with waves the weights are uniform, so the delta lies in
-    the basis algebra and the block minus the delta is fixed by its first
-    column (column_max_norm).
-    """
-    w = basis.grid.weights
+def block_residual(basis: EigenSystem, amplitudes: np.ndarray, delta: complex = 0) -> float:
+    """max over the (k, n) amplitude rows a of max_ij |S(a) - delta diag(1/w)|,
+    S(a) the mode sum: the residual of every check whose source is delta
+    times the grid delta.  On bases with waves the weights are uniform, so
+    that source lies in the basis algebra and each difference is fixed by its
+    first column (column_max_norm); other bases form each dense block."""
+    rows = np.atleast_2d(amplitudes)
+    shift = delta / basis.grid.weights
     if basis.waves is None:
-        return delta_residual(mode_blocks(basis, np.ones(basis.size)), w)
-    column = _first_columns(basis, np.ones((1, basis.size)))[0]
-    return column_max_norm(basis, column - (np.arange(w.size) == 0) / w[0]) * float(np.min(w))
+        return max(float(np.max(np.abs(mode_sum(basis.mode_values, a) - np.diag(shift)))) for a in rows)
+    columns = _first_columns(basis, rows)
+    columns[:, 0] -= shift[0]
+    return max(column_max_norm(basis, column) for column in columns)
+
+
+def composition_norm(basis: EigenSystem, amplitudes: np.ndarray) -> float:
+    """max-norm of S(a) - S(b) o S(c) for the amplitude rows (a, b, c), o the
+    quadrature-weighted spatial contraction.  On bases with waves each block
+    lies in the basis algebra (circulant, or Toeplitz minus Hankel: a sine
+    mode past m aliases onto +- a retained one, and the weights are
+    uniform), where it is fixed by its first column: S(a)'s minus
+    sum_n phi_n b_n <phi_n, S(c) column>, a few transforms and no block
+    (column_max_norm).  A basis without waves (the oscillator, any
+    hand-built one) forms the dense O(m^3) product.
+    """
+    if basis.waves is None:
+        lhs, k1, k2 = mode_sum(basis.mode_values, amplitudes)
+        return float(np.max(np.abs(lhs - k1 @ (basis.grid.weights[:, None] * k2))))
+    lhs, k2 = _first_columns(basis, amplitudes[[0, 2]])
+    return column_max_norm(basis, lhs - _expand(basis, amplitudes[1] * _project(basis, k2)))
+
+
+def completeness_residual(basis: EigenSystem) -> float:
+    """Normalized distance of sum_n phi_n(x_i) phi_n*(x_j) from the grid delta
+    (block_residual at delta = 1, times min w): 0 for a discretely complete
+    set, approaching 1 for a badly truncated one."""
+    return block_residual(basis, np.ones(basis.size), 1) * float(np.min(basis.grid.weights))
 
 
 def project_state(basis: EigenSystem, psi0: SampledFunction) -> Coefficients:

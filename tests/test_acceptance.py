@@ -61,6 +61,15 @@ def test_criterion_value_is_pinned(results, number):
     assert abs(r.value - ref["value"]) <= VALUE_RTOL * abs(ref["value"]) + VALUE_ATOL, r.line()
 
 
+@pytest.mark.parametrize("number", range(1, 12), ids=IDS)
+def test_criterion_tolerance_is_pinned(results, number):
+    """A computed tolerance, such as criterion 5's budget, is held to the
+    same rule as the value."""
+    ref = REFERENCE[str(number)]
+    r = results[number]
+    assert abs(r.tolerance - ref["tolerance"]) <= VALUE_RTOL * abs(ref["tolerance"]) + VALUE_ATOL, r.line()
+
+
 def test_negative_control_eta_sign_flip():
     flipped = run_acceptance(only="8", eta_sign_flip=True)
     assert len(flipped) == 1

@@ -1,4 +1,5 @@
-"""The package's import graph: sibling modules are imported at module level only."""
+"""The package's import graph: sibling modules are imported at module level
+only; and only spectra reads a basis's structure."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,29 @@ def test_the_check_sees_a_function_local_import():
     tree = ast.parse("def f():\n    if True:\n        from .secondorder import x\n"
                      "def g():\n    import greenkit.spectra\n")
     assert _sibling_imports_in_functions(tree) == [("f", 3), ("g", 5)]
+
+
+def _structure_reads(tree: ast.Module) -> list:
+    """Line of every read of an attribute `waves` or of `<x>.grid.kind`, the
+    marks of a basis's block algebra; a kernel's `.kind` does not count."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        grid_kind = node.attr == "kind" and isinstance(node.value, ast.Attribute) and node.value.attr == "grid"
+        if node.attr == "waves" or grid_kind:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_spectra_reads_a_basis_structure():
+    """Which route a product or a residual takes (transform, circulant,
+    Toeplitz minus Hankel, dense) is decided in spectra alone."""
+    offenders = {p.name: _structure_reads(ast.parse(p.read_text())) for p in SOURCES if p.name != "spectra.py"}
+    assert {name: hits for name, hits in offenders.items() if hits} == {}
+
+
+def test_the_check_sees_a_structure_read():
+    tree = ast.parse("if basis.waves is None:\n    pass\nkern.kind\nperiodic = b.grid.kind == 'periodic'\n"
+                     "waves = 1\ngrid.size\n")
+    assert _structure_reads(tree) == [1, 4]

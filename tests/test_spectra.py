@@ -1,5 +1,6 @@
 """Eigenbasis builders: orthonormality, completeness, projections."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -23,12 +24,14 @@ from greenkit import (
     field_from_source,
     kernel_entry,
     orthonormality_residual,
+    pde_jump_residual,
     project_state,
     propagate,
     reconstruct,
     spectral_density,
     step_factor_kernel,
     wave_auxiliary_kernel,
+    wave_pde_residual,
     wave_step_factor_kernel,
 )
 from greenkit.spectra import (
@@ -37,6 +40,7 @@ from greenkit.spectra import (
     _gauss_hermite,
     _plane_wave_system,
     _plane_waves,
+    block_residual,
     column_max_norm,
     delta_residual,
     mode_blocks,
@@ -522,6 +526,58 @@ def test_transforms_match_the_dense_products(case):
         for b in (basis, twin)
     ]
     _assert_close(*fields)
+
+
+RESIDUAL_BASES = {**STRUCTURED_BASES, "oscillator-gauss": lambda: build_oscillator_basis(n_max=12, grid_kind="gauss")}
+
+
+@pytest.mark.parametrize("delta", [0, 1, 0.5j])
+@pytest.mark.parametrize("case", RESIDUAL_BASES)
+def test_block_residual_is_the_dense_residual(case, delta):
+    """The column route on builder-made bases and the dense route on the
+    oscillator against the blocks' max distance from delta times the grid delta."""
+    basis = RESIDUAL_BASES[case]()
+    rng = np.random.default_rng(4)
+    rows = rng.normal(size=(3, basis.size)) + 1j * rng.normal(size=(3, basis.size))
+    shift = delta * np.diag(1.0 / basis.grid.weights)
+    ref = max(np.max(np.abs(block - shift)) for block in mode_sum(basis.mode_values, rows))
+    assert abs(block_residual(basis, rows, delta) - ref) <= 1e-13 * ref
+
+
+BIG_RESIDUALS = {
+    "wave-pde-helmholtz-1025": lambda: wave_pde_residual(build_helmholtz_basis(10.0, 512), np.linspace(0.0, 0.5, 26)),
+    "pde-jump-free-1025": lambda: pde_jump_residual(build_free_basis(10.0, 512), "eq24", 1e-3),
+    "pde-jump-well-1024": lambda: pde_jump_residual(build_well_basis(1.0, 1024), "eq24", 1e-3),
+}
+
+
+@pytest.mark.parametrize("case", BIG_RESIDUALS)
+def test_block_residuals_form_no_block(case):
+    """On builder-made bases with m near 1024 a residual holds columns and
+    row chunks only, where one (m, m) block would take 16.8 MB."""
+    tracemalloc.start()
+    try:
+        value = BIG_RESIDUALS[case]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(value)
+    assert peak < 8e6
+
+
+def test_replace_keeps_the_table_and_gathers_nothing():
+    basis = build_free_basis(10.0, 4)
+    twin = dataclasses.replace(basis, model="free")
+    assert np.array_equal(twin.waves, basis.waves)
+    assert twin.modes is basis.modes
+    assert completeness_residual(twin) == completeness_residual(basis)
+    assert "mode_values" not in vars(basis) and "mode_values" not in vars(twin)
+
+
+def test_bases_compare_by_identity_and_gather_nothing():
+    a, b = build_well_basis(1.0, 6), build_well_basis(1.0, 6)
+    assert a == a and a != b
+    assert "mode_values" not in vars(a) and "mode_values" not in vars(b)
 
 
 def test_builder_modes_are_the_exact_table_gather():
