@@ -12,6 +12,7 @@ silently).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -33,8 +34,10 @@ __all__ = [
 _FLAVORS = ("arctan", "exponential", "linear")
 
 # points per block in sokhotski_plemelj: the block's x, w, f and buffer
-# (640 kB) stay in a core's L2 cache between the passes over it
-_SP_BLOCK = 1 << 14
+# (256 kB) stay in a core's L2 cache between the passes over it, and on a
+# rule grid, whose reader makes each block's x and w while the last ones are
+# still held, the peak stays near 320 kB
+_SP_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -154,37 +157,46 @@ def sokhotski_plemelj(f: SampledFunction, eta: float) -> PrincipalValueResult:
     cancel the leading window dependence.  The residual column is
     |full - (P - i pi f(0))|.
 
-    Everything runs in real arithmetic on f viewed once as (Re, Im) float
-    pairs, with the weights folded into real factors: the full integral is
-    (x w r) @ f - i eta ((w r) @ f) with r = 1 / (x^2 + eta^2).  P(2n) is
-    (w / x) @ f over the bulk of the grid outside the wider window, and P(n)
-    adds the ring of points between n and 2n indices from the origin.  The
-    origin index and f(0) come from one binary search for the pair of points
-    that brackets x = 0.  The peak |f| and the sums are taken over blocks of
-    _SP_BLOCK points, each into one reused block buffer (128 kB), so no
-    temporary of the grid's length is formed.
+    Everything runs in real arithmetic, with the weights folded into real
+    factors: the full integral is (x w r) @ f - i eta ((w r) @ f) with
+    r = 1 / (x^2 + eta^2).  Real samples take one dot per block; complex
+    samples are viewed once as (Re, Im) float pairs.  P(2n) is (w / x) @ f
+    over the bulk of the grid outside the wider window, and P(n) adds the
+    ring of points between n and 2n indices from the origin.  The grid's x
+    and w are read only through its block reader, Grid1D._blocks, so a rule
+    grid (Grid1D.uniform) never builds its points and weights: the origin
+    index and f(0) come from one binary search, over single-point reads, for
+    the pair of points that brackets x = 0.  The peak |f| and the sums are
+    taken over blocks of _SP_BLOCK points, each into one reused block buffer
+    (64 kB), so no temporary of the grid's length is formed.
     """
     _require_scale(eta, "eta")
-    x = f.grid.points
-    w = f.grid.weights
+    grid = f.grid
     v = np.ascontiguousarray(f.values)
-    size = x.size
-    blocks = [(s, min(s + _SP_BLOCK, size)) for s in range(0, size, _SP_BLOCK)]
-    buf = np.empty(blocks[0][1])
-    peak = max(float(np.abs(v[s:e], out=buf[: e - s]).max()) for s, e in blocks)
+    size = grid.size
+    buf = np.empty(min(_SP_BLOCK, size))
+    peak = 0.0
+    for s in range(0, size, _SP_BLOCK):
+        chunk = v[s:s + _SP_BLOCK]
+        peak = max(peak, float(np.abs(chunk, out=buf[:chunk.size]).max()))
     if peak == 0:
         raise ValueError("zero function")
     if max(abs(v[0]), abs(v[-1])) > 1e-8 * peak:
         raise ValueError("function has not decayed at the domain ends")
-    if not x[0] < 0 < x[-1]:
+
+    def point(k: int) -> float:
+        return next(grid._blocks(k, k + 1))[1][0]
+
+    if not point(0) < 0 < point(size - 1):
         raise ValueError("grid must straddle x = 0")
 
     # x[i - 1] < 0 <= x[i]; the origin index is the nearer of the two, the
     # left one on a tie, as argmin(|x|) would pick
-    i = int(np.searchsorted(x, 0.0))
-    i0 = i - 1 if -x[i - 1] <= x[i] else i
-    pair = slice(i - 1, i + 1)
-    f0 = complex(np.interp(0.0, x[pair], v.real[pair]), np.interp(0.0, x[pair], v.imag[pair]))
+    i = bisect.bisect_left(range(size), 0.0, key=point)
+    xp = next(grid._blocks(i - 1, i + 1))[1]
+    i0 = i - 1 if -xp[0] <= xp[1] else i
+    vp = v[i - 1:i + 1]
+    f0 = complex(np.interp(0.0, xp, vp.real), np.interp(0.0, xp, vp.imag))
 
     # exclusion by index, not by coordinate threshold: coordinate ulp jitter
     # could otherwise keep one extra boundary point on a single side, whose
@@ -192,30 +204,35 @@ def sokhotski_plemelj(f: SampledFunction, eta: float) -> PrincipalValueResult:
     # those at least n indices from i0; the window holds i0 itself, the only
     # point that can sit at x = 0 on a strictly increasing grid.  Windows
     # that run past an end of the grid are clipped to it
-    n1 = max(5, int(np.ceil(eta / (10 * f.grid.spacing))))
+    n1 = max(5, int(np.ceil(eta / (10 * grid.spacing))))
     left1, right1 = max(i0 - n1 + 1, 0), i0 + n1
     left2, right2 = max(i0 - 2 * n1 + 1, 0), i0 + 2 * n1
     # (first, stop, row of sums): row 0 is the bulk, row 1 the ring
     kept = ((0, left2, 0), (left2, left1, 1), (right1, right2, 1), (right2, size, 0))
 
-    vf = v.view(float).reshape(-1, 2)
-    b, a = np.zeros(2), np.zeros(2)
-    sums = np.zeros((2, 2))
-    for s, e in blocks:
-        t = np.multiply(x[s:e], x[s:e], out=buf[: e - s])
+    # a sum over real samples is a float, over complex ones a (Re, Im) pair
+    real = v.dtype == np.float64
+    vf = v if real else v.view(float).reshape(-1, 2)
+    b, a = np.zeros(vf.shape[1:]), np.zeros(vf.shape[1:])
+    sums = np.zeros((2,) + vf.shape[1:])
+    for s, x, w in grid._blocks(size=_SP_BLOCK):
+        e = s + x.size
+        t = np.multiply(x, x, out=buf[: e - s])
         t += eta**2
-        np.divide(w[s:e], t, out=t)
+        np.divide(w, t, out=t)
         b += t @ vf[s:e]
-        t *= x[s:e]
+        t *= x
         a += t @ vf[s:e]
         for lo, hi, row in kept:
             lo, hi = max(lo, s), min(hi, e)
             if lo < hi:
-                sums[row] += np.divide(w[lo:hi], x[lo:hi], out=buf[: hi - lo]) @ vf[lo:hi]
+                sums[row] += np.divide(w[lo - s:hi - s], x[lo - s:hi - s], out=buf[: hi - lo]) @ vf[lo:hi]
+    cx = complex if real else (lambda pair: complex(*pair))
+    a, b = cx(a), cx(b)
     # w f (x - i eta) / (x^2 + eta^2), split into real and imaginary parts
-    full = complex(a[0] + eta * b[1], a[1] - eta * b[0])
+    full = complex(a.real + eta * b.imag, a.imag - eta * b.real)
     bulk, ring = sums
-    principal = (4 * complex(*(bulk + ring)) - complex(*bulk)) / 3
+    principal = (4 * cx(bulk + ring) - cx(bulk)) / 3
     delta_part = -1j * np.pi * f0
     residual = abs(full - principal - delta_part)
     return PrincipalValueResult(principal, delta_part, full, residual)

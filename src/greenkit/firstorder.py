@@ -72,7 +72,7 @@ def _prefactor(convention: str) -> complex:
     return -1j if convention == "minus-i" else 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeWindow:
     """Ordered tau = t - t' samples; the one time-axis rule (1-D, at least one
     sample, finite, strictly increasing), which Kernel and SourceField use."""
@@ -90,7 +90,7 @@ class TimeWindow:
             raise ValueError("time samples must be strictly increasing")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kernel:
     """G(x_i, x_j; tau) over a time window, fixed by its fields.
 

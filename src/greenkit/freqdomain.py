@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDensity:
     """Finite list of frequency lines (omega_n, weight).
 
@@ -54,7 +54,7 @@ class SpectralDensity:
             raise ValueError("line frequencies and weights must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FreqResponse:
     """Complex response over an omega grid with a declared pole inventory."""
 
@@ -149,9 +149,13 @@ def _pole_response(omega, poles: tuple, eta: float, direction: str) -> FreqRespo
             "the pole form needs |omega| and every |omega_n| <= 1e150, eta >= 1e-300 "
             "and sum_n (|Re r_n| + |Im r_n|) <= 1e308 eta"
         )
+    # every term r / (omega - p) is formed in one reused buffer, so a long
+    # omega axis holds two complex arrays, not one per term and its divisor
     vals = np.zeros(omega.shape, dtype=complex)
+    term = np.empty_like(vals)
     for p, r in poles:
-        vals += r / (omega - p)
+        np.subtract(omega, p, out=term)
+        vals += np.divide(r, term, out=term)
     return FreqResponse(omega, vals, eta, direction, poles)
 
 
@@ -326,13 +330,15 @@ def inverse_transform_roundtrip(response: FreqResponse, tau: np.ndarray) -> dict
     + k h, write k = q b + r with b = ceil(sqrt(n)): then e^{-i omega_k tau}
     = A_q(tau) R_r(tau), A_q = e^{-i omega_{qb} tau}, R_r = e^{-i r h tau}.
     The weighted response, zero-padded to a (q, b) array W, gives g(|tau|)
-    = sum_q A_q (W @ R)_q and g(-|tau|) = conj(sum_q A_q (conj(W) @ R)_q),
+    = sum_q A_q (W @ R)_q and g(-|tau|) = sum_q conj(A_q) (W @ conj(R))_q,
     with one column per distinct |tau|: about 2 sqrt(n) exponentials per
     |tau| instead of n cosines and n sines.  A grid that is not uniform to a
     few ulps of max|omega| takes b = 1, where A is the per-sample phase and
-    R = 1.  The temporaries are the padded (q, b) copy and its conjugate
-    (10 MB for a 320k-sample grid), plus (n, |tau| count) complex products
-    when b = 1.
+    R = 1.  The weighted response is written straight into W, and conj(R)
+    is (b, |tau| count), so the one complex temporary of the grid's length
+    is W itself (5 MB for a 320k-sample grid), beside the real node weights
+    np.gradient(omega); when b = 1, W @ R and W @ conj(R) are (n, |tau|
+    count) complex products.
     """
     if not response.poles:
         raise ValueError("roundtrip needs the pole inventory")
@@ -347,7 +353,6 @@ def inverse_transform_roundtrip(response: FreqResponse, tau: np.ndarray) -> dict
             f"outermost poles, need >= {need:.3g} on both sides"
         )
     tau = np.asarray(tau, dtype=float)
-    weighted = np.gradient(om) * response.values / (2 * np.pi)
     n = om.size
     h = (om[-1] - om[0]) / (n - 1)
     # the factored phase of node q b + r is omega_{qb} tau + r h tau, off the
@@ -356,14 +361,18 @@ def inverse_transform_roundtrip(response: FreqResponse, tau: np.ndarray) -> dict
     off_grid = np.max(np.abs(om - (om[0] + h * np.arange(n))))
     uniform = off_grid <= 8 * np.finfo(float).eps * np.max(np.abs(om))
     b = int(np.ceil(np.sqrt(n))) if uniform else 1
-    w_qb = np.pad(weighted, (0, -n % b)).reshape(-1, b)
+    # the weighted response, written straight into the zero-padded W
+    w_qb = np.zeros((-(-n // b), b), dtype=complex)
+    weighted = w_qb.reshape(-1)[:n]
+    np.multiply(np.gradient(om), response.values, out=weighted)
+    weighted /= 2 * np.pi
     # e^{-i omega (-t)} = conj(e^{-i omega t}) for real omega and t, so one
     # set of phases per distinct |tau| serves both signs
     mags, which = np.unique(np.abs(tau), return_inverse=True)
     r_phase = np.exp(-1j * h * np.arange(b)[:, None] * mags)
     a_phase = np.exp(-1j * om[::b, None] * mags)
     g_pos = np.sum(a_phase * (w_qb @ r_phase), axis=0)
-    g_neg = np.conj(np.sum(a_phase * (w_qb.conj() @ r_phase), axis=0))
+    g_neg = np.sum(np.conj(a_phase) * (w_qb @ np.conj(r_phase)), axis=0)
     g_tau = np.where(tau < 0, g_neg[which], g_pos[which])
     ref = np.zeros(tau.size, dtype=complex)
     for p, r in response.poles:

@@ -1,4 +1,4 @@
-"""1-D grids, quadrature weights and complex sampled functions.
+"""1-D grids, quadrature weights and sampled functions.
 
 Everything downstream (eigenbases, kernels, frequency responses) lives on a
 Grid1D.  Grids are immutable; quadrature is a plain weighted sum, which keeps
@@ -8,7 +8,8 @@ checkable as exact finite linear algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +22,10 @@ __all__ = [
 ]
 
 _UNIFORM_RTOL = 1e-12
+
+# points per slice of Grid1D._blocks: a slice's x and w (256 kB) and a
+# caller's block buffer stay in a core's L2 cache
+_BLOCK = 1 << 14
 
 
 def _require_points(n: int, kind: str) -> None:
@@ -37,7 +42,6 @@ def _require_scale(value: float, name: str) -> None:
         raise ValueError(f"{name} must be positive and finite, within [1e-150, 1e150]")
 
 
-@dataclass(frozen=True)
 class Grid1D:
     """Ordered sample points with positive quadrature weights.
 
@@ -47,62 +51,121 @@ class Grid1D:
                         also hosts Gauss-type quadrature nodes
         "periodic"      fundamental cell [x0, x0+L), all weights equal
 
+    Grid1D(points, weights, kind, period) stores its arrays.  Grid1D.uniform
+    stores only its rule and builds points and weights, read-only, on first
+    read; _blocks reads either kind in slices without building them.
     spacing, set at construction rather than passed in, is the mean point
-    spacing (exact for the uniform and periodic kinds), taken from the one
-    np.diff that validates the points; a one-point open-interval grid takes
-    its point's cell, the weight.
+    spacing (x_last - x_first) / (size - 1), the step of a uniform or
+    periodic grid; a one-point open-interval grid takes its point's cell, the
+    weight.  Grids are immutable.  == compares kinds and arrays block by
+    block, so a rule grid equals a stored grid with the same arrays, and two
+    rule grids compare by their rules.
     """
 
-    points: np.ndarray
-    weights: np.ndarray
-    kind: str = "uniform"
-    period: float | None = None
-    spacing: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        wts = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
+    def __init__(self, points: np.ndarray, weights: np.ndarray, kind: str = "uniform", period: float | None = None):
+        pts = np.asarray(points, dtype=float)
+        wts = np.asarray(weights, dtype=float)
         if pts.ndim != 1 or wts.ndim != 1:
             raise ValueError("points and weights must be 1-D")
         if pts.size != wts.size:
             raise ValueError("weight count must equal point count")
-        _require_points(pts.size, self.kind)
-        dx = np.diff(pts)
-        if not np.all(dx > 0):
+        self._settle(kind, period, pts.size, None, points=pts, weights=wts)
+
+    def _settle(self, kind: str, period: float | None, size: int, rule: tuple | None, **arrays) -> None:
+        """Set the fields, then check the points and weights in one pass over
+        the blocks, so no array of the grid's length is formed."""
+        vars(self).update(kind=kind, period=period, size=size, _rule=rule, **arrays)
+        _require_points(size, kind)
+        # the least and largest step, each block's first step taken from the
+        # previous block's last point, and the least weight; np.minimum and
+        # np.maximum carry a NaN through, so that it fails the checks below
+        dx_min, dx_max, w_min = np.inf, -np.inf, np.inf
+        prev = np.empty(0)
+        for _, x, w in self._blocks():
+            dx = np.diff(x, prepend=prev)
+            dx_min = np.minimum(dx_min, dx.min(initial=np.inf))
+            dx_max = np.maximum(dx_max, dx.max(initial=-np.inf))
+            w_min = np.minimum(w_min, w.min())
+            prev = x[-1:]
+        if not dx_min > 0:
             raise ValueError("points must be strictly increasing")
-        if not np.all(wts > 0):
+        if not w_min > 0:
             raise ValueError("weights must be strictly positive")
-        if self.kind not in ("uniform", "open-interval", "periodic"):
-            raise ValueError(f"unknown grid kind {self.kind!r}")
-        h = dx.mean() if dx.size else wts[0]
-        if self.kind in ("uniform", "periodic"):
+        if kind not in ("uniform", "open-interval", "periodic"):
+            raise ValueError(f"unknown grid kind {kind!r}")
+        x0, x1 = self._ends()
+        h = (x1 - x0) / (size - 1) if size > 1 else float(w_min)
+        if kind in ("uniform", "periodic"):
             # successive differences jitter at the ulp of the coordinates,
             # not of the spacing, so scale the tolerance by both
-            tol = _UNIFORM_RTOL * abs(h) + 8 * np.finfo(float).eps * max(abs(pts[0]), abs(pts[-1]))
+            tol = _UNIFORM_RTOL * abs(h) + 8 * np.finfo(float).eps * max(abs(x0), abs(x1))
             # rounding of dx - h is monotone in dx, so this is max|dx - h|
-            if max(dx.max() - h, h - dx.min()) > tol:
-                raise ValueError(f"{self.kind} grid must be evenly spaced")
-        if self.kind == "periodic" and self.period is None:
+            if max(dx_max - h, h - dx_min) > tol:
+                raise ValueError(f"{kind} grid must be evenly spaced")
+        if kind == "periodic" and period is None:
             raise ValueError("periodic grid needs its period")
-        object.__setattr__(self, "spacing", float(h))
+        vars(self)["spacing"] = h
 
-    @property
-    def size(self) -> int:
-        return self.points.size
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _blocks(self, start: int = 0, stop: int | None = None, size: int = _BLOCK):
+        """(s, x, w) over the points start..stop - 1, in slices of at most
+        size points, s the index of x[0].
+
+        A stored grid yields views of its arrays.  A rule grid generates each
+        slice as np.linspace(a, b, n) and its trapezoid weights hold it, bit
+        for bit: x_k = k h + a with h = (b - a) / (n - 1), the last point b,
+        every weight h and the two end weights h / 2.
+        """
+        stop = self.size if stop is None else stop
+        for s in range(start, stop, size):
+            e = min(s + size, stop)
+            if self._rule is None:
+                yield s, self.points[s:e], self.weights[s:e]
+                continue
+            a, b, h = self._rule
+            x = np.arange(s, e, dtype=float)
+            x *= h
+            x += a
+            w = np.full(e - s, h)
+            if s == 0:
+                w[0] = h / 2
+            if e == self.size:
+                x[-1] = b
+                w[-1] = h / 2
+            yield s, x, w
+
+    def _ends(self) -> tuple:
+        """(first point, last point), read without building a rule grid's arrays."""
+        return tuple(float(next(self._blocks(k, k + 1))[1][0]) for k in (0, self.size - 1))
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        return _read_only(next(self._blocks(size=self.size))[1])
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return _read_only(next(self._blocks(size=self.size))[2])
 
     @classmethod
     def uniform(cls, a: float, b: float, n: int) -> "Grid1D":
-        """Closed interval [a, b] with trapezoidal weights."""
+        """Closed interval [a, b] with trapezoidal weights, kept as its rule.
+
+        The grid holds a, b and n, not an array of length n.  Its points are
+        np.linspace(a, b, n) and its weights the trapezoid weights, bit for
+        bit, built on first read (see _blocks); a and b are taken as floats.
+        """
         if not -np.inf < a < b < np.inf:
             raise ValueError("need finite b > a")
         _require_points(n, "uniform")
-        pts = np.linspace(a, b, n)
-        h = (b - a) / (n - 1)
-        w = np.full(n, h)
-        w[0] = w[-1] = h / 2
-        return cls(pts, w, kind="uniform")
+        a, b = float(a), float(b)
+        grid = cls.__new__(cls)
+        grid._settle("uniform", None, n, (a, b, (b - a) / (n - 1)))
+        return grid
 
     @classmethod
     def open_interval(cls, a: float, b: float, n: int) -> "Grid1D":
@@ -134,30 +197,53 @@ class Grid1D:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Grid1D):
             return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.points.shape == other.points.shape
-            and np.array_equal(self.points, other.points)
-            and np.array_equal(self.weights, other.weights)
+        if self.kind != other.kind or self.size != other.size:
+            return False
+        if self._rule is not None and other._rule is not None:
+            return self._rule == other._rule
+        return all(
+            np.array_equal(x, y) and np.array_equal(w, v)
+            for (_, x, w), (_, y, v) in zip(self._blocks(), other._blocks())
         )
 
     def __hash__(self):
-        return hash((self.kind, self.points.size, float(self.points[0]), float(self.points[-1])))
+        return hash((self.kind, self.size, *self._ends()))
+
+    def __repr__(self) -> str:
+        if self._rule is not None:
+            a, b, _ = self._rule
+            return f"Grid1D.uniform({a!r}, {b!r}, {self.size})"
+        return f"Grid1D(points={self.points!r}, weights={self.weights!r}, kind={self.kind!r}, period={self.period!r})"
 
 
-@dataclass(frozen=True)
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class SampledFunction:
-    """Complex samples of a function on a Grid1D."""
+    """Samples of a function on a Grid1D: float64 samples stay float64, and
+    samples of any other dtype become complex.
+
+    The finite check reads the minimum and maximum of the samples (of their
+    real and imaginary parts), which a NaN or an infinity reaches, so it
+    forms no array of the grid's length.
+    Sampled functions compare by identity.
+    """
 
     grid: Grid1D
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
+        vals = np.asarray(self.values)
+        if vals.dtype != np.float64:
+            vals = np.asarray(vals, dtype=complex)
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size != self.grid.size:
             raise ValueError("value count must equal grid point count")
-        if not np.all(np.isfinite(vals)):
+        parts = (vals,) if vals.dtype == np.float64 else (vals.real, vals.imag)
+        if not all(np.isfinite(p.min()) and np.isfinite(p.max()) for p in parts):
             raise ValueError("samples must be finite")
 
     def __mul__(self, scalar: complex) -> "SampledFunction":

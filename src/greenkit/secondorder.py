@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SourceField:
     """Source density f(x, t) sampled on (grid x times); the times follow
     TimeWindow's rule."""

@@ -48,7 +48,7 @@ class PhysicalConstants:
                 raise ValueError(f"{name} must be positive and finite, within [1e-50, 1e50]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _ModeTable:
     """A builder's modes: mode n at grid point l is
     table[(waves[n] * offsets[l]) mod len(table)], each of amplitude scale.
@@ -151,7 +151,7 @@ class EigenSystem:
                 raise ValueError(f"grid index {k} outside 0..{self.grid.size - 1}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coefficients:
     """Expansion coefficients of a state in an eigenbasis."""
 

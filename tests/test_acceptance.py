@@ -6,6 +6,7 @@ tolerance printed alongside.
 """
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -98,3 +99,17 @@ def test_split_times_are_the_seeded_draws():
     rng = np.random.default_rng(7)
     drawn = tuple(tuple(map(float, rng.uniform(0.05, 0.95, 2))) for _ in range(15))
     assert _SPLIT_TIMES == drawn
+
+
+def test_one_pass_holds_under_22_mb():
+    """The largest fixture is criterion 8's (about 18 MB under tracemalloc):
+    its 320k-sample response, the zero-padded weighted copy and the node
+    weights.  Criterion 10 holds its 12.8 MB of real samples and no grid
+    arrays, criterion 7 about 6 MB."""
+    tracemalloc.start()
+    try:
+        run_acceptance()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 22e6

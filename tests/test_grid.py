@@ -1,10 +1,26 @@
 """Grid construction, quadrature and sampled-function algebra."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
-from greenkit import Grid1D, SampledFunction, discrete_delta, inner, quad
-from greenkit.grid import _UNIFORM_RTOL
+from greenkit import (
+    Grid1D,
+    Kernel,
+    SampledFunction,
+    SourceField,
+    TimeWindow,
+    build_well_basis,
+    discrete_delta,
+    inner,
+    quad,
+    response_from_density,
+)
+from greenkit.distlab import _SP_BLOCK
+from greenkit.freqdomain import SpectralDensity
+from greenkit.grid import _BLOCK, _UNIFORM_RTOL
+from greenkit.spectra import Coefficients, _ModeTable
 
 
 def test_uniform_weights_sum_to_interval_length():
@@ -166,3 +182,100 @@ def test_sampled_function_rejects_nonfinite():
         vals[2] = bad
         with pytest.raises(ValueError, match="samples must be finite"):
             SampledFunction(g, vals)
+
+
+def _trapezoid(a, b, n):
+    h = (b - a) / (n - 1)
+    w = np.full(n, h)
+    w[0] = w[-1] = h / 2
+    return w
+
+
+@pytest.mark.parametrize(
+    "a, b, n, has_zero",
+    [
+        (0.0, 1.0, 2, True),
+        (-1.0, 3.0, _BLOCK + 1, True),  # h = 2^-12, so x_4096 = 0 exactly
+        (-1.0, 3.0, _BLOCK - 1, False),
+        (-0.3, 7.1, _SP_BLOCK - 1, False),
+        (-1.0, 1.0, _SP_BLOCK + 1, True),
+        (-20.0, 20.0, 3 * _BLOCK + 8, False),
+    ],
+)
+def test_rule_grid_is_linspace_bit_for_bit(a, b, n, has_zero):
+    g = Grid1D.uniform(a, b, n)
+    assert "points" not in vars(g) and "weights" not in vars(g)  # kept as its rule
+    assert g.points.tobytes() == np.linspace(a, b, n).tobytes()
+    assert g.weights.tobytes() == _trapezoid(a, b, n).tobytes()
+    assert bool(np.any(g.points == 0.0)) == has_zero
+    assert not g.points.flags.writeable and not g.weights.flags.writeable
+    assert g.spacing == (b - a) / (n - 1)
+    # every slice the reader makes is the same slice of the built arrays
+    for start, stop, size in ((0, n, _BLOCK), (1, n, 7), (0, n - 1, 5), (n - 1, n, 1), (0, 1, _SP_BLOCK)):
+        pieces = list(g._blocks(start, stop, size))
+        assert [s for s, _, _ in pieces] == list(range(start, stop, size))
+        assert np.concatenate([x for _, x, _ in pieces]).tobytes() == g.points[start:stop].tobytes()
+        assert np.concatenate([w for _, _, w in pieces]).tobytes() == g.weights[start:stop].tobytes()
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        ((1.0, 0.0, 5), "need finite b > a"),
+        ((0.0, np.inf, 5), "need finite b > a"),
+        ((0.0, 1.0, 1), "need at least two grid points"),
+        # the spacing 4/99 is below the ulp of 1e16, so points repeat
+        ((1e16, 1e16 + 4, 100), "points must be strictly increasing"),
+    ],
+)
+def test_rule_grid_rejects_bad_input(args, match):
+    with pytest.raises(ValueError, match=match):
+        Grid1D.uniform(*args)
+
+
+def test_rule_grid_equals_the_stored_grid_of_its_arrays():
+    a, b, n = -2.0, 5.0, 2 * _BLOCK + 3
+    rule, twin = Grid1D.uniform(a, b, n), Grid1D.uniform(a, b, n)
+    stored = Grid1D(np.linspace(a, b, n), _trapezoid(a, b, n))
+    assert rule == twin and rule == stored and stored == rule
+    assert hash(rule) == hash(twin) == hash(stored)
+    assert "points" not in vars(rule) and "weights" not in vars(rule)  # == and hash build nothing
+    other = stored.weights.copy()
+    other[n // 2] *= 1 + 1e-15
+    assert rule != Grid1D(stored.points, other)
+    assert rule != Grid1D.uniform(a, b, n + 1) and rule != Grid1D.uniform(a, np.nextafter(b, 9.0), n)
+    assert rule != Grid1D(stored.points, stored.weights, kind="open-interval")
+
+
+def test_grids_are_immutable():
+    for g in (Grid1D.uniform(0.0, 1.0, 5), Grid1D.periodic(1.0, 4)):
+        with pytest.raises(FrozenInstanceError):
+            g.kind = "open-interval"
+        with pytest.raises(FrozenInstanceError):
+            del g.spacing
+
+
+def _value_types():
+    grid = Grid1D.uniform(-1.0, 1.0, 5)
+    basis = build_well_basis(1.0, 4)
+    return {
+        "TimeWindow": lambda: TimeWindow(np.array([0.0, 1.0])),
+        "SourceField": lambda: SourceField(grid, np.array([0.0, 1.0]), np.ones((2, 5))),
+        "Kernel": lambda: Kernel(basis, np.array([0.0, 0.5])),
+        "SampledFunction": lambda: SampledFunction(grid, np.ones(5)),
+        "Coefficients": lambda: Coefficients(np.ones(4), basis),
+        "SpectralDensity": lambda: SpectralDensity(np.array([1.0, 2.0]), np.array([1.0, -1.0])),
+        "FreqResponse": lambda: response_from_density(
+            SpectralDensity(np.array([1.0]), np.array([1.0])), np.linspace(0.0, 2.0, 5), 0.1, "retarded"
+        ),
+        "_ModeTable": lambda: _ModeTable(np.ones(4), np.arange(4), np.arange(2), 1.0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_value_types()))
+def test_array_holding_types_compare_by_identity(name):
+    make = _value_types()[name]
+    x, twin = make(), make()
+    assert x == x
+    assert (x == twin) is False  # equal content, another object: no elementwise array truth value
+    assert hash(x) == hash(x)

@@ -1,5 +1,6 @@
 """The package's import graph: sibling modules are imported at module level
-only; and only spectra reads a basis's structure."""
+only; only spectra reads a basis's structure; and only grid reads a uniform
+grid's rule."""
 
 import ast
 from pathlib import Path
@@ -66,3 +67,30 @@ def test_the_check_sees_a_structure_read():
     tree = ast.parse("if basis.waves is None:\n    pass\nkern.kind\nperiodic = b.grid.kind == 'periodic'\n"
                      "waves = 1\ngrid.size\n")
     assert _structure_reads(tree) == [1, 4]
+
+
+def _rule_reads(tree: ast.Module) -> list:
+    """Line of every read of an attribute `_rule`, the private fields
+    (a, b, h) of a Grid1D.uniform grid, or of the name as a string, as
+    getattr or vars()[...] would take it."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_rule":
+            found.append(node.lineno)
+        elif isinstance(node, ast.Constant) and node.value == "_rule":
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_grid_reads_a_uniform_rule():
+    """A grid's representation, stored arrays or a rule, stays behind grid.py:
+    every other module reads x and w through points, weights or _blocks."""
+    assert "grid.py" in {p.name for p in SOURCES}
+    offenders = {p.name: _rule_reads(ast.parse(p.read_text())) for p in SOURCES if p.name != "grid.py"}
+    assert {name: hits for name, hits in offenders.items() if hits} == {}
+
+
+def test_the_check_sees_a_rule_read():
+    tree = ast.parse("a, b, h = grid._rule\nx = grid.points\nr = getattr(g, '_rule')\n"
+                     "rule = 1\ng._blocks()\nvars(g)['_rule']\n")
+    assert _rule_reads(tree) == [1, 3, 6]
