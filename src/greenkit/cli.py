@@ -85,12 +85,9 @@ def _gaussian(basis, args) -> SampledFunction:
 def cmd_basis(args) -> int:
     basis = _build_basis(args)
     out = args.out
-    for n in range(basis.size):
-        io.write_csv(
-            os.path.join(out, f"mode_{n:04d}.csv"),
-            ["x", "re", "im"],
-            io.sampled_rows(basis.grid.points, basis.mode_values[n]),
-        )
+    for n, mode in enumerate(basis.mode_values):
+        columns = [basis.grid.points, mode.real, mode.imag]
+        io.write_csv(os.path.join(out, f"mode_{n:04d}.csv"), ["x", "re", "im"], columns)
     io.write_json(
         os.path.join(out, "basis.json"),
         {
@@ -119,11 +116,8 @@ def cmd_kernel(args) -> int:
     kern = aux if args.direction == "auxiliary" else step_factor_kernel(aux, args.direction)
     mid = basis.grid.size // 2
     t = kern.times
-    io.write_csv(
-        os.path.join(args.out, "kernel_diag.csv"),
-        ["tau", "re", "im"],
-        io.sampled_rows(t, (kern.at(tau)[mid, mid] for tau in t)),
-    )
+    diag = np.array([kern.at(tau)[mid, mid] for tau in t])
+    io.write_csv(os.path.join(args.out, "kernel_diag.csv"), ["tau", "re", "im"], [t, diag.real, diag.imag])
     report = {
         "kind": kern.kind,
         "order": kern.order,
@@ -156,7 +150,7 @@ def cmd_propagate(args) -> int:
     psi0 = _gaussian(basis, args)
     psi0 = psi0 * (1.0 / psi0.norm2())
     psi = propagate(kern, psi0, args.tau)
-    io.write_csv(os.path.join(args.out, "state.csv"), ["x", "re", "im"], io.sampled_rows(x, psi.values))
+    io.write_csv(os.path.join(args.out, "state.csv"), ["x", "re", "im"], [x, psi.values.real, psi.values.imag])
     io.write_json(
         os.path.join(args.out, "propagate_report.json"),
         {"tau": args.tau, "initial_norm": psi0.norm2(), "final_norm": psi.norm2()},
@@ -169,14 +163,14 @@ def cmd_field(args) -> int:
     window = TimeWindow(_linspace(-args.t1, args.t1, 5, "time"))
     basis = _build_basis(args)
     kern = wave_step_factor_kernel(wave_auxiliary_kernel(basis, window), "retarded")
-    src_times = np.linspace(0.0, args.t1, args.nt)
+    times = np.linspace(0.0, args.t1, args.nt)  # the source's samples, and the field's
     x = basis.grid.points
-    values = np.broadcast_to(_gaussian(basis, args).values, (src_times.size, x.size)).astype(complex)
-    source = SourceField(basis.grid, src_times, values)
-    eval_times = np.linspace(0.0, args.t1, args.nt)
-    field = field_from_source(kern, source, eval_times)
-    io.write_csv(os.path.join(args.out, "field.csv"), ["t", "x", "re", "im"], io.field_rows(eval_times, x, field))
-    print(f"wrote field.csv ({eval_times.size} x {x.size} samples)")
+    values = np.broadcast_to(_gaussian(basis, args).values, (times.size, x.size)).astype(complex)
+    field = field_from_source(kern, SourceField(basis.grid, times, values), times)
+    # one row per (t, x), x running fastest
+    columns = [np.repeat(times, x.size), np.tile(x, times.size), field.real.ravel(), field.imag.ravel()]
+    io.write_csv(os.path.join(args.out, "field.csv"), ["t", "x", "re", "im"], columns)
+    print(f"wrote field.csv ({times.size} x {x.size} samples)")
     return 0
 
 
@@ -185,10 +179,11 @@ def cmd_freq(args) -> int:
     basis = _build_basis(args)
     dens = spectral_density(basis, args.i, args.j, order=args.order)
     resp = response_from_density(dens, omega, args.eta, args.direction)
-    io.write_csv(os.path.join(args.out, "response.csv"), ["omega", "re", "im"], io.sampled_rows(omega, resp.values))
+    columns = [omega, resp.values.real, resp.values.imag]
+    io.write_csv(os.path.join(args.out, "response.csv"), ["omega", "re", "im"], columns)
     io.write_json(
         os.path.join(args.out, "poles.json"),
-        {"eta": args.eta, "direction": args.direction, "poles": io.pole_payload(resp.poles)},
+        {"eta": resp.eta, "direction": resp.direction, "poles": io.pole_payload(resp.poles)},
     )
     print(f"wrote response.csv and poles.json ({len(resp.poles)} poles)")
     return 0

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SampledFunction, _require_scale
+from .grid import SampledFunction, _require_finite, _require_scale
 
 __all__ = [
     "RegularizedFamily",
@@ -66,9 +66,7 @@ class PrincipalValueResult:
     residual: float
 
     def __post_init__(self):
-        for v in (self.principal, self.delta_part, self.full_integral, self.residual):
-            if not np.isfinite(v):
-                raise ValueError("principal-value result must be finite")
+        _require_finite([self.principal, self.delta_part, self.full_integral, self.residual], "principal-value result")
 
 
 def _step_value(flavor: str, eta: float, x: np.ndarray) -> np.ndarray:
@@ -271,6 +269,7 @@ def regularized_ft(family: RegularizedFamily, k: np.ndarray) -> dict:
     if family.kind != "step":
         raise ValueError("regularized_ft takes a step family")
     k = np.atleast_1d(np.asarray(k, dtype=float))
+    _require_finite(k, "k")
     if np.any(k == 0):
         raise ValueError("k = 0 is not in the transform's domain")
     reference = 1j / (k + 1j * family.eta)
@@ -288,6 +287,7 @@ def delta_ft_check(family: RegularizedFamily, k: np.ndarray) -> dict:
     if family.kind != "delta":
         raise ValueError("delta_ft_check takes a delta family")
     k = np.atleast_1d(np.asarray(k, dtype=float))
+    _require_finite(k, "k")
     eta = family.eta
     k_used = k[np.abs(k) <= 1.0 / (10 * eta)]
     if k_used.size == 0:

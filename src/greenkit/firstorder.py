@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import SampledFunction
+from .grid import SampledFunction, _require_finite
 from .spectra import (
     Coefficients,
     EigenSystem,
@@ -48,8 +48,8 @@ CAUSTIC_TOL = 1e-6
 
 
 def theta(tau):
-    """Step function with theta(0) = 1/2."""
-    return np.where(tau > 0, 1.0, np.where(tau < 0, 0.0, 0.5))
+    """Step function with theta(0) = 1/2; a NaN stays NaN."""
+    return np.heaviside(tau, 0.5)
 
 
 # The one sign s that separates the two directions: G_s = s theta(s tau) K in
@@ -84,8 +84,7 @@ class TimeWindow:
         object.__setattr__(self, "samples", s)
         if s.ndim != 1 or s.size < 1:
             raise ValueError("need at least one time sample")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("time samples must be finite")
+        _require_finite(s, "time samples")
         if not np.all(np.diff(s) > 0):
             raise ValueError("time samples must be strictly increasing")
 
@@ -201,6 +200,7 @@ def kernel_entry(basis: EigenSystem, i: int, j: int, tau: complex, convention: s
     are compared against the analytic closed forms.
     """
     basis.check_point_indices(i, j)
+    _require_finite(tau, "tau")
     # the law does not read the window, so one sample stands in for it
     amps = Kernel(basis, [0.0], convention=convention).amplitude(tau)
     val = np.sum(basis.modes_at(i) * np.conj(basis.modes_at(j)) * amps)
@@ -249,6 +249,7 @@ def free_kernel_closed_form(
     Complex tau with negative imaginary part is the damped continuation used
     when comparing against regularized spectral sums.
     """
+    _require_finite([dx, tau], "dx and tau")
     if tau == 0:
         raise ValueError("closed form is singular at tau = 0; use the delta limit")
     m, hbar = constants.mass, constants.hbar
@@ -268,6 +269,7 @@ def oscillator_kernel_closed_form(
     branch picks up an extra factor exp(-i pi/2); near caustics the value is
     rejected and the spectral sum is the fallback.
     """
+    _require_finite([x, xp, tau], "x, x' and tau")
     m, hbar, omega = constants.mass, constants.hbar, constants.omega
     wt = omega * tau
     s = np.sin(wt)

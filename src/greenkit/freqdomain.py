@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .firstorder import _SIGNS, _sign
+from .grid import _require_finite
 from .spectra import EigenSystem, PhysicalConstants, _relativistic_energy, _wave_modes
 
 __all__ = [
@@ -50,36 +51,44 @@ class SpectralDensity:
         object.__setattr__(self, "weights", wt)
         if om.shape != wt.shape:
             raise ValueError("omegas and weights must align")
-        if not (np.all(np.isfinite(om)) and np.all(np.isfinite(wt))):
-            raise ValueError("line frequencies and weights must be finite")
+        _require_finite([om, wt], "line frequencies and weights")
 
 
 @dataclass(frozen=True, eq=False)
 class FreqResponse:
-    """Complex response over an omega grid with a declared pole inventory."""
+    """Complex response over an omega grid, and its pole inventory: a non-empty
+    tuple of finite (p_n, r_n) off the real axis, from which eta and direction are read."""
 
     omega: np.ndarray
     values: np.ndarray = field(repr=False)
-    eta: float
-    direction: str
-    poles: tuple = ()
+    poles: tuple
 
     def __post_init__(self):
-        om = _response_axis(self.omega, self.eta)
+        om = _response_axis(self.omega)
         v = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "omega", om)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "poles", tuple((complex(p), complex(r)) for p, r in self.poles))
         if v.shape != om.shape:
             raise ValueError("one value per omega sample")
-        ims = np.array([p.imag for p, _ in self.poles])
-        if self.direction == "feynman":
-            if ims.size and not (np.any(ims < 0) and np.any(ims > 0)):
-                raise ValueError("feynman response needs poles in both half-planes")
-            return
-        s = _sign(self.direction)
-        if ims.size and np.any(ims != -s * self.eta):
-            raise ValueError(f"{self.direction} poles must sit exactly at Im = {'-' if s > 0 else '+'}eta")
+        _require_finite(self.poles, "poles and residues")
+        if not self.poles or self.eta == 0:
+            raise ValueError("a response needs its pole inventory, every pole off the real axis")
+
+    @property
+    def eta(self) -> float:
+        return _width(self.poles)
+
+    @property
+    def direction(self) -> str:
+        """retarded, advanced or feynman: every pole below the axis, every one above, or both."""
+        below = [p.imag < 0 for p, _ in self.poles]
+        return "retarded" if all(below) else "feynman" if any(below) else "advanced"
+
+
+def _width(poles) -> float:
+    """eta of a pole inventory: the least |Im p_n|."""
+    return min(abs(p.imag) for p, _ in poles)
 
 
 def spectral_density(basis: EigenSystem, i: int, j: int, order: str = "first") -> SpectralDensity:
@@ -113,23 +122,22 @@ _CONV_ROWS = 8
 
 
 def _shifted_poles(omegas, residues, eta: float, direction: str) -> tuple:
-    """(omega_n - i s eta, r_n) per line: below the axis for retarded (s = +1),
-    above for advanced (s = -1)."""
+    """(omega_n - i s eta, r_n) per line, below the axis for retarded (s = +1) and
+    above for advanced (s = -1): where every builder sets eta and the direction."""
+    if not 0 < eta < np.inf:
+        raise ValueError("eta must be positive and finite")
     shift = -1j * _sign(direction) * eta
     return tuple((om + shift, r) for om, r in zip(omegas, residues))
 
 
-def _response_axis(omega, eta: float) -> np.ndarray:
-    """omega as floats, once the check both routes and FreqResponse share passes: finite omega, finite eta > 0."""
-    if not 0 < eta < np.inf:
-        raise ValueError("eta must be positive and finite")
+def _response_axis(omega) -> np.ndarray:
+    """omega as floats, once the check both routes and FreqResponse share passes: finite omega."""
     omega = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(omega)):
-        raise ValueError("omega samples must be finite")
+    _require_finite(omega, "omega samples")
     return omega
 
 
-def _pole_response(omega, poles: tuple, eta: float, direction: str) -> FreqResponse:
+def _pole_response(omega, poles: tuple) -> FreqResponse:
     """sum_n r_n / (omega - p_n) over the (p_n, r_n) poles, p_n = omega_n -+ i eta.
 
     Its range: every |omega| and every line |omega_n| at most 1e150, so that
@@ -138,7 +146,8 @@ def _pole_response(omega, poles: tuple, eta: float, direction: str) -> FreqRespo
     which keeps every value below sqrt(2) 1e308.  Inside it the values are
     finite; outside it a ValueError names the range, before any numpy warning.
     """
-    omega = _response_axis(omega, eta)
+    omega = _response_axis(omega)
+    eta = _width(poles)
     lines = np.array([p.real for p, _ in poles])
     res = np.array([r for _, r in poles], dtype=complex)
     with np.errstate(over="ignore"):  # a sum or ratio past the float range is rejected below
@@ -156,15 +165,14 @@ def _pole_response(omega, poles: tuple, eta: float, direction: str) -> FreqRespo
     for p, r in poles:
         np.subtract(omega, p, out=term)
         vals += np.divide(r, term, out=term)
-    return FreqResponse(omega, vals, eta, direction, poles)
+    return FreqResponse(omega, vals, poles)
 
 
 def response_from_density(
     density: SpectralDensity, omega: np.ndarray, eta: float, direction: str
 ) -> FreqResponse:
     """Closed pole form sum_n w_n / (omega - omega_n + i s eta)."""
-    poles = _shifted_poles(density.omegas, density.weights, eta, direction)
-    return _pole_response(omega, poles, eta, direction)
+    return _pole_response(omega, _shifted_poles(density.omegas, density.weights, eta, direction))
 
 
 def _line_integrals(omega, lines, eta: float, direction: str) -> np.ndarray:
@@ -187,7 +195,7 @@ def _line_integrals(omega, lines, eta: float, direction: str) -> np.ndarray:
     |v|)^4, and the weights w / product, up to 1 / eta^3, are normal floats
     while eta is within [1e-70, 1e70] and every |v| <= 1e70.
     """
-    omega = _response_axis(omega, eta)
+    omega = _response_axis(omega)
     sgn = _sign(direction)
     with np.errstate(over="ignore"):  # a v past the float range is rejected below
         v_all = (omega[:, None] - lines[None, :]).ravel()
@@ -273,9 +281,9 @@ def convolution_response(
     weights.  Densities with the same lines (every entry of one basis) share
     that table; its nodes and memory are described at _line_integrals.
     """
-    table = _line_integrals(omega, density.omegas, eta, direction)
     poles = _shifted_poles(density.omegas, density.weights, eta, direction)
-    return FreqResponse(omega, table @ density.weights, eta, direction, poles)
+    table = _line_integrals(omega, density.omegas, eta, direction)
+    return FreqResponse(omega, table @ density.weights, poles)
 
 
 def momentum_response_relativistic(
@@ -293,8 +301,7 @@ def momentum_response_relativistic(
     of the omega-squared regularization.
     """
     w0 = _relativistic_energy(k, constants) / constants.hbar
-    poles = _shifted_poles((w0, -w0), (1.0 + 0j, 1.0 + 0j), eta, direction)
-    return _pole_response(omega, poles, eta, direction)
+    return _pole_response(omega, _shifted_poles((w0, -w0), (1.0 + 0j, 1.0 + 0j), eta, direction))
 
 
 def feynman_combination(
@@ -310,8 +317,9 @@ def feynman_combination(
     object.
     """
     w0 = _relativistic_energy(k, constants) / constants.hbar
-    poles = tuple((s * w0 - 1j * s * eta, 1.0 + 0j) for s in (1, -1))
-    return _pole_response(omega, poles, eta, "feynman")
+    poles = _shifted_poles((w0,), (1.0 + 0j,), eta, "retarded")
+    poles += _shifted_poles((-w0,), (1.0 + 0j,), eta, "advanced")
+    return _pole_response(omega, poles)
 
 
 def inverse_transform_roundtrip(response: FreqResponse, tau: np.ndarray) -> dict:
@@ -340,8 +348,6 @@ def inverse_transform_roundtrip(response: FreqResponse, tau: np.ndarray) -> dict
     np.gradient(omega); when b = 1, W @ R and W @ conj(R) are (n, |tau|
     count) complex products.
     """
-    if not response.poles:
-        raise ValueError("roundtrip needs the pole inventory")
     om = response.omega
     re_poles = np.array([p.real for p, _ in response.poles])
     span_lo = re_poles.min() - om[0]
@@ -353,6 +359,7 @@ def inverse_transform_roundtrip(response: FreqResponse, tau: np.ndarray) -> dict
             f"outermost poles, need >= {need:.3g} on both sides"
         )
     tau = np.asarray(tau, dtype=float)
+    _require_finite(tau, "tau")
     n = om.size
     h = (om[-1] - om[0]) / (n - 1)
     # the factored phase of node q b + r is omega_{qb} tau + r h tau, off the

@@ -35,6 +35,23 @@ def _require_points(n: int, kind: str) -> None:
         raise ValueError("need at least one grid point" if kind == "open-interval" else "need at least two grid points")
 
 
+def _require_interval(a: float, b: float) -> None:
+    """Raise ValueError unless a < b, both finite: the interval a factory spans."""
+    if not -np.inf < a < b < np.inf:
+        raise ValueError("need finite b > a")
+
+
+def _require_finite(values, name: str) -> None:
+    """Raise ValueError unless every entry of values is finite.  It reads only
+    the least and largest entry, which a NaN or an infinity reaches (of a complex
+    array's float view, copied only if not contiguous): no boolean array."""
+    a = np.asarray(values)
+    if a.dtype.kind == "c":
+        a = np.ascontiguousarray(a).view(a.real.dtype)
+    if not (np.isfinite(a.min(initial=0.0)) and np.isfinite(a.max(initial=0.0))):
+        raise ValueError(f"{name} must be finite")
+
+
 def _require_scale(value: float, name: str) -> None:
     """Raise ValueError unless 1e-150 <= value <= 1e150: a positive scale
     (a length, a width, eta) whose square is a normal float."""
@@ -159,8 +176,7 @@ class Grid1D:
         np.linspace(a, b, n) and its weights the trapezoid weights, bit for
         bit, built on first read (see _blocks); a and b are taken as floats.
         """
-        if not -np.inf < a < b < np.inf:
-            raise ValueError("need finite b > a")
+        _require_interval(a, b)
         _require_points(n, "uniform")
         a, b = float(a), float(b)
         grid = cls.__new__(cls)
@@ -174,8 +190,7 @@ class Grid1D:
         Equivalent to the trapezoid rule on [a, b] for functions vanishing at
         both endpoints (the square-well eigenfunctions).
         """
-        if not -np.inf < a < b < np.inf:
-            raise ValueError("need finite b > a")
+        _require_interval(a, b)
         _require_points(n, "open-interval")
         h = (b - a) / (n + 1)
         pts = a + h * np.arange(1, n + 1)
@@ -226,9 +241,6 @@ class SampledFunction:
     """Samples of a function on a Grid1D: float64 samples stay float64, and
     samples of any other dtype become complex.
 
-    The finite check reads the minimum and maximum of the samples (of their
-    real and imaginary parts), which a NaN or an infinity reaches, so it
-    forms no array of the grid's length.
     Sampled functions compare by identity.
     """
 
@@ -242,9 +254,7 @@ class SampledFunction:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size != self.grid.size:
             raise ValueError("value count must equal grid point count")
-        parts = (vals,) if vals.dtype == np.float64 else (vals.real, vals.imag)
-        if not all(np.isfinite(p.min()) and np.isfinite(p.max()) for p in parts):
-            raise ValueError("samples must be finite")
+        _require_finite(vals, "samples")
 
     def __mul__(self, scalar: complex) -> "SampledFunction":
         return SampledFunction(self.grid, self.values * scalar)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from io import StringIO
 
 import numpy as np
 
@@ -17,17 +18,8 @@ __all__ = [
     "atomic_write_text",
     "write_csv",
     "write_json",
-    "fmt",
-    "sampled_rows",
-    "field_rows",
     "pole_payload",
 ]
-
-_FMT = "{:.17g}"
-
-
-def fmt(x: float) -> str:
-    return _FMT.format(float(x))
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -44,28 +36,15 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def write_csv(path: str, header: list, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_csv(path: str, header: list, columns) -> None:
+    """The header names, then one row per entry of the equal-length columns, as %.17g."""
+    buf = StringIO()
+    np.savetxt(buf, np.column_stack(columns), fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    atomic_write_text(path, buf.getvalue())
 
 
 def write_json(path: str, payload) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def sampled_rows(x: np.ndarray, values: np.ndarray):
-    """Rows x, re, im for one complex function of one real variable."""
-    for xi, vi in zip(x, values):
-        yield (xi, np.real(vi), np.imag(vi))
-
-
-def field_rows(times: np.ndarray, x: np.ndarray, values: np.ndarray):
-    """Rows t, x, re, im for a (times x points) complex field."""
-    for ti, row in zip(times, values):
-        for xi, vi in zip(x, row):
-            yield (ti, xi, np.real(vi), np.imag(vi))
 
 
 def pole_payload(poles) -> list:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .firstorder import Kernel, TimeWindow, _sign, step_factor_kernel, theta
-from .grid import Grid1D, _require_scale
+from .grid import Grid1D, _require_finite, _require_scale
 from .spectra import EigenSystem, _expand, _project, _wave_modes, _wave_phases, block_residual
 
 __all__ = [
@@ -47,8 +47,7 @@ class SourceField:
         object.__setattr__(self, "values", v)
         if v.shape != (t.size, self.grid.size):
             raise ValueError("values must be (times x grid points)")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("source values must be finite")
+        _require_finite(v, "source values")
 
 
 @dataclass(frozen=True)
@@ -98,10 +97,11 @@ def em_kernel_closed_form(
     """Vacuum EM kernel between points a distance R apart.
 
     Amplitude 1/(4 pi R), pulse at tau = s R/c: R/c (retarded) or -R/c
-    (advanced).
+    (advanced); c within [1e-150, 1e150].
     """
     if not separation > 0:
         raise ValueError("self-field is singular: separation must be positive")
+    _require_scale(c, "wave speed")
     arrival = _sign(direction) * separation / c
     return PulseDescriptor(1.0 / (4 * np.pi * separation), arrival, width)
 
@@ -151,9 +151,12 @@ def point_charge_potential(q: float, eps0: float, r: float, t: float, c: float) 
 
     The potential of a charge switching on at the origin at t = 0: zero until
     the front arrives at t = r/c, the static Coulomb value afterwards.
+    t must be finite, and c within [1e-150, 1e150].
     """
     if not r > 0:
         raise ValueError("potential is singular at r = 0")
+    _require_finite(t, "t")
+    _require_scale(c, "wave speed")
     return float(theta(t) * q / (4 * np.pi * eps0 * r) * theta(t - r / c))
 
 
@@ -174,6 +177,7 @@ def em_point_charge_field(
     """
     pulse = em_kernel_closed_form(r, c, "retarded", width=pulse_width)
     t_grid = np.asarray(t_grid, dtype=float)
+    _require_finite(t_grid, "t_grid")
     profile = lambda s: q * theta(s) / eps0  # noqa: E731  source time factor of Eq-style Q theta(t)
     if pulse_width == 0:
         # psi(t) = amplitude * f(t - R/c); the retarded arrival already

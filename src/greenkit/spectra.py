@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .grid import Grid1D, SampledFunction, _require_scale
+from .grid import Grid1D, SampledFunction, _require_finite, _require_scale
 
 __all__ = [
     "PhysicalConstants",
@@ -111,8 +111,7 @@ class EigenSystem:
     def __post_init__(self):
         en = np.asarray(self.energies, dtype=float)
         object.__setattr__(self, "energies", en)
-        if not np.all(np.isfinite(en)):
-            raise ValueError("energies must be finite")
+        _require_finite(en, "energies")
         if self.waves is not None:
             shape = (self.waves.size, self.modes.offsets.size)
         else:
@@ -163,16 +162,20 @@ class Coefficients:
         object.__setattr__(self, "values", vals)
         if vals.shape != (self.basis.size,):
             raise ValueError("one coefficient per retained mode")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("coefficients must be finite")
+        _require_finite(vals, "coefficients")
+
+
+def _require_cutoff(n_max: int) -> None:
+    """Raise ValueError unless a builder keeps at least one mode."""
+    if n_max < 1:
+        raise ValueError("mode cutoff must be >= 1")
 
 
 def _plane_waves(length: float, n_max: int, n_points: int | None) -> tuple:
     """(grid, j, k) on the periodic box: the integer wave indices |j| <= n_max
     and their k = 2 pi j / L, with the builders' shared checks."""
     _require_scale(length, "box length")
-    if n_max < 1:
-        raise ValueError("mode cutoff must be >= 1")
+    _require_cutoff(n_max)
     m = n_points if n_points is not None else 2 * n_max + 1
     j = np.arange(-n_max, n_max + 1)
     return Grid1D.periodic(length, m), j, 2 * np.pi * j / length
@@ -253,8 +256,7 @@ def build_well_basis(
     set is exactly orthonormal and complete (discrete sine transform).
     """
     _require_scale(width, "well width")
-    if n_max < 1:
-        raise ValueError("mode cutoff must be >= 1")
+    _require_cutoff(n_max)
     m = n_points if n_points is not None else n_max
     grid = Grid1D.open_interval(0.0, width, m)
     n = np.arange(1, n_max + 1)
@@ -304,8 +306,7 @@ def build_oscillator_basis(
     basis is discretely orthonormal *and* complete -- the grid to use for
     initial-condition (completeness) checks.
     """
-    if n_max < 1:
-        raise ValueError("mode cutoff must be >= 1")
+    _require_cutoff(n_max)
     alpha = np.sqrt(constants.mass * constants.omega / constants.hbar)
     if grid_kind == "gauss":
         m = n_points if n_points is not None else n_max

@@ -6,7 +6,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from greenkit import (
     EigenSystem,
-    FreqResponse,
     Kernel,
     PhysicalConstants,
     SampledFunction,
@@ -57,7 +56,6 @@ def _direction_calls():
         "convolution_response": lambda d: convolution_response(dens, omega, 0.1, d),
         "momentum_response_relativistic": lambda d: momentum_response_relativistic(1.0, omega, 0.1, d),
         "em_kernel_closed_form": lambda d: em_kernel_closed_form(1.0, 1.0, d),
-        "FreqResponse": lambda d: FreqResponse(omega, np.zeros(5), 0.1, d),
     }
 
 

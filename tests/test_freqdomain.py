@@ -1,5 +1,6 @@
 """Frequency responses: pole placement, convolution route, inverse transform."""
 
+import dataclasses
 import math
 import warnings
 
@@ -113,12 +114,48 @@ def test_response_pole_placement_is_exact():
 
 
 def test_freq_response_validates_pole_half_planes():
+    """A response is its poles: a pole on the real axis, or a non-finite
+    pole or residue, has no half-plane and is refused."""
     omega = np.linspace(-1.0, 1.0, 5)
     vals = np.zeros(5, dtype=complex)
-    with pytest.raises(ValueError, match="Im = -eta"):
-        FreqResponse(omega, vals, 0.1, "retarded", ((1.0 + 0.1j, 1.0),))
-    with pytest.raises(ValueError, match="both half-planes"):
-        FreqResponse(omega, vals, 0.1, "feynman", ((1.0 - 0.1j, 1.0), (2.0 - 0.1j, 1.0)))
+    with pytest.raises(ValueError, match="off the real axis"):
+        FreqResponse(omega, vals, ((1.0 - 0.1j, 1.0), (2.0 + 0.0j, 1.0)))
+    for bad in ((complex(1.0, math.nan), 1.0), (1.0 - 0.1j, math.inf)):
+        with pytest.raises(ValueError, match="poles and residues must be finite"):
+            FreqResponse(omega, vals, (bad,))
+
+
+@pytest.mark.parametrize("eta", [1e-3, 0.05, 0.3, 7.1e5])
+@pytest.mark.parametrize("direction", ["retarded", "advanced"])
+def test_every_builder_keeps_its_eta_and_direction(direction, eta):
+    """eta and direction are read from the poles, and read back exactly what
+    each builder was given."""
+    dens = _well_density()
+    omega = np.linspace(-1.0, 1.0, 5)
+    built = [
+        response_from_density(dens, omega, eta, direction),
+        convolution_response(dens, omega, eta, direction),
+        momentum_response_relativistic(1.0, omega, eta, direction),
+    ]
+    for resp in built:
+        assert (resp.eta, resp.direction) == (eta, direction)
+    fey = feynman_combination(1.0, omega, eta)
+    assert (fey.eta, fey.direction) == (eta, "feynman")
+
+
+def test_mixed_half_planes_read_feynman_with_the_least_width():
+    omega = np.linspace(-1.0, 1.0, 5)
+    resp = FreqResponse(omega, np.zeros(5), ((1.0 - 0.3j, 1.0), (-1.0 + 0.2j, 2.0), (3.0 - 0.7j, 1j)))
+    assert (resp.eta, resp.direction) == (0.2, "feynman")
+    assert FreqResponse(omega, np.zeros(5), ((1.0 + 0.3j, 1.0),)).direction == "advanced"
+
+
+def test_freq_response_fields_are_its_poles():
+    assert [f.name for f in dataclasses.fields(FreqResponse)] == ["omega", "values", "poles"]
+    resp = momentum_response_relativistic(1.0, np.linspace(-1.0, 1.0, 5), 0.1, "retarded")
+    for name in ("eta", "direction"):
+        with pytest.raises(AttributeError):
+            setattr(resp, name, 0.2)
 
 
 def test_convolution_route_matches_pole_form():
@@ -435,7 +472,7 @@ def test_inverse_transform_span_precondition():
 
 
 def test_inverse_transform_needs_pole_inventory():
+    """A response without poles cannot be built, so no transform meets one."""
     omega = np.linspace(-1.0, 1.0, 5)
-    resp = FreqResponse(omega, np.zeros(5, dtype=complex), 0.1, "retarded", ())
     with pytest.raises(ValueError, match="pole inventory"):
-        inverse_transform_roundtrip(resp, np.array([1.0]))
+        FreqResponse(omega, np.zeros(5, dtype=complex), ())

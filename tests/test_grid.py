@@ -1,5 +1,6 @@
 """Grid construction, quadrature and sampled-function algebra."""
 
+import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -8,13 +9,24 @@ import pytest
 from greenkit import (
     Grid1D,
     Kernel,
+    RegularizedFamily,
     SampledFunction,
     SourceField,
     TimeWindow,
     build_well_basis,
+    delta_ft_check,
     discrete_delta,
+    em_kernel_closed_form,
+    em_point_charge_field,
+    free_kernel_closed_form,
     inner,
+    inverse_transform_roundtrip,
+    kernel_entry,
+    momentum_response_relativistic,
+    oscillator_kernel_closed_form,
+    point_charge_potential,
     quad,
+    regularized_ft,
     response_from_density,
 )
 from greenkit.distlab import _SP_BLOCK
@@ -182,6 +194,41 @@ def test_sampled_function_rejects_nonfinite():
         vals[2] = bad
         with pytest.raises(ValueError, match="samples must be finite"):
             SampledFunction(g, vals)
+
+
+def _number_entries():
+    """Every entry that takes a number outside a checked type, each called
+    with one bad number in place of a good one."""
+    basis = build_well_basis(1.0, 8)
+    resp = momentum_response_relativistic(1.0, np.linspace(-200.0, 200.0, 801), 0.5, "retarded")
+    return {
+        "kernel_entry": lambda bad: kernel_entry(basis, 1, 1, bad),
+        "inverse_transform_roundtrip": lambda bad: inverse_transform_roundtrip(resp, [bad, 1.0]),
+        "point_charge_potential": lambda bad: point_charge_potential(1.0, 1.0, 0.5, bad, 1.0),
+        "em_point_charge_field": lambda bad: em_point_charge_field(1.0, 1.0, 1.0, 0.5, [bad, 1.0]),
+        "em_kernel_closed_form": lambda bad: em_kernel_closed_form(1.0, bad),
+        "regularized_ft": lambda bad: regularized_ft(RegularizedFamily("step", "arctan", 0.1), [bad]),
+        "delta_ft_check": lambda bad: delta_ft_check(RegularizedFamily("delta", "arctan", 0.1), [0.5, bad]),
+        "free_kernel_closed_form": lambda bad: free_kernel_closed_form(bad, 0.5),
+        "oscillator_kernel_closed_form": lambda bad: oscillator_kernel_closed_form(0.1, 0.2, bad),
+    }
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", sorted(_number_entries()))
+def test_every_number_entry_refuses_non_finite_input(entry, bad):
+    """A NaN or an infinity fails at the boundary with a ValueError, before
+    numpy warns, divides by zero or returns a finite value that is wrong."""
+    call = _number_entries()[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be"):
+            call(bad)
+
+
+def test_em_wave_speed_is_a_scale():
+    with pytest.raises(ValueError, match="wave speed must be positive"):
+        em_kernel_closed_form(1.0, 0.0)
 
 
 def _trapezoid(a, b, n):

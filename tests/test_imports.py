@@ -1,8 +1,9 @@
 """The package's import graph: sibling modules are imported at module level
-only; only spectra reads a basis's structure; and only grid reads a uniform
-grid's rule."""
+only; only spectra reads a basis's structure; only grid reads a uniform
+grid's rule; and each error message has one home."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import greenkit
@@ -94,3 +95,33 @@ def test_the_check_sees_a_rule_read():
     tree = ast.parse("a, b, h = grid._rule\nx = grid.points\nr = getattr(g, '_rule')\n"
                      "rule = 1\ng._blocks()\nvars(g)['_rule']\n")
     assert _rule_reads(tree) == [1, 3, 6]
+
+
+def _value_error_texts(tree: ast.Module) -> list:
+    """(text, line) of every ValueError(...) message literal, and of each
+    constant part of an f-string message."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "ValueError"):
+            continue
+        for msg in node.args[:1]:
+            parts = msg.values if isinstance(msg, ast.JoinedStr) else [msg]
+            found += [(p.value, node.lineno) for p in parts if isinstance(p, ast.Constant) and isinstance(p.value, str)]
+    return found
+
+
+def test_each_error_message_has_one_home():
+    """A message raised from two places is a rule with two copies; the rule
+    goes into one helper that both places call."""
+    homes = defaultdict(list)
+    for p in SOURCES:
+        for text, line in _value_error_texts(ast.parse(p.read_text())):
+            homes[text].append(f"{p.name}:{line}")
+    assert len(homes) > 50
+    assert {text: where for text, where in homes.items() if len(where) > 1} == {}
+
+
+def test_the_check_sees_a_message_twice():
+    tree = ast.parse("raise ValueError('bad n')\nraise ValueError(f'{x} must be finite')\n"
+                     "ValueError('bad n')\nraise TypeError('bad n')\nraise ValueError(msg)\n")
+    assert _value_error_texts(tree) == [("bad n", 1), (" must be finite", 2), ("bad n", 3)]
