@@ -23,7 +23,8 @@ from .distlab import (
     moment_report,
     regularized_ft,
 )
-from .firstorder import _SIGNS, TimeWindow, auxiliary_kernel, composition_residual, propagate, step_factor_kernel
+from .firstorder import TimeWindow, _prefactor, _suppressed, auxiliary_kernel, composition_residual, propagate
+from .firstorder import step_factor_kernel
 from .freqdomain import response_from_density, spectral_density
 from .grid import SampledFunction, _require_scale
 from .secondorder import SourceField, field_from_source, wave_auxiliary_kernel, wave_step_factor_kernel
@@ -41,24 +42,19 @@ from .spectra import (
 from .validation import run_acceptance
 
 
-def _constants(args) -> PhysicalConstants:
-    return PhysicalConstants(hbar=args.hbar, c=args.c, mass=args.mass, omega=args.omega_const)
+# each --model choice and its builder, called with the parsed args and constants
+_BUILDERS = {
+    "well": lambda args, cst: build_well_basis(args.a, args.n, cst, n_points=args.points),
+    "free": lambda args, cst: build_free_basis(args.length, args.n, cst, n_points=args.points),
+    "oscillator": lambda args, cst: build_oscillator_basis(cst, args.n, args.points, args.grid_kind),
+    "relativistic": lambda args, cst: build_relativistic_branches(cst, args.kmax, args.length, n_points=args.points),
+    "helmholtz": lambda args, cst: build_helmholtz_basis(args.length, args.n, cst, n_points=args.points),
+}
 
 
 def _build_basis(args):
-    cst = _constants(args)
-    model = args.model
-    if model == "well":
-        return build_well_basis(args.a, args.n, cst, n_points=args.points)
-    if model == "free":
-        return build_free_basis(args.length, args.n, cst, n_points=args.points)
-    if model == "oscillator":
-        return build_oscillator_basis(cst, n_max=args.n, n_points=args.points, grid_kind=args.grid_kind)
-    if model == "relativistic":
-        return build_relativistic_branches(cst, args.kmax, args.length, n_points=args.points)
-    if model == "helmholtz":
-        return build_helmholtz_basis(args.length, args.n, cst, n_points=args.points)
-    raise ValueError(f"unknown model {model!r}")
+    cst = PhysicalConstants(hbar=args.hbar, c=args.c, mass=args.mass, omega=args.omega_const)
+    return _BUILDERS[args.model](args, cst)
 
 
 def _linspace(start: float, stop: float, num: int, name: str) -> np.ndarray:
@@ -116,15 +112,14 @@ def cmd_kernel(args) -> int:
     kern = aux if args.direction == "auxiliary" else step_factor_kernel(aux, args.direction)
     mid = basis.grid.size // 2
     t = kern.times
-    diag = np.array([kern.at(tau)[mid, mid] for tau in t])
+    # G(x_mid, x_mid; tau) as numpy row sums, not BLAS: no block, and no thread-count dependence
+    diag = _prefactor(kern.convention) * (kern.amplitudes * basis.mode_products(mid, mid)).sum(axis=-1)
     io.write_csv(os.path.join(args.out, "kernel_diag.csv"), ["tau", "re", "im"], [t, diag.real, diag.imag])
     report = {
         "kind": kern.kind,
         "order": kern.order,
         "convention": kern.convention,
-        # largest |G| where s tau < 0 (s = 0 leaves the auxiliary kernel no
-        # such side); zero amplitudes build exact zero blocks
-        "support_violation": float(np.max(np.abs(kern.amplitudes[_SIGNS.get(kern.kind, 0) * t < 0]), initial=0.0)),
+        "support_violation": float(np.max(np.abs(kern.amplitudes[_suppressed(kern.kind, t)]), initial=0.0)),
     }
     if args.order == "first":
         # K(0) is the completeness sum, times exactly -i under minus-i
@@ -198,21 +193,15 @@ def cmd_distcheck(args) -> int:
         # built first, so a bad eta is rejected before it sizes the derivative grid
         step, delta = RegularizedFamily("step", flavor, eta), RegularizedFamily("delta", flavor, eta)
         xg = np.linspace(-40 * eta, 40 * eta, 2001)
-        d = derivative_identity_residual(flavor, eta, xg)
-        reports.append({"flavor": flavor, "eta": eta, "metric": "derivative_identity",
-                        "value": d["analytic_residual"], "tolerance": 1e-12,
-                        "pass": d["analytic_residual"] < 1e-12})
-        ft = regularized_ft(step, k)
-        reports.append({"flavor": flavor, "eta": eta, "metric": "step_ft_deviation",
-                        "value": ft["max_deviation"], "tolerance": 1.05 * eta,
-                        "pass": ft["max_deviation"] < 1.05 * eta})
-        dk = delta_ft_check(delta, np.linspace(0.0, 1.0 / (10 * eta), 9))
-        reports.append({"flavor": flavor, "eta": eta, "metric": "delta_ft_deviation",
-                        "value": dk["max_deviation"], "tolerance": 0.2,
-                        "pass": dk["max_deviation"] < 0.2})
-        m = moment_report(delta, orders=(0, 1, 2))
-        reports.append({"flavor": flavor, "eta": eta, "metric": "moment_0",
-                        "value": m[0], "tolerance": 1e-6, "pass": abs(m[0] - 1) < 1e-6})
+        # (metric, value, tolerance, target): the check passes when |value - target| < tolerance
+        for metric, value, tol, target in (
+            ("derivative_identity", derivative_identity_residual(flavor, eta, xg)["analytic_residual"], 1e-12, 0),
+            ("step_ft_deviation", regularized_ft(step, k)["max_deviation"], 1.05 * eta, 0),
+            ("delta_ft_deviation", delta_ft_check(delta, np.linspace(0.0, 1.0 / (10 * eta), 9))["max_deviation"], 0.2, 0),
+            ("moment_0", moment_report(delta, orders=(0, 1, 2))[0], 1e-6, 1),
+        ):
+            reports.append({"flavor": flavor, "eta": eta, "metric": metric, "value": value,
+                            "tolerance": tol, "pass": abs(value - target) < tol})
     io.write_json(os.path.join(args.out, "distcheck.json"), reports)
     ok = all(r["pass"] for r in reports)
     for r in reports:
@@ -245,7 +234,7 @@ def _add_common(p):
 def _add_model(p, default_model="well"):
     p.add_argument("--model", default=default_model,
                    help=f"basis model (default: {default_model or 'well, or helmholtz with --order second'})",
-                   choices=["well", "free", "oscillator", "relativistic", "helmholtz"])
+                   choices=list(_BUILDERS))
     p.add_argument("--a", type=float, default=1.0, help="well width")
     p.add_argument("--length", "--L", dest="length", type=float, default=10.0, help="box length")
     p.add_argument("--n", type=int, default=16, help="mode cutoff")

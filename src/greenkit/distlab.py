@@ -12,7 +12,6 @@ silently).
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -162,11 +161,10 @@ def sokhotski_plemelj(f: SampledFunction, eta: float) -> PrincipalValueResult:
     over the bulk of the grid outside the wider window, and P(n) adds the
     ring of points between n and 2n indices from the origin.  The grid's x
     and w are read only through its block reader, Grid1D._blocks, so a rule
-    grid (Grid1D.uniform) never builds its points and weights: the origin
-    index and f(0) come from one binary search, over single-point reads, for
-    the pair of points that brackets x = 0.  The peak |f| and the sums are
-    taken over blocks of _SP_BLOCK points, each into one reused block buffer
-    (64 kB), so no temporary of the grid's length is formed.
+    grid (Grid1D.uniform) never builds its points and weights; the origin
+    index is Grid1D.index_of(0).  The peak |f| and the sums are taken over
+    blocks of _SP_BLOCK points, each into one reused block buffer (64 kB),
+    so no temporary of the grid's length is formed.
     """
     _require_scale(eta, "eta")
     grid = f.grid
@@ -182,17 +180,13 @@ def sokhotski_plemelj(f: SampledFunction, eta: float) -> PrincipalValueResult:
     if max(abs(v[0]), abs(v[-1])) > 1e-8 * peak:
         raise ValueError("function has not decayed at the domain ends")
 
-    def point(k: int) -> float:
-        return next(grid._blocks(k, k + 1))[1][0]
-
-    if not point(0) < 0 < point(size - 1):
+    if not grid._point(0) < 0 < grid._point(size - 1):
         raise ValueError("grid must straddle x = 0")
 
-    # x[i - 1] < 0 <= x[i]; the origin index is the nearer of the two, the
-    # left one on a tie, as argmin(|x|) would pick
-    i = bisect.bisect_left(range(size), 0.0, key=point)
+    # the origin index i0 is the nearer of the two points x[i - 1] < 0 <= x[i]
+    i0 = grid.index_of(0.0)
+    i = i0 + (grid._point(i0) < 0)
     xp = next(grid._blocks(i - 1, i + 1))[1]
-    i0 = i - 1 if -xp[0] <= xp[1] else i
     vp = v[i - 1:i + 1]
     f0 = complex(np.interp(0.0, xp, vp.real), np.interp(0.0, xp, vp.imag))
 

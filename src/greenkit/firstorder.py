@@ -64,6 +64,12 @@ def _sign(direction: str) -> int:
     return _SIGNS[direction]
 
 
+def _suppressed(direction: str, tau) -> np.ndarray:
+    """Where a kernel or response of this direction must vanish, s tau < 0;
+    any other direction (auxiliary, feynman) takes s = 0 and has no such side."""
+    return _SIGNS.get(direction, 0) * np.asarray(tau) < 0
+
+
 def _prefactor(convention: str) -> complex:
     """The global factor of the mode sum: 1 under eq24, -i under minus-i;
     any other convention raises."""
@@ -199,12 +205,11 @@ def kernel_entry(basis: EigenSystem, i: int, j: int, tau: complex, convention: s
     (Abel regularization), which is how the slowly converging spectral sums
     are compared against the analytic closed forms.
     """
-    basis.check_point_indices(i, j)
+    products = basis.mode_products(i, j)
     _require_finite(tau, "tau")
     # the law does not read the window, so one sample stands in for it
     amps = Kernel(basis, [0.0], convention=convention).amplitude(tau)
-    val = np.sum(basis.modes_at(i) * np.conj(basis.modes_at(j)) * amps)
-    return complex(_prefactor(convention) * val)
+    return complex(_prefactor(convention) * np.sum(products * amps))
 
 
 def propagate(kernel: Kernel, psi0: SampledFunction, tau: float) -> SampledFunction:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .firstorder import _SIGNS, _sign
+from .firstorder import _sign, _suppressed
 from .grid import _require_finite
 from .spectra import EigenSystem, PhysicalConstants, _relativistic_energy, _wave_modes
 
@@ -102,8 +102,7 @@ def spectral_density(basis: EigenSystem, i: int, j: int, order: str = "first") -
     has no finite-frequency line and is rejected here.  Indices outside the
     grid raise ValueError.
     """
-    basis.check_point_indices(i, j)
-    phi = basis.modes_at(i) * np.conj(basis.modes_at(j))
+    phi = basis.mode_products(i, j)
     if order == "first":
         return SpectralDensity(basis.energies / basis.constants.hbar, phi)
     if order == "second":
@@ -386,8 +385,7 @@ def inverse_transform_roundtrip(response: FreqResponse, tau: np.ndarray) -> dict
         s = 1 if p.imag < 0 else -1
         ref += np.where(s * tau > 0, -1j * s * r * np.exp(-1j * p * tau), 0.0)
     peak = float(np.max(np.abs(ref))) or 1.0
-    # s = 0 for a feynman response, which has no suppressed side
-    wrong = _SIGNS.get(response.direction, 0) * tau < 0
+    wrong = _suppressed(response.direction, tau)
     right = ~wrong & (tau != 0)
     return {
         "peak": peak,

@@ -8,6 +8,7 @@ checkable as exact finite linear algebra.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 
@@ -110,7 +111,7 @@ class Grid1D:
             raise ValueError("weights must be strictly positive")
         if kind not in ("uniform", "open-interval", "periodic"):
             raise ValueError(f"unknown grid kind {kind!r}")
-        x0, x1 = self._ends()
+        x0, x1 = self._point(0), self._point(size - 1)
         h = (x1 - x0) / (size - 1) if size > 1 else float(w_min)
         if kind in ("uniform", "periodic"):
             # successive differences jitter at the ulp of the coordinates,
@@ -156,9 +157,9 @@ class Grid1D:
                 w[-1] = h / 2
             yield s, x, w
 
-    def _ends(self) -> tuple:
-        """(first point, last point), read without building a rule grid's arrays."""
-        return tuple(float(next(self._blocks(k, k + 1))[1][0]) for k in (0, self.size - 1))
+    def _point(self, k: int) -> float:
+        """Point k, read without building a rule grid's arrays."""
+        return float(next(self._blocks(k, k + 1))[1][0])
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -206,8 +207,14 @@ class Grid1D:
         return cls(pts, np.full(n, h), kind="periodic", period=length)
 
     def index_of(self, x: float) -> int:
-        """Index of the grid point nearest to x."""
-        return int(np.argmin(np.abs(self.points - x)))
+        """Index of the grid point nearest to x, the left one on a tie (as
+        argmin |points - x| picks), an end index for x outside the grid; a
+        binary search over _point reads, so a rule grid builds no points."""
+        _require_finite(x, "grid coordinate")
+        i = bisect.bisect_left(range(self.size), x, key=self._point)  # x[i - 1] < x <= x[i]
+        if i in (0, self.size):
+            return min(i, self.size - 1)
+        return i - 1 if x - self._point(i - 1) <= self._point(i) - x else i
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Grid1D):
@@ -222,7 +229,7 @@ class Grid1D:
         )
 
     def __hash__(self):
-        return hash((self.kind, self.size, *self._ends()))
+        return hash((self.kind, self.size, self._point(0), self._point(self.size - 1)))
 
     def __repr__(self) -> str:
         if self._rule is not None:

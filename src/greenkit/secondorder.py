@@ -123,6 +123,9 @@ def field_from_source(kernel: Kernel, source: SourceField, eval_times: np.ndarra
         raise ValueError("source must live on the kernel grid")
     ts = source.times
     eval_times = np.asarray(eval_times, dtype=float)
+    if eval_times.ndim != 1:
+        raise ValueError("evaluation times must be a 1-D array")
+    _require_finite(eval_times, "evaluation times")
     if eval_times.size:
         # the largest lag t - t' evaluated must not pass the kernel window end
         lag = eval_times.max() - ts[0]
@@ -151,10 +154,12 @@ def point_charge_potential(q: float, eps0: float, r: float, t: float, c: float) 
 
     The potential of a charge switching on at the origin at t = 0: zero until
     the front arrives at t = r/c, the static Coulomb value afterwards.
-    t must be finite, and c within [1e-150, 1e150].
+    q and t must be finite, and eps0 and c within [1e-150, 1e150].
     """
     if not r > 0:
         raise ValueError("potential is singular at r = 0")
+    _require_finite(q, "charge q")
+    _require_scale(eps0, "permittivity eps0")
     _require_finite(t, "t")
     _require_scale(c, "wave speed")
     return float(theta(t) * q / (4 * np.pi * eps0 * r) * theta(t - r / c))
@@ -173,8 +178,11 @@ def em_point_charge_field(
     pulse_width = 0 evaluates the time integral by the sifting property of
     the delta pulse (exact, including the half value on the front itself);
     pulse_width > 0 replaces the pulse by a nascent Gaussian and does the
-    time quadrature numerically, as an independent cross-check.
+    time quadrature numerically, as an independent cross-check.  q must be
+    finite and eps0 within [1e-150, 1e150].
     """
+    _require_finite(q, "charge q")
+    _require_scale(eps0, "permittivity eps0")
     pulse = em_kernel_closed_form(r, c, "retarded", width=pulse_width)
     t_grid = np.asarray(t_grid, dtype=float)
     _require_finite(t_grid, "t_grid")

@@ -142,12 +142,14 @@ class EigenSystem:
         builder's basis, so mode_values is not gathered."""
         return self.modes[:, point] if self.waves is None else self.modes.at(point)
 
-    def check_point_indices(self, *indices: int) -> None:
-        """Raise ValueError unless 0 <= index < grid.size for every index;
-        a negative index would otherwise wrap silently to the far end."""
-        for k in indices:
+    def mode_products(self, i: int, j: int) -> np.ndarray:
+        """(n,) weights phi_n(x_i) phi_n*(x_j) of the mode sum's (i, j) entry.
+        Raises ValueError unless 0 <= i, j < grid.size: a negative index
+        would otherwise wrap silently to the far end."""
+        for k in (i, j):
             if not 0 <= k < self.grid.size:
                 raise ValueError(f"grid index {k} outside 0..{self.grid.size - 1}")
+        return self.modes_at(i) * np.conj(self.modes_at(j))
 
 
 @dataclass(frozen=True, eq=False)
@@ -583,10 +585,10 @@ def column_max_norm(basis: EigenSystem, column: np.ndarray) -> float:
     return max(float(np.max(np.abs(_well_rows(g, slice(r, r + step))))) for r in range(0, m, step))
 
 
-def delta_residual(block: np.ndarray, weights: np.ndarray) -> float:
-    """max_ij |B_ij - delta_ij / w_j| * min(w): the distance of a block from
-    the grid delta, 0 for an exact delta and about 1 for a poor one."""
-    return float(np.max(np.abs(block - np.diag(1.0 / weights))) * np.min(weights))
+def delta_residual(block: np.ndarray, shift: np.ndarray) -> float:
+    """max_ij |B_ij - delta_ij shift_j|, the dense distance of a block from a
+    diagonal: with shift = delta / w, from delta times the grid delta."""
+    return float(np.max(np.abs(block - np.diag(shift))))
 
 
 def block_residual(basis: EigenSystem, amplitudes: np.ndarray, delta: complex = 0) -> float:
@@ -598,7 +600,7 @@ def block_residual(basis: EigenSystem, amplitudes: np.ndarray, delta: complex = 
     rows = np.atleast_2d(amplitudes)
     shift = delta / basis.grid.weights
     if basis.waves is None:
-        return max(float(np.max(np.abs(mode_sum(basis.mode_values, a) - np.diag(shift)))) for a in rows)
+        return max(delta_residual(mode_sum(basis.mode_values, a), shift) for a in rows)
     columns = _first_columns(basis, rows)
     columns[:, 0] -= shift[0]
     return max(column_max_norm(basis, column) for column in columns)

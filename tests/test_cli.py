@@ -17,7 +17,7 @@ import numpy as np
 
 import greenkit
 from greenkit import build_oscillator_basis, build_well_basis
-from greenkit.cli import main
+from greenkit.cli import _BUILDERS, _build_basis, build_parser, main
 from greenkit.firstorder import Kernel
 
 
@@ -103,6 +103,62 @@ def test_kernel_builds_blocks_one_at_a_time(tmp_path, monkeypatch, order):
     assert len((out / "kernel_diag.csv").read_text().strip().splitlines()) == 1 + 9
     if order == "first":
         assert report["minus_i_factor_exact"] is True
+
+
+@pytest.mark.parametrize("order", ["first", "second"])
+def test_kernel_builds_no_block(tmp_path, monkeypatch, order):
+    """Under the default convention the subcommand reads the diagonal entry
+    as a row sum of amplitudes times mode products, and no block at all."""
+    argv = ["kernel", "--order", order, "--n", "6", "--t0", "-1", "--t1", "1", "--nt", "9"]
+    code, out = run(tmp_path / "blocks", *argv)
+    assert code == 0
+    keys = json.loads((out / "kernel_report.json").read_text()).keys()
+
+    def no_block(*args, **kwargs):
+        raise AssertionError("the kernel subcommand must build no block")
+
+    monkeypatch.setattr(Kernel, "at", no_block)
+    monkeypatch.setattr(Kernel, "values", property(no_block))
+    monkeypatch.setattr("greenkit.spectra.mode_blocks", no_block)
+    monkeypatch.setattr("greenkit.firstorder.mode_blocks", no_block)
+    code, out = run(tmp_path / "none", *argv)
+    assert code == 0
+    assert json.loads((out / "kernel_report.json").read_text()).keys() == keys
+    assert len((out / "kernel_diag.csv").read_text().strip().splitlines()) == 1 + 9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--model", "well", "--n", "12"], ["--model", "free", "--n", "7"],
+     ["--model", "oscillator", "--n", "10", "--grid-kind", "gauss"],
+     ["--model", "relativistic", "--kmax", "4", "--direction", "advanced"],
+     ["--model", "helmholtz", "--order", "second"], ["--model", "well", "--convention", "minus-i"]],
+    ids=["well", "free", "oscillator", "relativistic", "helmholtz-second", "minus-i"],
+)
+def test_kernel_diag_is_the_block_diagonal(tmp_path, argv):
+    """kernel_diag.csv reads G(x_mid, x_mid; tau) of each block to round-off,
+    and the zeros off the causal side exactly."""
+    code, out = run(tmp_path, "kernel", *argv, "--nt", "7")
+    assert code == 0
+    tau, re, im = np.loadtxt(out / "kernel_diag.csv", delimiter=",", skiprows=1, unpack=True)
+    args = build_parser().parse_args(["kernel", *argv])
+    basis = _build_basis(args)
+    kern = Kernel(basis, tau, kind=args.direction, convention=args.convention if args.order == "first" else "eq24",
+                  order=args.order)
+    mid = basis.grid.size // 2
+    blocks = np.array([kern.at(t)[mid, mid] for t in tau])
+    assert np.max(np.abs(re + 1j * im - blocks)) <= 1e-14 * np.max(np.abs(blocks))
+    assert np.all(re[blocks == 0] == 0) and np.all(im[blocks == 0] == 0)
+
+
+def test_model_choices_are_the_builder_table(capsys):
+    assert list(_BUILDERS) == ["well", "free", "oscillator", "relativistic", "helmholtz"]
+    for model in _BUILDERS:
+        assert build_parser().parse_args(["basis", "--model", model]).model == model
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["basis", "--model", "nosuch"])
+    listed = capsys.readouterr().err.split("choose from")[1]
+    assert all(model in listed for model in _BUILDERS)
 
 
 def test_kernel_second_order(tmp_path):

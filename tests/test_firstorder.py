@@ -34,6 +34,7 @@ from greenkit import (
     wave_auxiliary_kernel,
     wave_step_factor_kernel,
 )
+from greenkit.firstorder import _suppressed
 from greenkit.spectra import _first_columns, mode_sum
 
 
@@ -237,6 +238,16 @@ def test_kernel_checks_its_times(times, match):
     basis = build_well_basis(1.0, 4)
     with pytest.raises(ValueError, match=match):
         Kernel(basis, times)
+
+
+def test_suppressed_side_is_one_rule():
+    """Retarded vanishes at tau < 0, advanced at tau > 0, and the auxiliary
+    kernel or a feynman response nowhere; tau = 0 is never suppressed."""
+    tau = np.array([-1.0, -0.0, 0.0, 2.0])
+    assert _suppressed("retarded", tau).tolist() == [True, False, False, False]
+    assert _suppressed("advanced", tau).tolist() == [False, False, False, True]
+    for direction in ("auxiliary", "feynman"):
+        assert not _suppressed(direction, tau).any()
 
 
 def test_kernel_entry_matches_block_and_damps_at_complex_tau():

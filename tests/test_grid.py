@@ -18,6 +18,7 @@ from greenkit import (
     discrete_delta,
     em_kernel_closed_form,
     em_point_charge_field,
+    field_from_source,
     free_kernel_closed_form,
     inner,
     inverse_transform_roundtrip,
@@ -149,6 +150,44 @@ def test_index_of():
     g = Grid1D.uniform(0.0, 1.0, 11)
     assert g.index_of(0.32) == 3
     assert g.index_of(-5.0) == 0
+    assert g.index_of(5.0) == 10
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [Grid1D.uniform(-1.0, 1.0, 101), Grid1D.periodic(40.0, 1025), Grid1D.open_interval(0.0, 1.0, 7),
+     Grid1D(np.array([-2.0, -0.5, 0.25, 3.0]), np.ones(4), kind="open-interval")],
+    ids=["uniform", "periodic", "open-interval", "uneven"],
+)
+def test_index_of_is_argmin_of_the_distance(grid):
+    """The nearer bracketing point, the left one on a tie (midpoints), the
+    end index outside the grid: what argmin |points - x| picks.  Far outside,
+    where every |x_k - x| rounds to one value and argmin falls back to 0,
+    the end index is still the nearer end."""
+    x = grid.points
+    rng = np.random.default_rng(3)
+    probes = np.concatenate([x, (x[:-1] + x[1:]) / 2, rng.uniform(x[0] - 1, x[-1] + 1, 200)])
+    assert [grid.index_of(p) for p in probes] == [int(np.argmin(np.abs(x - p))) for p in probes]
+    assert (grid.index_of(-1e300), grid.index_of(1e300)) == (0, grid.size - 1)
+
+
+def test_index_of_builds_no_points_on_a_rule_grid():
+    g = Grid1D.uniform(-1.0, 1.0, 1_000_001)
+    assert g.index_of(0.3) == 650_000
+    assert g.index_of(-0.3) == 350_000
+    assert "points" not in vars(g) and "weights" not in vars(g)
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+def test_index_of_refuses_a_non_finite_coordinate(x):
+    with pytest.raises(ValueError, match="grid coordinate must be finite"):
+        Grid1D.uniform(0.0, 1.0, 11).index_of(x)
+
+
+def test_repr_shows_a_rule_or_the_arrays():
+    assert repr(Grid1D.uniform(-1, 2.5, 8)) == "Grid1D.uniform(-1.0, 2.5, 8)"
+    stored = "Grid1D(points=array([0., 1.]), weights=array([1., 1.]), kind='periodic', period=2.0)"
+    assert repr(Grid1D.periodic(2.0, 2)) == stored
 
 
 def test_discrete_delta_integrates_to_one_exactly():
@@ -201,11 +240,16 @@ def _number_entries():
     with one bad number in place of a good one."""
     basis = build_well_basis(1.0, 8)
     resp = momentum_response_relativistic(1.0, np.linspace(-200.0, 200.0, 801), 0.5, "retarded")
+    wave = Kernel(basis, [-2.0, 0.0, 2.0], kind="retarded", order="second")
+    source = SourceField(basis.grid, [0.0, 0.5], np.ones((2, basis.grid.size)))
     return {
         "kernel_entry": lambda bad: kernel_entry(basis, 1, 1, bad),
         "inverse_transform_roundtrip": lambda bad: inverse_transform_roundtrip(resp, [bad, 1.0]),
         "point_charge_potential": lambda bad: point_charge_potential(1.0, 1.0, 0.5, bad, 1.0),
         "em_point_charge_field": lambda bad: em_point_charge_field(1.0, 1.0, 1.0, 0.5, [bad, 1.0]),
+        "point_charge_potential q": lambda bad: point_charge_potential(bad, 1.0, 0.5, 1.0, 1.0),
+        "em_point_charge_field q": lambda bad: em_point_charge_field(bad, 1.0, 1.0, 0.5, [1.0]),
+        "field_from_source": lambda bad: field_from_source(wave, source, [bad, 1.0]),
         "em_kernel_closed_form": lambda bad: em_kernel_closed_form(1.0, bad),
         "regularized_ft": lambda bad: regularized_ft(RegularizedFamily("step", "arctan", 0.1), [bad]),
         "delta_ft_check": lambda bad: delta_ft_check(RegularizedFamily("delta", "arctan", 0.1), [0.5, bad]),

@@ -1,6 +1,7 @@
 """The package's import graph: sibling modules are imported at module level
 only; only spectra reads a basis's structure; only grid reads a uniform
-grid's rule; and each error message has one home."""
+grid's rule; a mode sum's entry and its dense delta defect each have one
+home; and each error message has one home."""
 
 import ast
 from collections import defaultdict
@@ -95,6 +96,36 @@ def test_the_check_sees_a_rule_read():
     tree = ast.parse("a, b, h = grid._rule\nx = grid.points\nr = getattr(g, '_rule')\n"
                      "rule = 1\ng._blocks()\nvars(g)['_rule']\n")
     assert _rule_reads(tree) == [1, 3, 6]
+
+
+def _callers(tree: ast.Module, attr: str) -> list:
+    """(function, line) of every call x.attr(...), function the innermost
+    def around it, "<module>" outside every def."""
+    spans = [(fn.lineno, fn.end_lineno, fn.name) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == attr:
+            around = [span for span in spans if span[0] <= node.lineno <= span[1]]
+            found.append((max(around)[2] if around else "<module>", node.lineno))
+    return sorted(found, key=lambda hit: hit[1])
+
+
+def test_entry_products_and_the_dense_defect_have_one_home_each():
+    """Only spectra reads a single mode's values (modes_at), and so forms
+    phi_n(x_i) phi_n*(x_j); only spectra.delta_residual forms a diagonal."""
+    homes = defaultdict(set)
+    for p in SOURCES:
+        tree = ast.parse(p.read_text())
+        for attr in ("modes_at", "diag"):
+            homes[attr] |= {(p.name, fn) for fn, _ in _callers(tree, attr)}
+    assert {name for name, _ in homes["modes_at"]} == {"spectra.py"}
+    assert homes["diag"] == {("spectra.py", "delta_residual")}
+
+
+def test_the_check_names_the_caller():
+    tree = ast.parse("np.diag(w)\ndef f():\n    def g():\n        return b.modes_at(0)\n    return np.diag(v)\n")
+    assert _callers(tree, "diag") == [("<module>", 1), ("f", 5)]
+    assert _callers(tree, "modes_at") == [("g", 4)]
 
 
 def _value_error_texts(tree: ast.Module) -> list:

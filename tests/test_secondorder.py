@@ -1,5 +1,7 @@
 """Second-order kernels, EM closed forms and the source convolution."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -258,6 +260,41 @@ def test_field_from_source_rejects_lags_past_the_window():
     field_from_source(ret, src, np.array([1.0 + 1e-12]))
     with pytest.raises(ValueError, match="window"):
         field_from_source(ret, src, np.array([0.5, 1.0 + 1e-6]))
+
+
+def test_field_from_source_checks_its_evaluation_times():
+    """Finite and 1-D; empty and unsorted times still work, row by row."""
+    basis = build_helmholtz_basis(L, 4)
+    ret = wave_step_factor_kernel(wave_auxiliary_kernel(basis, TimeWindow(np.linspace(-2.0, 2.0, 5))), "retarded")
+    src = SourceField(basis.grid, np.array([0.0, 0.5]), np.ones((2, basis.grid.size), dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ([-np.inf, 1.0], [np.nan]):
+            with pytest.raises(ValueError, match="evaluation times must be finite"):
+                field_from_source(ret, src, bad)
+        with pytest.raises(ValueError, match="evaluation times must be a 1-D array"):
+            field_from_source(ret, src, np.ones((2, 2)))
+    assert field_from_source(ret, src, []).shape == (0, basis.grid.size)
+    times = np.array([1.5, 0.2, 0.9])
+    order = np.argsort(times)
+    assert np.array_equal(field_from_source(ret, src, times)[order], field_from_source(ret, src, times[order]))
+
+
+@pytest.mark.parametrize("eps0", [0.0, -1.0, np.nan])
+def test_point_charge_permittivity_is_a_scale(eps0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="permittivity eps0 must be positive"):
+            point_charge_potential(1.0, eps0, 0.5, 1.0, 1.0)
+        with pytest.raises(ValueError, match="permittivity eps0 must be positive"):
+            em_point_charge_field(1.0, eps0, 1.0, 0.5, [1.0])
+
+
+def test_point_charge_refuses_a_nan_charge():
+    with pytest.raises(ValueError, match="charge q must be finite"):
+        point_charge_potential(np.nan, 1.0, 0.5, 1.0, 1.0)
+    with pytest.raises(ValueError, match="charge q must be finite"):
+        em_point_charge_field(np.nan, 1.0, 1.0, 0.5, [1.0])
 
 
 def test_source_field_validation():

@@ -129,7 +129,7 @@ def test_mislabelled_basis_takes_the_dense_path():
     a = rng.normal(size=m) + 1j * rng.normal(size=m)
     assert np.max(np.abs(mode_blocks(basis, a) - mode_sum(basis.mode_values, a))) <= 1e-12
     dense = mode_sum(basis.mode_values, np.ones(m))
-    assert completeness_residual(basis) == delta_residual(dense, basis.grid.weights)
+    assert completeness_residual(basis) == delta_residual(dense, 1.0 / basis.grid.weights) * np.min(basis.grid.weights)
     kern = auxiliary_kernel(basis, TimeWindow(np.linspace(0.0, 1.0, 5)))
     assert composition_residual(kern, 0.25, 0.25) <= 1e-14
     with pytest.raises(ValueError, match="without waves"):
@@ -149,7 +149,7 @@ def test_mislabelled_basis_takes_the_dense_path():
 def test_periodic_completeness_residual_reads_the_generating_column(build):
     basis = build()
     dense = np.array(mode_blocks(basis, np.ones(basis.size)))
-    assert completeness_residual(basis) == delta_residual(dense, basis.grid.weights)
+    assert completeness_residual(basis) == delta_residual(dense, 1.0 / basis.grid.weights) * np.min(basis.grid.weights)
 
 
 @pytest.mark.parametrize(
@@ -167,7 +167,7 @@ def test_well_completeness_residual_matches_the_dense_block(build):
     basis = build()
     dense = mode_sum(basis.mode_values, np.ones(basis.size))
     # the residual is normalized to the delta's scale 1/w
-    err = abs(completeness_residual(basis) - delta_residual(dense, basis.grid.weights))
+    err = abs(completeness_residual(basis) - delta_residual(dense, 1.0 / basis.grid.weights) * np.min(basis.grid.weights))
     assert err <= basis.grid.size * np.finfo(float).eps
 
 
@@ -590,6 +590,28 @@ def test_builder_modes_are_the_exact_table_gather():
     free = build_free_basis(10.0, 5, n_points=7)
     roots = np.exp(2j * np.pi * np.arange(7) / 7) / np.sqrt(10.0)
     assert np.array_equal(free.mode_values, roots[np.outer(free.waves, np.arange(7)) % 7])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_free_basis(10.0, 5, n_points=7),
+        lambda: build_well_basis(1.0, 6, n_points=11),
+        lambda: build_oscillator_basis(n_max=8, grid_kind="gauss"),
+    ],
+    ids=["free", "well", "oscillator"],
+)
+def test_mode_products_are_the_entry_weights(build):
+    """mode_products(i, j) is phi_n(x_i) phi_n*(x_j) of the gathered modes,
+    gathers nothing, and refuses an index off the grid."""
+    basis, dense = build(), build().mode_values
+    m = basis.grid.size
+    for i, j in ((0, 0), (1, m - 1), (m // 2, 2)):
+        assert np.array_equal(basis.mode_products(i, j), dense[:, i] * np.conj(dense[:, j]))
+    for i, j in ((-1, 0), (0, m)):
+        with pytest.raises(ValueError, match="grid index"):
+            basis.mode_products(i, j)
+    assert basis.waves is None or "mode_values" not in vars(basis)
 
 
 @pytest.mark.parametrize(
