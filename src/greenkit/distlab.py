@@ -157,38 +157,22 @@ def sokhotski_plemelj(f: SampledFunction, eta: float) -> PrincipalValueResult:
     Everything runs in real arithmetic, with the weights folded into real
     factors: the full integral is (x w r) @ f - i eta ((w r) @ f) with
     r = 1 / (x^2 + eta^2).  Real samples take one dot per block; complex
-    samples are viewed once as (Re, Im) float pairs.  P(2n) is (w / x) @ f
-    over the bulk of the grid outside the wider window, and P(n) adds the
-    ring of points between n and 2n indices from the origin.  The grid's x
-    and w are read only through its block reader, Grid1D._blocks, so a rule
-    grid (Grid1D.uniform) never builds its points and weights; the origin
-    index is Grid1D.index_of(0).  The peak |f| and the sums are taken over
-    blocks of _SP_BLOCK points, each into one reused block buffer (64 kB),
-    so no temporary of the grid's length is formed.
+    samples are viewed as (Re, Im) float pairs.  P(2n) is (w / x) @ f over
+    the bulk of the grid outside the wider window, and P(n) adds the ring of
+    points between n and 2n indices from the origin.  x, w and the samples
+    are read only through the sampled function's block reader,
+    SampledFunction._blocks, in blocks of _SP_BLOCK points, and the peak |f|
+    and both end samples are taken in the same pass; so a rule grid
+    (Grid1D.uniform) never builds its points and weights, samples kept as a
+    rule (SampledFunction.of) are formed a block at a time, and the origin
+    index is Grid1D.index_of(0).  Each block's sums go through one reused
+    block buffer (64 kB), so no temporary of the grid's length is formed.
     """
     _require_scale(eta, "eta")
     grid = f.grid
-    v = np.ascontiguousarray(f.values)
     size = grid.size
-    buf = np.empty(min(_SP_BLOCK, size))
-    peak = 0.0
-    for s in range(0, size, _SP_BLOCK):
-        chunk = v[s:s + _SP_BLOCK]
-        peak = max(peak, float(np.abs(chunk, out=buf[:chunk.size]).max()))
-    if peak == 0:
-        raise ValueError("zero function")
-    if max(abs(v[0]), abs(v[-1])) > 1e-8 * peak:
-        raise ValueError("function has not decayed at the domain ends")
-
-    if not grid._point(0) < 0 < grid._point(size - 1):
-        raise ValueError("grid must straddle x = 0")
-
     # the origin index i0 is the nearer of the two points x[i - 1] < 0 <= x[i]
     i0 = grid.index_of(0.0)
-    i = i0 + (grid._point(i0) < 0)
-    xp = next(grid._blocks(i - 1, i + 1))[1]
-    vp = v[i - 1:i + 1]
-    f0 = complex(np.interp(0.0, xp, vp.real), np.interp(0.0, xp, vp.imag))
 
     # exclusion by index, not by coordinate threshold: coordinate ulp jitter
     # could otherwise keep one extra boundary point on a single side, whose
@@ -202,29 +186,46 @@ def sokhotski_plemelj(f: SampledFunction, eta: float) -> PrincipalValueResult:
     # (first, stop, row of sums): row 0 is the bulk, row 1 the ring
     kept = ((0, left2, 0), (left2, left1, 1), (right1, right2, 1), (right2, size, 0))
 
-    # a sum over real samples is a float, over complex ones a (Re, Im) pair
-    real = v.dtype == np.float64
-    vf = v if real else v.view(float).reshape(-1, 2)
-    b, a = np.zeros(vf.shape[1:]), np.zeros(vf.shape[1:])
-    sums = np.zeros((2,) + vf.shape[1:])
-    for s, x, w in grid._blocks(size=_SP_BLOCK):
+    # every sum is a (Re, Im) pair; a real block adds to the real part only,
+    # in the order a real sum would
+    buf = np.empty(min(_SP_BLOCK, size))
+    peak = 0.0
+    b, a = np.zeros(2), np.zeros(2)
+    sums = np.zeros((2, 2))
+    for s, x, w, v in f._blocks(size=_SP_BLOCK):
         e = s + x.size
+        if s == 0:
+            first = v[0]
+        peak = max(peak, float(np.abs(v, out=buf[: e - s]).max()))
+        real = v.dtype == np.float64
+        vf = v if real else np.ascontiguousarray(v).view(float).reshape(-1, 2)
+        part = slice(0, 1 if real else 2)
         t = np.multiply(x, x, out=buf[: e - s])
         t += eta**2
         np.divide(w, t, out=t)
-        b += t @ vf[s:e]
+        b[part] += t @ vf
         t *= x
-        a += t @ vf[s:e]
+        a[part] += t @ vf
         for lo, hi, row in kept:
             lo, hi = max(lo, s), min(hi, e)
             if lo < hi:
-                sums[row] += np.divide(w[lo - s:hi - s], x[lo - s:hi - s], out=buf[: hi - lo]) @ vf[lo:hi]
-    cx = complex if real else (lambda pair: complex(*pair))
-    a, b = cx(a), cx(b)
+                sums[row, part] += np.divide(w[lo - s:hi - s], x[lo - s:hi - s], out=buf[: hi - lo]) @ vf[lo - s:hi - s]
+    if peak == 0:
+        raise ValueError("zero function")
+    if max(abs(first), abs(v[-1])) > 1e-8 * peak:
+        raise ValueError("function has not decayed at the domain ends")
+    if not grid._point(0) < 0 < grid._point(size - 1):
+        raise ValueError("grid must straddle x = 0")
+
+    i = i0 + (grid._point(i0) < 0)
+    _, xp, _, vp = next(f._blocks(i - 1, i + 1))
+    f0 = complex(np.interp(0.0, xp, vp.real), np.interp(0.0, xp, vp.imag))
+
+    a, b = complex(*a), complex(*b)
     # w f (x - i eta) / (x^2 + eta^2), split into real and imaginary parts
     full = complex(a.real + eta * b.imag, a.imag - eta * b.real)
-    bulk, ring = sums
-    principal = (4 * cx(bulk + ring) - cx(bulk)) / 3
+    bulk, ring = (complex(*row) for row in sums)
+    principal = (4 * (bulk + ring) - bulk) / 3
     delta_part = -1j * np.pi * f0
     residual = abs(full - principal - delta_part)
     return PrincipalValueResult(principal, delta_part, full, residual)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .firstorder import _sign, _suppressed
-from .grid import _require_finite
+from .grid import _BLOCK, _read_only, _require_finite
 from .spectra import EigenSystem, PhysicalConstants, _relativistic_energy, _wave_modes
 
 __all__ = [
@@ -57,7 +57,14 @@ class SpectralDensity:
 @dataclass(frozen=True, eq=False)
 class FreqResponse:
     """Complex response over an omega grid, and its pole inventory: a non-empty
-    tuple of finite (p_n, r_n) off the real axis, from which eta and direction are read."""
+    tuple of finite (p_n, r_n) off the real axis, from which eta and direction are read.
+
+    FreqResponse(omega, values, poles) stores its values.  With values None
+    it is the pole form sum_n r_n / (omega - p_n), kept as (omega, poles):
+    values are formed, read-only, on first read, and _blocks reads them in
+    slices without forming them.  The pole form's range is checked here (see
+    _require_pole_range), so a read never overflows.
+    """
 
     omega: np.ndarray
     values: np.ndarray = field(repr=False)
@@ -65,15 +72,46 @@ class FreqResponse:
 
     def __post_init__(self):
         om = _response_axis(self.omega)
-        v = np.asarray(self.values, dtype=complex)
         object.__setattr__(self, "omega", om)
-        object.__setattr__(self, "values", v)
         object.__setattr__(self, "poles", tuple((complex(p), complex(r)) for p, r in self.poles))
-        if v.shape != om.shape:
-            raise ValueError("one value per omega sample")
+        if self.values is not None:
+            v = np.asarray(self.values, dtype=complex)
+            object.__setattr__(self, "values", v)
+            if v.shape != om.shape:
+                raise ValueError("one value per omega sample")
         _require_finite(self.poles, "poles and residues")
         if not self.poles or self.eta == 0:
             raise ValueError("a response needs its pole inventory, every pole off the real axis")
+        if self.values is None:
+            _require_pole_range(om, self.poles)
+            del vars(self)["values"]
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: the pole form's
+        # values, formed on first read as one slice over the whole axis
+        if name != "values":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        vals = _read_only(next(self._blocks(max(self.omega.size, 1)))[1])
+        vars(self)["values"] = vals
+        return vals
+
+    def _blocks(self, size: int):
+        """(s, v) over the omega axis in slices of at most size samples (one
+        empty slice for an empty axis): views of stored or formed values, or
+        the pole-form sum over the slice, each term r_n / (omega - p_n) formed
+        in one reused buffer, so the slices are bit for bit the whole sum's."""
+        stored = vars(self).get("values")
+        for s in range(0, max(self.omega.size, 1), size):
+            if stored is not None:
+                yield s, stored[s:s + size]
+                continue
+            om = self.omega[s:s + size]
+            vals = np.zeros(om.shape, dtype=complex)
+            term = np.empty_like(vals)
+            for p, r in self.poles:
+                np.subtract(om, p, out=term)
+                vals += np.divide(r, term, out=term)
+            yield s, vals
 
     @property
     def eta(self) -> float:
@@ -118,6 +156,10 @@ def spectral_density(basis: EigenSystem, i: int, j: int, order: str = "first") -
 # stay small (flat peak memory, cache-resident rows), enough that every numpy
 # call still covers many thousand elements.
 _CONV_ROWS = 8
+# pairs per geomspace of geometric legs (200 kB): a whole multiple of
+# _CONV_ROWS, few enough to keep the legs small, enough that geomspace's
+# per-call cost (about 0.1 ms) stays a small share of the chunks' work
+_LEG_ROWS = 4 * _CONV_ROWS
 
 
 def _shifted_poles(omegas, residues, eta: float, direction: str) -> tuple:
@@ -136,42 +178,33 @@ def _response_axis(omega) -> np.ndarray:
     return omega
 
 
-def _pole_response(omega, poles: tuple) -> FreqResponse:
-    """sum_n r_n / (omega - p_n) over the (p_n, r_n) poles, p_n = omega_n -+ i eta.
-
-    Its range: every |omega| and every line |omega_n| at most 1e150, so that
-    omega - omega_n is a normal float; eta at least 1e-300, so that 1 / (omega
-    - p_n) is finite; and sum_n (|Re r_n| + |Im r_n|) at most 1e308 eta,
-    which keeps every value below sqrt(2) 1e308.  Inside it the values are
-    finite; outside it a ValueError names the range, before any numpy warning.
+def _require_pole_range(omega: np.ndarray, poles: tuple) -> None:
+    """The range of the pole form sum_n r_n / (omega - p_n): every |omega| and
+    every line |omega_n| at most 1e150, so that omega - omega_n is a normal
+    float; eta at least 1e-300, so that 1 / (omega - p_n) is finite; and
+    sum_n (|Re r_n| + |Im r_n|) at most 1e308 eta, which keeps every value
+    below sqrt(2) 1e308.  Inside it the values are finite; outside it a
+    ValueError names the range, before any numpy warning.  max |omega| is
+    read from the least and largest sample, with no array of the axis length.
     """
-    omega = _response_axis(omega)
     eta = _width(poles)
     lines = np.array([p.real for p, _ in poles])
     res = np.array([r for _, r in poles], dtype=complex)
     with np.errstate(over="ignore"):  # a sum or ratio past the float range is rejected below
         weight = (np.sum(np.abs(res.real)) + np.sum(np.abs(res.imag))) / eta
-    if not (eta >= 1e-300 and weight <= 1e308
-            and np.all(np.abs(omega) <= 1e150) and np.all(np.abs(lines) <= 1e150)):
+    reach = max(-omega.min(initial=0.0), omega.max(initial=0.0))
+    if not (eta >= 1e-300 and weight <= 1e308 and reach <= 1e150 and np.all(np.abs(lines) <= 1e150)):
         raise ValueError(
             "the pole form needs |omega| and every |omega_n| <= 1e150, eta >= 1e-300 "
             "and sum_n (|Re r_n| + |Im r_n|) <= 1e308 eta"
         )
-    # every term r / (omega - p) is formed in one reused buffer, so a long
-    # omega axis holds two complex arrays, not one per term and its divisor
-    vals = np.zeros(omega.shape, dtype=complex)
-    term = np.empty_like(vals)
-    for p, r in poles:
-        np.subtract(omega, p, out=term)
-        vals += np.divide(r, term, out=term)
-    return FreqResponse(omega, vals, poles)
 
 
 def response_from_density(
     density: SpectralDensity, omega: np.ndarray, eta: float, direction: str
 ) -> FreqResponse:
     """Closed pole form sum_n w_n / (omega - omega_n + i s eta)."""
-    return _pole_response(omega, _shifted_poles(density.omegas, density.weights, eta, direction))
+    return FreqResponse(omega, None, _shifted_poles(density.omegas, density.weights, eta, direction))
 
 
 def _line_integrals(omega, lines, eta: float, direction: str) -> np.ndarray:
@@ -184,11 +217,12 @@ def _line_integrals(omega, lines, eta: float, direction: str) -> np.ndarray:
     trapezoid grid: fine patches |u| <= 40 eta_b and |u| <= 60 eta around
     the line, geometric legs out to 60 (max(|v|, eta) + eta), and a +-40
     eta_k cluster at the kernel pole u = v when that lies outside the
-    40 eta_b patch.  The legs of every pair come from one geomspace (6.4 kB
-    a pair); the pairs are then evaluated _CONV_ROWS at a time, each as one
-    row of a sorted node array (about 8k nodes), in four (_CONV_ROWS, nodes)
-    buffers allocated once.  Returns the complex (omega.size, lines.size)
-    table.
+    40 eta_b patch.  The legs come from one geomspace per _LEG_ROWS pairs
+    (6.4 kB a pair), and the pairs are evaluated _CONV_ROWS at a time, each
+    as one row of a sorted node array (about 8k nodes) in four (_CONV_ROWS,
+    nodes) buffers allocated once, so the only arrays of the pair count are
+    v = omega - omega_l and the table itself.  Returns the complex
+    (omega.size, lines.size) table.
 
     The products (eta_b^2 + u^2)(d^2 + eta_k^2), 8e-3 eta^4 to 2e8 max(eta,
     |v|)^4, and the weights w / product, up to 1 / eta^3, are normal floats
@@ -210,15 +244,21 @@ def _line_integrals(omega, lines, eta: float, direction: str) -> np.ndarray:
     ]))
     patch = patch[np.concatenate([[True], patch[1:] != patch[:-1]])]
     cluster = np.linspace(-40 * eta_k, 40 * eta_k, 1601)
-    legs = np.geomspace(40 * eta_b, 60 * np.maximum(np.abs(v_all), eta) + 60 * eta, 800, axis=1)
-    n_leg = legs.shape[1]
+    n_leg = 800
     # row layout before the sort: patch, -legs reversed, legs, pole cluster
     cuts = np.cumsum([patch.size, n_leg, n_leg])
     u_buf, d_buf, w_buf, b_buf = np.empty((4, _CONV_ROWS, cuts[-1] + cluster.size))
     j_vals = np.empty(v_all.size, dtype=complex)
     for lo in range(0, v_all.size, _CONV_ROWS):
         v = v_all[lo:lo + _CONV_ROWS, None]
-        leg = legs[lo:lo + _CONV_ROWS]
+        # each row's legs depend on its v alone, so legs formed _LEG_ROWS
+        # pairs at a time are bit for bit those of one geomspace over every pair
+        at = lo % _LEG_ROWS
+        if at == 0:
+            legs = np.geomspace(
+                40 * eta_b, 60 * np.maximum(np.abs(v_all[lo:lo + _LEG_ROWS]), eta) + 60 * eta, n_leg, axis=1
+            )
+        leg = legs[at:at + _CONV_ROWS]
         u, d, w, b = (buf[:v.shape[0]] for buf in (u_buf, d_buf, w_buf, b_buf))
         u[:, :cuts[0]] = patch
         np.negative(leg[:, ::-1], out=u[:, cuts[0]:cuts[1]])
@@ -263,7 +303,7 @@ def convolution_response(
     regularization matches the pole form exactly in the continuum and the
     residual against response_from_density is pure quadrature error.  eta
     must lie within [1e-70, 1e70] and every |omega - omega_l| at most 1e70
-    (see _line_integrals); the pole form's range is stated at _pole_response.
+    (see _line_integrals); the pole form's range is stated at _require_pole_range.
 
     The quadrature error grows with |omega - omega_l| / eta, the only
     variable it depends on, because every node scales with eta.  Each line's
@@ -300,7 +340,7 @@ def momentum_response_relativistic(
     of the omega-squared regularization.
     """
     w0 = _relativistic_energy(k, constants) / constants.hbar
-    return _pole_response(omega, _shifted_poles((w0, -w0), (1.0 + 0j, 1.0 + 0j), eta, direction))
+    return FreqResponse(omega, None, _shifted_poles((w0, -w0), (1.0 + 0j, 1.0 + 0j), eta, direction))
 
 
 def feynman_combination(
@@ -318,7 +358,7 @@ def feynman_combination(
     w0 = _relativistic_energy(k, constants) / constants.hbar
     poles = _shifted_poles((w0,), (1.0 + 0j,), eta, "retarded")
     poles += _shifted_poles((-w0,), (1.0 + 0j,), eta, "advanced")
-    return _pole_response(omega, poles)
+    return FreqResponse(omega, None, poles)
 
 
 def inverse_transform_roundtrip(response: FreqResponse, tau: np.ndarray) -> dict:
@@ -341,11 +381,16 @@ def inverse_transform_roundtrip(response: FreqResponse, tau: np.ndarray) -> dict
     with one column per distinct |tau|: about 2 sqrt(n) exponentials per
     |tau| instead of n cosines and n sines.  A grid that is not uniform to a
     few ulps of max|omega| takes b = 1, where A is the per-sample phase and
-    R = 1.  The weighted response is written straight into W, and conj(R)
-    is (b, |tau| count), so the one complex temporary of the grid's length
-    is W itself (5 MB for a 320k-sample grid), beside the real node weights
-    np.gradient(omega); when b = 1, W @ R and W @ conj(R) are (n, |tau|
-    count) complex products.
+    R = 1.
+
+    W is formed a block of rows at a time, about _BLOCK samples: the
+    response's values through its block reader (a stored slice, or the pole
+    form's sum over the slice), times np.gradient's weights over the slice
+    and its two neighbours (bit for bit the whole axis's), over 2 pi.  Each
+    block's rows of A, and their W @ R and W @ conj(R), are summed into
+    g(+-|tau|) before the next block is read; the off-grid test runs over
+    the same slices.  So the call holds no array of the axis length beside
+    omega itself, and its peak does not grow with n.
     """
     om = response.omega
     re_poles = np.array([p.real for p, _ in response.poles])
@@ -364,21 +409,33 @@ def inverse_transform_roundtrip(response: FreqResponse, tau: np.ndarray) -> dict
     # the factored phase of node q b + r is omega_{qb} tau + r h tau, off the
     # node's own phase by at most 2 |tau| max|omega - ideal grid|; Grid1D's
     # ulp scale keeps that at the round-off of omega tau itself
-    off_grid = np.max(np.abs(om - (om[0] + h * np.arange(n))))
-    uniform = off_grid <= 8 * np.finfo(float).eps * np.max(np.abs(om))
+    off_grid = max(
+        np.max(np.abs(om[s:s + _BLOCK] - (om[0] + h * np.arange(s, min(s + _BLOCK, n), dtype=float))))
+        for s in range(0, n, _BLOCK)
+    )
+    uniform = off_grid <= 8 * np.finfo(float).eps * max(-om.min(), om.max())
     b = int(np.ceil(np.sqrt(n))) if uniform else 1
-    # the weighted response, written straight into the zero-padded W
-    w_qb = np.zeros((-(-n // b), b), dtype=complex)
-    weighted = w_qb.reshape(-1)[:n]
-    np.multiply(np.gradient(om), response.values, out=weighted)
-    weighted /= 2 * np.pi
     # e^{-i omega (-t)} = conj(e^{-i omega t}) for real omega and t, so one
     # set of phases per distinct |tau| serves both signs
     mags, which = np.unique(np.abs(tau), return_inverse=True)
     r_phase = np.exp(-1j * h * np.arange(b)[:, None] * mags)
-    a_phase = np.exp(-1j * om[::b, None] * mags)
-    g_pos = np.sum(a_phase * (w_qb @ r_phase), axis=0)
-    g_neg = np.sum(np.conj(a_phase) * (w_qb @ np.conj(r_phase)), axis=0)
+    r_conj = np.conj(r_phase)
+    rows = max(1, _BLOCK // max(b, mags.size))
+    w_buf = np.zeros((rows, b), dtype=complex)
+    g_pos = np.zeros(mags.size, dtype=complex)
+    g_neg = np.zeros(mags.size, dtype=complex)
+    for s, vals in response._blocks(rows * b):
+        m = vals.size
+        # the block's rows of W, zero-padded past the last sample
+        w_qb = w_buf[:-(-m // b)]
+        weighted = w_qb.reshape(-1)
+        weighted[m:] = 0
+        lo = max(s - 1, 0)
+        np.multiply(np.gradient(om[lo:s + m + 1])[s - lo:s - lo + m], vals, out=weighted[:m])
+        weighted[:m] /= 2 * np.pi
+        a_phase = np.exp(-1j * om[s:s + m:b, None] * mags)
+        g_pos += np.sum(a_phase * (w_qb @ r_phase), axis=0)
+        g_neg += np.sum(np.conj(a_phase, out=a_phase) * (w_qb @ r_conj), axis=0)
     g_tau = np.where(tau < 0, g_neg[which], g_pos[which])
     ref = np.zeros(tau.size, dtype=complex)
     for p, r in response.poles:

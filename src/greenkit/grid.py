@@ -24,8 +24,9 @@ __all__ = [
 
 _UNIFORM_RTOL = 1e-12
 
-# points per slice of Grid1D._blocks: a slice's x and w (256 kB) and a
-# caller's block buffer stay in a core's L2 cache
+# points per slice of the block readers (Grid1D._blocks,
+# SampledFunction._blocks, and the omega slices of the inverse transform): a
+# slice's x and w (256 kB) and a caller's block buffer stay in a core's L2 cache
 _BLOCK = 1 << 14
 
 
@@ -248,20 +249,50 @@ class SampledFunction:
     """Samples of a function on a Grid1D: float64 samples stay float64, and
     samples of any other dtype become complex.
 
-    Sampled functions compare by identity.
+    SampledFunction(grid, values) stores its samples.  SampledFunction.of(grid,
+    rule) keeps the rule instead and forms values, read-only, on first read;
+    _blocks reads either kind in slices beside the grid's x and w, so a rule
+    on a rule grid holds no array of the grid's length.  Sampled functions
+    compare by identity.
     """
 
     grid: Grid1D
     values: np.ndarray = field(repr=False)
 
+    _rule = None
+
     def __post_init__(self):
-        vals = np.asarray(self.values)
-        if vals.dtype != np.float64:
-            vals = np.asarray(vals, dtype=complex)
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or vals.size != self.grid.size:
-            raise ValueError("value count must equal grid point count")
-        _require_finite(vals, "samples")
+        object.__setattr__(self, "values", _samples(self.values, self.grid.size))
+
+    @classmethod
+    def of(cls, grid: Grid1D, rule) -> "SampledFunction":
+        """The samples rule(x) on the grid's points, kept as the rule.
+
+        rule maps a float64 array of points to one sample per point.  It is
+        called on each slice that is read, so its samples are checked (count,
+        dtype rule, finiteness) when they are read, not here.
+        """
+        f = cls.__new__(cls)
+        vars(f).update(grid=grid, _rule=rule)
+        return f
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: a rule's values,
+        # formed on first read from one slice over the whole grid
+        if name != "values":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        vals = _read_only(next(self._blocks(size=self.grid.size))[3])
+        vars(self)["values"] = vals
+        return vals
+
+    def _blocks(self, start: int = 0, stop: int | None = None, size: int = _BLOCK):
+        """(s, x, w, f) over the points start..stop - 1 in slices of at most
+        size points, as Grid1D._blocks gives (s, x, w), with f the samples
+        there: views of stored (or already formed) values, or the rule's
+        samples at x."""
+        stored = vars(self).get("values")
+        for s, x, w in self.grid._blocks(start, stop, size):
+            yield s, x, w, _samples(self._rule(x), x.size) if stored is None else stored[s:s + x.size]
 
     def __mul__(self, scalar: complex) -> "SampledFunction":
         return SampledFunction(self.grid, self.values * scalar)
@@ -271,6 +302,18 @@ class SampledFunction:
     def norm2(self) -> float:
         """L2 norm under the grid measure."""
         return float(np.sqrt(np.sum(self.grid.weights * np.abs(self.values) ** 2)))
+
+
+def _samples(values, size: int) -> np.ndarray:
+    """values as samples of size points, float64 kept and any other dtype
+    made complex; raises ValueError unless they are 1-D, size long and finite."""
+    vals = np.asarray(values)
+    if vals.dtype != np.float64:
+        vals = np.asarray(vals, dtype=complex)
+    if vals.ndim != 1 or vals.size != size:
+        raise ValueError("value count must equal grid point count")
+    _require_finite(vals, "samples")
+    return vals
 
 
 def discrete_delta(grid: Grid1D, center: int) -> SampledFunction:

@@ -106,6 +106,16 @@ def em_kernel_closed_form(
     return PulseDescriptor(1.0 / (4 * np.pi * separation), arrival, width)
 
 
+def _require_times(times, name: str) -> np.ndarray:
+    """times as a 1-D float array; raises ValueError, naming them, unless
+    they are 1-D and finite."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D array")
+    _require_finite(times, name)
+    return times
+
+
 def field_from_source(kernel: Kernel, source: SourceField, eval_times: np.ndarray) -> np.ndarray:
     """psi(x, t) = sum over (x', t') of weights * G^R(x, x'; t - t') f(x', t').
 
@@ -122,10 +132,7 @@ def field_from_source(kernel: Kernel, source: SourceField, eval_times: np.ndarra
     if source.grid != basis.grid:
         raise ValueError("source must live on the kernel grid")
     ts = source.times
-    eval_times = np.asarray(eval_times, dtype=float)
-    if eval_times.ndim != 1:
-        raise ValueError("evaluation times must be a 1-D array")
-    _require_finite(eval_times, "evaluation times")
+    eval_times = _require_times(eval_times, "evaluation times")
     if eval_times.size:
         # the largest lag t - t' evaluated must not pass the kernel window end
         lag = eval_times.max() - ts[0]
@@ -179,19 +186,21 @@ def em_point_charge_field(
     the delta pulse (exact, including the half value on the front itself);
     pulse_width > 0 replaces the pulse by a nascent Gaussian and does the
     time quadrature numerically, as an independent cross-check.  q must be
-    finite and eps0 within [1e-150, 1e150].
+    finite and eps0 within [1e-150, 1e150], and t_grid a 1-D array of finite
+    times in any order; an empty t_grid gives an empty array on both routes.
     """
     _require_finite(q, "charge q")
     _require_scale(eps0, "permittivity eps0")
     pulse = em_kernel_closed_form(r, c, "retarded", width=pulse_width)
-    t_grid = np.asarray(t_grid, dtype=float)
-    _require_finite(t_grid, "t_grid")
+    t_grid = _require_times(t_grid, "t_grid")
     profile = lambda s: q * theta(s) / eps0  # noqa: E731  source time factor of Eq-style Q theta(t)
     if pulse_width == 0:
         # psi(t) = amplitude * f(t - R/c); the retarded arrival already
         # enforces t' = t - R/c < t
         return pulse.amplitude * profile(t_grid - pulse.arrival)
-    span = max(t_grid[-1], pulse.arrival) + 8 * pulse_width
+    # the source is sampled past the latest time evaluated and the arrival,
+    # whichever is later, in whatever order t_grid lists its times
+    span = t_grid.max(initial=pulse.arrival) + 8 * pulse_width
     source_times = np.linspace(-8 * pulse_width, span, 4001)
     out = np.empty_like(t_grid)
     f_src = profile(source_times)

@@ -101,15 +101,24 @@ def test_split_times_are_the_seeded_draws():
     assert _SPLIT_TIMES == drawn
 
 
-def test_one_pass_holds_under_22_mb():
-    """The largest fixture is criterion 8's (about 18 MB under tracemalloc):
-    its 320k-sample response, the zero-padded weighted copy and the node
-    weights.  Criterion 10 holds its 12.8 MB of real samples and no grid
-    arrays, criterion 7 about 6 MB."""
+def test_each_criterion_and_a_pass_hold_under_5_mb():
+    """Every long axis of a pass is read a block at a time: criterion 8's
+    320k-sample response, its weighted copy and weights, criterion 10's 1.6M
+    samples and criterion 7's line legs.  The largest array left is criterion
+    8's own omega axis (2.6 MB); under tracemalloc criterion 8 peaks near
+    4.1 MB, criterion 7 near 2.4 MB and criterion 10 near 0.8 MB."""
+    peaks = {}
+    for fn in CRITERIA:
+        tracemalloc.start()
+        try:
+            fn()
+            peaks[fn.number] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     tracemalloc.start()
     try:
         run_acceptance()
-        peak = tracemalloc.get_traced_memory()[1]
+        peaks["pass"] = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 22e6
+    assert {k: peak for k, peak in peaks.items() if peak >= 5e6} == {}

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 import greenkit
-from greenkit import build_oscillator_basis, build_well_basis
+from greenkit import build_oscillator_basis, build_well_basis, io, spectral_density
 from greenkit.cli import _BUILDERS, _build_basis, build_parser, main
 from greenkit.firstorder import Kernel
 
@@ -210,6 +210,30 @@ def test_freq_exports_response_and_poles(tmp_path):
     assert all(p["position"][1] == -0.05 for p in poles["poles"])
     lines = (out / "response.csv").read_text().strip().splitlines()
     assert len(lines) == 12
+
+
+@pytest.mark.parametrize("direction", ["retarded", "advanced"])
+@pytest.mark.parametrize("order", ["first", "second"])
+def test_freq_files_are_the_per_pole_sum_to_the_byte(tmp_path, order, direction):
+    """response.csv holds the pole form summed over the whole axis at once,
+    one term r_n / (omega - omega_n + i s eta) at a time in pole order, and
+    poles.json the shifted lines, both byte for byte as the writers put them."""
+    argv = ["freq", "--model", "well", "--n", "6", "--i", "1", "--j", "2", "--order", order,
+            "--eta", "0.05", "--direction", direction, "--nw", "401"]
+    code, out = run(tmp_path, *argv)
+    assert code == 0
+    args = build_parser().parse_args(argv)
+    dens = spectral_density(_build_basis(args), 1, 2, order=order)
+    shift = {"retarded": -0.05j, "advanced": 0.05j}[direction]
+    poles = [(complex(om + shift), complex(w)) for om, w in zip(dens.omegas, dens.weights)]
+    omega = np.linspace(args.wmin, args.wmax, args.nw)
+    vals = np.zeros(omega.shape, dtype=complex)
+    for p, r in poles:
+        vals += r / (omega - p)
+    io.write_csv(str(tmp_path / "response.csv"), ["omega", "re", "im"], [omega, vals.real, vals.imag])
+    io.write_json(str(tmp_path / "poles.json"), {"eta": 0.05, "direction": direction, "poles": io.pole_payload(poles)})
+    for name in ("response.csv", "poles.json"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 @pytest.mark.parametrize(

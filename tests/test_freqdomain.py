@@ -30,6 +30,7 @@ from greenkit import (
     wave_auxiliary_kernel,
 )
 from greenkit.freqdomain import _CONV_ROWS, _line_integrals
+from greenkit.grid import _BLOCK
 
 
 # Per-element reference implementations: one trapezoid integral per
@@ -476,3 +477,75 @@ def test_inverse_transform_needs_pole_inventory():
     omega = np.linspace(-1.0, 1.0, 5)
     with pytest.raises(ValueError, match="pole inventory"):
         FreqResponse(omega, np.zeros(5, dtype=complex), ())
+
+
+def _per_pole_sum(omega, poles):
+    """The pole form as one array over the whole axis: each term r / (omega - p)
+    in one reused buffer, added in pole order."""
+    vals = np.zeros(omega.shape, dtype=complex)
+    term = np.empty_like(vals)
+    for p, r in poles:
+        np.subtract(omega, p, out=term)
+        vals += np.divide(r, term, out=term)
+    return vals
+
+
+@pytest.mark.parametrize("build", ["density", "relativistic", "feynman"])
+def test_pole_form_values_are_the_per_pole_sum_bit_for_bit(build):
+    """A pole-form response keeps (omega, poles); its values, read whole or
+    through the block reader in slices that do not divide the axis, are the
+    per-pole sum bit for bit."""
+    omega = np.linspace(-30.0, 30.0, 2 * _BLOCK + 5)
+    resp = {
+        "density": lambda: response_from_density(_well_density(), omega, 0.05, "retarded"),
+        "relativistic": lambda: momentum_response_relativistic(1.0, omega, 0.3, "advanced"),
+        "feynman": lambda: feynman_combination(1.0, omega, 0.3),
+    }[build]()
+    assert "values" not in vars(resp)
+    ref = _per_pole_sum(omega, resp.poles)
+    sliced = [v for _, v in resp._blocks(1000)]
+    assert "values" not in vars(resp)
+    assert np.concatenate(sliced).tobytes() == ref.tobytes()
+    assert resp.values.tobytes() == ref.tobytes()
+    assert not resp.values.flags.writeable
+    assert resp.values is resp.values
+
+
+def _direct_transform(resp, tau):
+    """sum_k w_k G(omega_k) e^{-i omega_k tau} / 2 pi with np.gradient weights,
+    one tau at a time over the whole axis."""
+    om = resp.omega
+    weighted = np.gradient(om) * _per_pole_sum(om, resp.poles) / (2 * np.pi)
+    return np.array([np.sum(weighted * np.exp(-1j * om * t)) for t in tau])
+
+
+@pytest.mark.parametrize("direction", ["retarded", "advanced"])
+@pytest.mark.parametrize("grid", ["uniform", "sinh"])
+def test_blocked_inverse_transform_matches_the_direct_sum(direction, grid):
+    """The roundtrip reads W a block of rows at a time.  The uniform axis of
+    40001 samples takes b = 201 and blocks of 81 rows (16281 samples): two
+    full blocks and a last one of 7439 samples, 37 rows and 2 samples, so the
+    last row is zero-padded.  The sinh axis is not uniform and takes b = 1."""
+    n = 40001
+    if grid == "uniform":
+        omega = np.linspace(-200.0, 200.0, n)
+        assert n > 2 * _BLOCK and n % math.ceil(math.sqrt(n)) != 0
+    else:
+        omega = 200.0 * np.sinh(np.linspace(-4.0, 4.0, n)) / np.sinh(4.0)
+    resp = momentum_response_relativistic(1.0, omega, 0.5, direction)
+    tau = np.array([0.0, 0.5, -0.5, 1.25, -2.0, 3.0])
+    rt = inverse_transform_roundtrip(resp, tau)
+    ref = _direct_transform(resp, tau)
+    assert np.max(np.abs(rt["transform"] - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # the transform reads the values through the block reader only
+    assert "values" not in vars(resp)
+
+
+def test_stored_and_pole_form_transform_alike():
+    """The same values, stored or formed on read, give the same transform."""
+    omega = np.linspace(-200.0, 200.0, 6001)
+    pole_form = momentum_response_relativistic(1.0, omega, 0.5, "retarded")
+    stored = FreqResponse(omega, _per_pole_sum(omega, pole_form.poles), pole_form.poles)
+    tau = np.array([-1.0, 0.5, 2.0])
+    got, want = (inverse_transform_roundtrip(r, tau)["transform"] for r in (pole_form, stored))
+    assert got.tobytes() == want.tobytes()

@@ -34,6 +34,7 @@ from greenkit.distlab import _SP_BLOCK
 from greenkit.freqdomain import SpectralDensity
 from greenkit.grid import _BLOCK, _UNIFORM_RTOL
 from greenkit.spectra import Coefficients, _ModeTable
+from greenkit.validation import _gaussian
 
 
 def test_uniform_weights_sum_to_interval_length():
@@ -235,6 +236,57 @@ def test_sampled_function_rejects_nonfinite():
             SampledFunction(g, vals)
 
 
+def _criterion_10_fill(grid):
+    """exp(-x^2) as criterion 10 filled it before its samples became a rule:
+    block by block into one array, in place."""
+    gauss = np.empty(grid.size)
+    for s, x, _ in grid._blocks():
+        seg = gauss[s:s + x.size]
+        np.exp(np.negative(np.square(x, out=seg), out=seg), out=seg)
+    return gauss
+
+
+@pytest.mark.parametrize("n", [5, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_rule_samples_are_the_criterion_10_fill_bit_for_bit(n):
+    grid = Grid1D.uniform(-20.0, 20.0, n)
+    want = _criterion_10_fill(grid)
+    f = SampledFunction.of(grid, _gaussian)
+    sliced = [v for *_, v in f._blocks(size=_SP_BLOCK)]
+    assert "values" not in vars(f) and "points" not in vars(grid)
+    assert all(v.dtype == np.float64 for v in sliced)
+    assert np.concatenate(sliced).tobytes() == want.tobytes()
+    assert f.values.tobytes() == want.tobytes()
+    assert f.values.dtype == np.float64 and not f.values.flags.writeable
+    assert "points" not in vars(grid)
+    # once formed, the reader yields slices of the formed values
+    assert all(v.base is f.values for *_, v in f._blocks(size=_SP_BLOCK))
+
+
+def test_rule_samples_follow_the_dtype_rule():
+    grid = Grid1D.uniform(-1.0, 1.0, 9)
+    f = SampledFunction.of(grid, lambda x: x.astype(np.float32))
+    assert f.values.dtype == complex
+    assert np.array_equal(f.values, grid.points)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_a_non_finite_rule_sample_raises_when_read(bad):
+    grid = Grid1D.uniform(-1.0, 1.0, 2 * _BLOCK + 1)
+    f = SampledFunction.of(grid, lambda x: np.where(x > 0.5, bad, x))
+    first = next(f._blocks())  # x <= 0.5 throughout the first slice
+    assert first[0] == 0
+    with pytest.raises(ValueError, match="samples must be finite"):
+        list(f._blocks())
+    with pytest.raises(ValueError, match="samples must be finite"):
+        f.values
+
+
+def test_a_rule_gives_one_sample_per_point():
+    f = SampledFunction.of(Grid1D.uniform(-1.0, 1.0, 9), lambda x: x[:-1])
+    with pytest.raises(ValueError, match="value count must equal grid point count"):
+        f.values
+
+
 def _number_entries():
     """Every entry that takes a number outside a checked type, each called
     with one bad number in place of a good one."""
@@ -354,6 +406,7 @@ def _value_types():
         "SourceField": lambda: SourceField(grid, np.array([0.0, 1.0]), np.ones((2, 5))),
         "Kernel": lambda: Kernel(basis, np.array([0.0, 0.5])),
         "SampledFunction": lambda: SampledFunction(grid, np.ones(5)),
+        "SampledFunction.of": lambda: SampledFunction.of(grid, np.cos),
         "Coefficients": lambda: Coefficients(np.ones(4), basis),
         "SpectralDensity": lambda: SpectralDensity(np.array([1.0, 2.0]), np.array([1.0, -1.0])),
         "FreqResponse": lambda: response_from_density(

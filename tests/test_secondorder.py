@@ -280,6 +280,33 @@ def test_field_from_source_checks_its_evaluation_times():
     assert np.array_equal(field_from_source(ret, src, times)[order], field_from_source(ret, src, times[order]))
 
 
+def test_sampled_em_field_spans_the_latest_time():
+    """The nascent-Gaussian route samples its source past the latest time
+    asked for, not past the last one listed: t = 2.0 behind the front reads
+    the static value when it comes first."""
+    static = 1.0 / (4 * np.pi * 0.5)
+    field = em_point_charge_field(1.0, 1.0, 1.0, 0.5, [2.0, 1.0], pulse_width=0.01)
+    assert np.max(np.abs(field - static)) < 1e-3 * static
+    ordered = em_point_charge_field(1.0, 1.0, 1.0, 0.5, [1.0, 2.0], pulse_width=0.01)
+    assert np.array_equal(field, ordered[::-1])
+
+
+def test_em_field_of_no_times_is_empty():
+    """Both routes, the sifted one and the nascent-Gaussian one, map no
+    times to no values."""
+    for width in (0.0, 0.01):
+        assert em_point_charge_field(1.0, 1.0, 1.0, 0.5, [], pulse_width=width).shape == (0,)
+
+
+@pytest.mark.parametrize("width", [0.0, 0.01])
+@pytest.mark.parametrize("t_grid", [1.0, [[0.6, 1.0]]], ids=["scalar", "2-D"])
+def test_em_field_needs_a_1d_time_grid(width, t_grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="t_grid must be a 1-D array"):
+            em_point_charge_field(1.0, 1.0, 1.0, 0.5, t_grid, pulse_width=width)
+
+
 @pytest.mark.parametrize("eps0", [0.0, -1.0, np.nan])
 def test_point_charge_permittivity_is_a_scale(eps0):
     with warnings.catch_warnings():
