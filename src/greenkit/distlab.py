@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SampledFunction, _require_finite, _require_scale
+from .grid import SampledFunction, _require_finite, _require_scale, _slices
 
 __all__ = [
     "RegularizedFamily",
@@ -160,12 +160,12 @@ def sokhotski_plemelj(f: SampledFunction, eta: float) -> PrincipalValueResult:
     samples are viewed as (Re, Im) float pairs.  P(2n) is (w / x) @ f over
     the bulk of the grid outside the wider window, and P(n) adds the ring of
     points between n and 2n indices from the origin.  x, w and the samples
-    are read only through the sampled function's block reader,
-    SampledFunction._blocks, in blocks of _SP_BLOCK points, and the peak |f|
-    and both end samples are taken in the same pass; so a rule grid
-    (Grid1D.uniform) never builds its points and weights, samples kept as a
-    rule (SampledFunction.of) are formed a block at a time, and the origin
-    index is Grid1D.index_of(0).  Each block's sums go through one reused
+    are read only through the sampled function's slice reader,
+    SampledFunction._slice, in blocks of _SP_BLOCK points, and the peak |f|
+    and both end points and samples are taken in the same pass; so a rule
+    grid (Grid1D.uniform) never builds its points and weights, samples kept
+    as a rule (SampledFunction.of) are formed a block at a time, and the
+    origin index is Grid1D.index_of(0).  Each block's sums go through one reused
     block buffer (64 kB), so no temporary of the grid's length is formed.
     """
     _require_scale(eta, "eta")
@@ -192,10 +192,10 @@ def sokhotski_plemelj(f: SampledFunction, eta: float) -> PrincipalValueResult:
     peak = 0.0
     b, a = np.zeros(2), np.zeros(2)
     sums = np.zeros((2, 2))
-    for s, x, w, v in f._blocks(size=_SP_BLOCK):
+    for s, (x, w, v) in _slices(f._slice, size, _SP_BLOCK):
         e = s + x.size
         if s == 0:
-            first = v[0]
+            x0, first = x[0], v[0]
         peak = max(peak, float(np.abs(v, out=buf[: e - s]).max()))
         real = v.dtype == np.float64
         vf = v if real else np.ascontiguousarray(v).view(float).reshape(-1, 2)
@@ -214,11 +214,11 @@ def sokhotski_plemelj(f: SampledFunction, eta: float) -> PrincipalValueResult:
         raise ValueError("zero function")
     if max(abs(first), abs(v[-1])) > 1e-8 * peak:
         raise ValueError("function has not decayed at the domain ends")
-    if not grid._point(0) < 0 < grid._point(size - 1):
+    if not x0 < 0 < x[-1]:
         raise ValueError("grid must straddle x = 0")
 
-    i = i0 + (grid._point(i0) < 0)
-    _, xp, _, vp = next(f._blocks(i - 1, i + 1))
+    i = i0 + (grid._slice(slice(i0, i0 + 1))[0][0] < 0)
+    xp, _, vp = f._slice(slice(i - 1, i + 1))
     f0 = complex(np.interp(0.0, xp, vp.real), np.interp(0.0, xp, vp.imag))
 
     a, b = complex(*a), complex(*b)

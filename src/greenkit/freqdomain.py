@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .firstorder import _sign, _suppressed
-from .grid import _BLOCK, _read_only, _require_finite
+from .grid import _BLOCK, _FormedOnRead, _require_finite, _slices
 from .spectra import EigenSystem, PhysicalConstants, _relativistic_energy, _wave_modes
 
 __all__ = [
@@ -55,20 +55,22 @@ class SpectralDensity:
 
 
 @dataclass(frozen=True, eq=False)
-class FreqResponse:
+class FreqResponse(_FormedOnRead):
     """Complex response over an omega grid, and its pole inventory: a non-empty
     tuple of finite (p_n, r_n) off the real axis, from which eta and direction are read.
 
     FreqResponse(omega, values, poles) stores its values.  With values None
     it is the pole form sum_n r_n / (omega - p_n), kept as (omega, poles):
-    values are formed, read-only, on first read, and _blocks reads them in
-    slices without forming them.  The pole form's range is checked here (see
-    _require_pole_range), so a read never overflows.
+    values are formed, read-only, on first read, and _slice reads them a
+    slice at a time without forming them.  The pole form's range is checked
+    here (see _require_pole_range), so a read never overflows.
     """
 
     omega: np.ndarray
     values: np.ndarray = field(repr=False)
     poles: tuple
+
+    _formed = {"values": 1}
 
     def __post_init__(self):
         om = _response_axis(self.omega)
@@ -86,32 +88,21 @@ class FreqResponse:
             _require_pole_range(om, self.poles)
             del vars(self)["values"]
 
-    def __getattr__(self, name):
-        # reached only for an attribute the instance lacks: the pole form's
-        # values, formed on first read as one slice over the whole axis
-        if name != "values":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        vals = _read_only(next(self._blocks(max(self.omega.size, 1)))[1])
-        vars(self)["values"] = vals
-        return vals
-
-    def _blocks(self, size: int):
-        """(s, v) over the omega axis in slices of at most size samples (one
-        empty slice for an empty axis): views of stored or formed values, or
-        the pole-form sum over the slice, each term r_n / (omega - p_n) formed
-        in one reused buffer, so the slices are bit for bit the whole sum's."""
+    def _slice(self, part: slice) -> tuple:
+        """(omega, values) over the samples in part: views of stored or formed
+        values, or the pole-form sum over the slice, each term r_n / (omega -
+        p_n) formed in one reused buffer, so the slices are bit for bit the
+        whole sum's."""
+        om = self.omega[part]
         stored = vars(self).get("values")
-        for s in range(0, max(self.omega.size, 1), size):
-            if stored is not None:
-                yield s, stored[s:s + size]
-                continue
-            om = self.omega[s:s + size]
-            vals = np.zeros(om.shape, dtype=complex)
-            term = np.empty_like(vals)
-            for p, r in self.poles:
-                np.subtract(om, p, out=term)
-                vals += np.divide(r, term, out=term)
-            yield s, vals
+        if stored is not None:
+            return om, stored[part]
+        vals = np.zeros(om.shape, dtype=complex)
+        term = np.empty_like(vals)
+        for p, r in self.poles:
+            np.subtract(om, p, out=term)
+            vals += np.divide(r, term, out=term)
+        return om, vals
 
     @property
     def eta(self) -> float:
@@ -383,14 +374,15 @@ def inverse_transform_roundtrip(response: FreqResponse, tau: np.ndarray) -> dict
     few ulps of max|omega| takes b = 1, where A is the per-sample phase and
     R = 1.
 
-    W is formed a block of rows at a time, about _BLOCK samples: the
-    response's values through its block reader (a stored slice, or the pole
-    form's sum over the slice), times np.gradient's weights over the slice
-    and its two neighbours (bit for bit the whole axis's), over 2 pi.  Each
-    block's rows of A, and their W @ R and W @ conj(R), are summed into
-    g(+-|tau|) before the next block is read; the off-grid test runs over
-    the same slices.  So the call holds no array of the axis length beside
-    omega itself, and its peak does not grow with n.
+    Both passes go through grid._slices.  The off-grid test reads omega in
+    slices of _BLOCK samples, each against omega_0 + k h.  W is then formed
+    a block of rows at a time, in slices of rows * b samples (about _BLOCK):
+    the response's values through its slice reader (a stored slice, or the
+    pole form's sum over the slice), times np.gradient's weights over the
+    slice and its two neighbours (bit for bit the whole axis's), over 2 pi.
+    Each block's rows of A, and their W @ R and W @ conj(R), are summed into
+    g(+-|tau|) before the next block is read.  So the call holds no array of
+    the axis length beside omega itself, and its peak does not grow with n.
     """
     om = response.omega
     re_poles = np.array([p.real for p, _ in response.poles])
@@ -410,8 +402,7 @@ def inverse_transform_roundtrip(response: FreqResponse, tau: np.ndarray) -> dict
     # node's own phase by at most 2 |tau| max|omega - ideal grid|; Grid1D's
     # ulp scale keeps that at the round-off of omega tau itself
     off_grid = max(
-        np.max(np.abs(om[s:s + _BLOCK] - (om[0] + h * np.arange(s, min(s + _BLOCK, n), dtype=float))))
-        for s in range(0, n, _BLOCK)
+        np.abs(x - (om[0] + h * np.arange(s, s + x.size, dtype=float))).max() for s, x in _slices(om.__getitem__, n)
     )
     uniform = off_grid <= 8 * np.finfo(float).eps * max(-om.min(), om.max())
     b = int(np.ceil(np.sqrt(n))) if uniform else 1
@@ -424,7 +415,7 @@ def inverse_transform_roundtrip(response: FreqResponse, tau: np.ndarray) -> dict
     w_buf = np.zeros((rows, b), dtype=complex)
     g_pos = np.zeros(mags.size, dtype=complex)
     g_neg = np.zeros(mags.size, dtype=complex)
-    for s, vals in response._blocks(rows * b):
+    for s, (x, vals) in _slices(response._slice, n, rows * b):
         m = vals.size
         # the block's rows of W, zero-padded past the last sample
         w_qb = w_buf[:-(-m // b)]
@@ -433,7 +424,7 @@ def inverse_transform_roundtrip(response: FreqResponse, tau: np.ndarray) -> dict
         lo = max(s - 1, 0)
         np.multiply(np.gradient(om[lo:s + m + 1])[s - lo:s - lo + m], vals, out=weighted[:m])
         weighted[:m] /= 2 * np.pi
-        a_phase = np.exp(-1j * om[s:s + m:b, None] * mags)
+        a_phase = np.exp(-1j * x[::b, None] * mags)
         g_pos += np.sum(a_phase * (w_qb @ r_phase), axis=0)
         g_neg += np.sum(np.conj(a_phase, out=a_phase) * (w_qb @ r_conj), axis=0)
     g_tau = np.where(tau < 0, g_neg[which], g_pos[which])

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import FrozenInstanceError, dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -24,10 +23,37 @@ __all__ = [
 
 _UNIFORM_RTOL = 1e-12
 
-# points per slice of the block readers (Grid1D._blocks,
-# SampledFunction._blocks, and the omega slices of the inverse transform): a
-# slice's x and w (256 kB) and a caller's block buffer stay in a core's L2 cache
+# points per slice of _slices when a caller names no size: a slice's x and w
+# (256 kB) and a caller's block buffer stay in a core's L2 cache
 _BLOCK = 1 << 14
+
+
+def _slices(read, n: int, size: int = _BLOCK):
+    """(s, read(slice(s, s + size))) for s = 0, size, 2 size, ... below n: the
+    one loop over an axis of n entries, read being a type's _slice."""
+    for s in range(0, n, size):
+        yield s, read(slice(s, s + size))
+
+
+class _FormedOnRead:
+    """Base of the types that may keep an array as a rule: Grid1D,
+    SampledFunction and freqdomain.FreqResponse.  Each has one reader,
+    _slice(part), the only place that chooses between stored arrays and the
+    rule: it returns a tuple of arrays over the slice part of its axis, views
+    of stored arrays or the rule evaluated there.  _formed maps each field
+    that a rule can stand for to its place in that tuple."""
+
+    _formed: dict = {}
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: a field kept as a
+        # rule, formed read-only on first read as one slice over the whole axis
+        if name not in self._formed:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        arr = self._slice(slice(None))[self._formed[name]]
+        arr.flags.writeable = False
+        vars(self)[name] = arr
+        return arr
 
 
 def _require_points(n: int, kind: str) -> None:
@@ -61,7 +87,7 @@ def _require_scale(value: float, name: str) -> None:
         raise ValueError(f"{name} must be positive and finite, within [1e-150, 1e150]")
 
 
-class Grid1D:
+class Grid1D(_FormedOnRead):
     """Ordered sample points with positive quadrature weights.
 
     kind:
@@ -71,15 +97,17 @@ class Grid1D:
         "periodic"      fundamental cell [x0, x0+L), all weights equal
 
     Grid1D(points, weights, kind, period) stores its arrays.  Grid1D.uniform
-    stores only its rule and builds points and weights, read-only, on first
-    read; _blocks reads either kind in slices without building them.
+    stores only its rule and forms points and weights, read-only, on first
+    read; _slice reads either kind a slice at a time without forming them.
     spacing, set at construction rather than passed in, is the mean point
     spacing (x_last - x_first) / (size - 1), the step of a uniform or
     periodic grid; a one-point open-interval grid takes its point's cell, the
-    weight.  Grids are immutable.  == compares kinds and arrays block by
-    block, so a rule grid equals a stored grid with the same arrays, and two
-    rule grids compare by their rules.
+    weight.  Grids are immutable.  == compares kinds and arrays slice by
+    slice, so a rule grid equals a stored grid with the same arrays.
     """
+
+    _rule = None
+    _formed = {"points": 0, "weights": 1}
 
     def __init__(self, points: np.ndarray, weights: np.ndarray, kind: str = "uniform", period: float | None = None):
         pts = np.asarray(points, dtype=float)
@@ -88,19 +116,20 @@ class Grid1D:
             raise ValueError("points and weights must be 1-D")
         if pts.size != wts.size:
             raise ValueError("weight count must equal point count")
-        self._settle(kind, period, pts.size, None, points=pts, weights=wts)
+        vars(self).update(kind=kind, period=period, size=pts.size, points=pts, weights=wts)
+        self._check()
 
-    def _settle(self, kind: str, period: float | None, size: int, rule: tuple | None, **arrays) -> None:
-        """Set the fields, then check the points and weights in one pass over
-        the blocks, so no array of the grid's length is formed."""
-        vars(self).update(kind=kind, period=period, size=size, _rule=rule, **arrays)
+    def _check(self) -> None:
+        """Check the points and weights in one pass over the slices, so that no
+        array of the grid's length is formed, and set the spacing."""
+        size, kind = self.size, self.kind
         _require_points(size, kind)
-        # the least and largest step, each block's first step taken from the
-        # previous block's last point, and the least weight; np.minimum and
+        # the least and largest step, each slice's first step taken from the
+        # previous slice's last point, and the least weight; np.minimum and
         # np.maximum carry a NaN through, so that it fails the checks below
         dx_min, dx_max, w_min = np.inf, -np.inf, np.inf
         prev = np.empty(0)
-        for _, x, w in self._blocks():
+        for _, (x, w) in _slices(self._slice, size):
             dx = np.diff(x, prepend=prev)
             dx_min = np.minimum(dx_min, dx.min(initial=np.inf))
             dx_max = np.maximum(dx_max, dx.max(initial=-np.inf))
@@ -112,7 +141,7 @@ class Grid1D:
             raise ValueError("weights must be strictly positive")
         if kind not in ("uniform", "open-interval", "periodic"):
             raise ValueError(f"unknown grid kind {kind!r}")
-        x0, x1 = self._point(0), self._point(size - 1)
+        x0, x1 = float(self._slice(slice(0, 1))[0][0]), float(prev[0])
         h = (x1 - x0) / (size - 1) if size > 1 else float(w_min)
         if kind in ("uniform", "periodic"):
             # successive differences jitter at the ulp of the coordinates,
@@ -121,7 +150,7 @@ class Grid1D:
             # rounding of dx - h is monotone in dx, so this is max|dx - h|
             if max(dx_max - h, h - dx_min) > tol:
                 raise ValueError(f"{kind} grid must be evenly spaced")
-        if kind == "periodic" and period is None:
+        if kind == "periodic" and self.period is None:
             raise ValueError("periodic grid needs its period")
         vars(self)["spacing"] = h
 
@@ -131,44 +160,28 @@ class Grid1D:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def _blocks(self, start: int = 0, stop: int | None = None, size: int = _BLOCK):
-        """(s, x, w) over the points start..stop - 1, in slices of at most
-        size points, s the index of x[0].
+    def _slice(self, part: slice) -> tuple:
+        """(x, w) over the points in part, a slice of step 1.
 
-        A stored grid yields views of its arrays.  A rule grid generates each
+        A stored grid gives views of its arrays.  A rule grid generates the
         slice as np.linspace(a, b, n) and its trapezoid weights hold it, bit
         for bit: x_k = k h + a with h = (b - a) / (n - 1), the last point b,
         every weight h and the two end weights h / 2.
         """
-        stop = self.size if stop is None else stop
-        for s in range(start, stop, size):
-            e = min(s + size, stop)
-            if self._rule is None:
-                yield s, self.points[s:e], self.weights[s:e]
-                continue
-            a, b, h = self._rule
-            x = np.arange(s, e, dtype=float)
-            x *= h
-            x += a
-            w = np.full(e - s, h)
-            if s == 0:
-                w[0] = h / 2
-            if e == self.size:
-                x[-1] = b
-                w[-1] = h / 2
-            yield s, x, w
-
-    def _point(self, k: int) -> float:
-        """Point k, read without building a rule grid's arrays."""
-        return float(next(self._blocks(k, k + 1))[1][0])
-
-    @cached_property
-    def points(self) -> np.ndarray:
-        return _read_only(next(self._blocks(size=self.size))[1])
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        return _read_only(next(self._blocks(size=self.size))[2])
+        if self._rule is None:
+            return self.points[part], self.weights[part]
+        a, b, h = self._rule
+        k = range(self.size)[part]
+        x = np.arange(k.start, k.stop, dtype=float)
+        x *= h
+        x += a
+        w = np.full(len(k), h)
+        if k.start == 0:
+            w[0] = h / 2
+        if k.stop == self.size:
+            x[-1] = b
+            w[-1] = h / 2
+        return x, w
 
     @classmethod
     def uniform(cls, a: float, b: float, n: int) -> "Grid1D":
@@ -176,13 +189,14 @@ class Grid1D:
 
         The grid holds a, b and n, not an array of length n.  Its points are
         np.linspace(a, b, n) and its weights the trapezoid weights, bit for
-        bit, built on first read (see _blocks); a and b are taken as floats.
+        bit, formed on first read (see _slice); a and b are taken as floats.
         """
         _require_interval(a, b)
         _require_points(n, "uniform")
         a, b = float(a), float(b)
         grid = cls.__new__(cls)
-        grid._settle("uniform", None, n, (a, b, (b - a) / (n - 1)))
+        vars(grid).update(kind="uniform", period=None, size=n, _rule=(a, b, (b - a) / (n - 1)))
+        grid._check()
         return grid
 
     @classmethod
@@ -210,27 +224,24 @@ class Grid1D:
     def index_of(self, x: float) -> int:
         """Index of the grid point nearest to x, the left one on a tie (as
         argmin |points - x| picks), an end index for x outside the grid; a
-        binary search over _point reads, so a rule grid builds no points."""
+        binary search over one-point slices, so a rule grid builds no points."""
         _require_finite(x, "grid coordinate")
-        i = bisect.bisect_left(range(self.size), x, key=self._point)  # x[i - 1] < x <= x[i]
-        if i in (0, self.size):
+        i = bisect.bisect_left(range(self.size), x, key=lambda k: self._slice(slice(k, k + 1))[0][0])
+        if i in (0, self.size):  # else x[i - 1] < x <= x[i]
             return min(i, self.size - 1)
-        return i - 1 if x - self._point(i - 1) <= self._point(i) - x else i
+        lo, hi = self._slice(slice(i - 1, i + 1))[0]
+        return i - 1 if x - lo <= hi - x else i
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Grid1D):
             return NotImplemented
-        if self.kind != other.kind or self.size != other.size:
-            return False
-        if self._rule is not None and other._rule is not None:
-            return self._rule == other._rule
-        return all(
+        return (self.kind, self.size) == (other.kind, other.size) and all(
             np.array_equal(x, y) and np.array_equal(w, v)
-            for (_, x, w), (_, y, v) in zip(self._blocks(), other._blocks())
+            for (_, (x, w)), (_, (y, v)) in zip(_slices(self._slice, self.size), _slices(other._slice, other.size))
         )
 
     def __hash__(self):
-        return hash((self.kind, self.size, self._point(0), self._point(self.size - 1)))
+        return hash((self.kind, self.size, *self._slice(slice(0, 1))[0], *self._slice(slice(-1, None))[0]))
 
     def __repr__(self) -> str:
         if self._rule is not None:
@@ -239,27 +250,23 @@ class Grid1D:
         return f"Grid1D(points={self.points!r}, weights={self.weights!r}, kind={self.kind!r}, period={self.period!r})"
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
-class SampledFunction:
+class SampledFunction(_FormedOnRead):
     """Samples of a function on a Grid1D: float64 samples stay float64, and
     samples of any other dtype become complex.
 
     SampledFunction(grid, values) stores its samples.  SampledFunction.of(grid,
     rule) keeps the rule instead and forms values, read-only, on first read;
-    _blocks reads either kind in slices beside the grid's x and w, so a rule
-    on a rule grid holds no array of the grid's length.  Sampled functions
-    compare by identity.
+    _slice reads either kind beside the grid's x and w, so a rule on a rule
+    grid holds no array of the grid's length.  Sampled functions compare by
+    identity.
     """
 
     grid: Grid1D
     values: np.ndarray = field(repr=False)
 
     _rule = None
+    _formed = {"values": 2}
 
     def __post_init__(self):
         object.__setattr__(self, "values", _samples(self.values, self.grid.size))
@@ -276,23 +283,13 @@ class SampledFunction:
         vars(f).update(grid=grid, _rule=rule)
         return f
 
-    def __getattr__(self, name):
-        # reached only for an attribute the instance lacks: a rule's values,
-        # formed on first read from one slice over the whole grid
-        if name != "values":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        vals = _read_only(next(self._blocks(size=self.grid.size))[3])
-        vars(self)["values"] = vals
-        return vals
-
-    def _blocks(self, start: int = 0, stop: int | None = None, size: int = _BLOCK):
-        """(s, x, w, f) over the points start..stop - 1 in slices of at most
-        size points, as Grid1D._blocks gives (s, x, w), with f the samples
-        there: views of stored (or already formed) values, or the rule's
-        samples at x."""
+    def _slice(self, part: slice) -> tuple:
+        """(x, w, f) over the points in part, x and w as Grid1D._slice gives
+        them and f the samples there: a view of stored (or already formed)
+        values, or the rule's samples at x."""
+        x, w = self.grid._slice(part)
         stored = vars(self).get("values")
-        for s, x, w in self.grid._blocks(start, stop, size):
-            yield s, x, w, _samples(self._rule(x), x.size) if stored is None else stored[s:s + x.size]
+        return x, w, _samples(self._rule(x), x.size) if stored is None else stored[part]
 
     def __mul__(self, scalar: complex) -> "SampledFunction":
         return SampledFunction(self.grid, self.values * scalar)
@@ -300,8 +297,9 @@ class SampledFunction:
     __rmul__ = __mul__
 
     def norm2(self) -> float:
-        """L2 norm under the grid measure."""
-        return float(np.sqrt(np.sum(self.grid.weights * np.abs(self.values) ** 2)))
+        """L2 norm under the grid measure, summed a slice at a time."""
+        slices = _slices(self._slice, self.grid.size)
+        return float(np.sqrt(np.sum([np.sum(w * np.abs(f) ** 2) for _, (_, w, f) in slices])))
 
 
 def _samples(values, size: int) -> np.ndarray:
@@ -325,19 +323,21 @@ def discrete_delta(grid: Grid1D, center: int) -> SampledFunction:
     if not 0 <= center < grid.size:
         raise ValueError("center index out of range")
     vals = np.zeros(grid.size, dtype=complex)
-    vals[center] = 1.0 / grid.weights[center]
+    vals[center] = 1.0 / grid._slice(slice(center, center + 1))[1][0]
     return SampledFunction(grid, vals)
 
 
 def quad(f: SampledFunction) -> complex:
-    """Quadrature integral sum_i w_i f_i."""
-    return complex(np.sum(f.grid.weights * f.values))
+    """Quadrature integral sum_i w_i f_i, summed a slice at a time."""
+    return complex(np.sum([np.sum(w * v) for _, (_, w, v) in _slices(f._slice, f.grid.size)]))
 
 
 def inner(f: SampledFunction, g: SampledFunction) -> complex:
-    """Weighted inner product <f, g> = sum_i w_i conj(f_i) g_i."""
+    """Weighted inner product <f, g> = sum_i w_i conj(f_i) g_i, summed a slice at a time."""
     _require_same_grid(f, g)
-    return complex(np.sum(f.grid.weights * np.conj(f.values) * g.values))
+    n = f.grid.size
+    pairs = zip(_slices(f._slice, n), _slices(g._slice, n))
+    return complex(np.sum([np.sum(w * np.conj(u) * v) for (_, (_, w, u)), (_, (_, _, v)) in pairs]))
 
 
 def _require_same_grid(f: SampledFunction, g: SampledFunction):

@@ -303,7 +303,7 @@ def build_oscillator_basis(
     """Harmonic-oscillator eigenfunctions, E_n = (n + 1/2) hbar omega.
 
     grid_kind "uniform" samples a symmetric trapezoid grid wide enough that
-    the last retained mode has decayed below 1e-10 at the ends.  grid_kind
+    the last retained mode, over sqrt(alpha), is below 1e-10 at the ends.  grid_kind
     "gauss" uses the n_max-point Gauss-Hermite rule, on which the truncated
     basis is discretely orthonormal *and* complete -- the grid to use for
     initial-condition (completeness) checks.
@@ -326,7 +326,8 @@ def build_oscillator_basis(
         raise ValueError(f"unknown grid_kind {grid_kind!r}")
     modes = hermite_modes(grid.points, n_max, alpha).astype(complex)
     if grid_kind == "uniform":
-        edge = max(abs(modes[-1, 0]), abs(modes[-1, -1]))
+        # phi_n carries a factor sqrt(alpha), so bound phi_n / sqrt(alpha), a function of xi = alpha x
+        edge = max(abs(modes[-1, 0]), abs(modes[-1, -1])) / np.sqrt(alpha)
         if edge > 1e-10:
             raise ValueError(
                 f"grid too narrow: mode {n_max - 1} is {edge:.2e} at the boundary (needs < 1e-10)"

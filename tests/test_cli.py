@@ -39,6 +39,12 @@ def test_basis_writes_modes_and_report(tmp_path):
     assert report["orthonormality_residual"] < 1e-12
 
 
+def test_large_mass_oscillator_basis_exits_0(tmp_path):
+    code, out = run(tmp_path, "basis", "--model", "oscillator", "--mass", "1e6", "--n", "2")
+    assert code == 0
+    assert json.loads((out / "basis.json").read_text())["orthonormality_residual"] <= 1e-13
+
+
 def test_basis_output_is_deterministic(tmp_path):
     for args in (("basis", "--model", "free", "--length", "10", "--n", "4"),
                  ("basis", "--model", "well", "--a", "1", "--n", "6")):

@@ -1,5 +1,7 @@
 """Grid construction, quadrature and sampled-function algebra."""
 
+import re
+import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError
 
@@ -7,14 +9,21 @@ import numpy as np
 import pytest
 
 from greenkit import (
+    Coefficients,
+    EigenSystem,
+    FreqResponse,
     Grid1D,
     Kernel,
+    PhysicalConstants,
     RegularizedFamily,
     SampledFunction,
     SourceField,
     TimeWindow,
+    build_helmholtz_basis,
+    build_oscillator_basis,
     build_well_basis,
     delta_ft_check,
+    derivative_identity_residual,
     discrete_delta,
     em_kernel_closed_form,
     em_point_charge_field,
@@ -29,11 +38,16 @@ from greenkit import (
     quad,
     regularized_ft,
     response_from_density,
+    sokhotski_plemelj,
+    spectral_density,
+    step_factor_kernel,
+    wave_pde_residual,
+    wave_step_factor_kernel,
 )
 from greenkit.distlab import _SP_BLOCK
 from greenkit.freqdomain import SpectralDensity
-from greenkit.grid import _BLOCK, _UNIFORM_RTOL
-from greenkit.spectra import Coefficients, _ModeTable
+from greenkit.grid import _BLOCK, _UNIFORM_RTOL, _slices
+from greenkit.spectra import _ModeTable
 from greenkit.validation import _gaussian
 
 
@@ -195,6 +209,9 @@ def test_discrete_delta_integrates_to_one_exactly():
     g = Grid1D.open_interval(0.0, 1.0, 7)
     d = discrete_delta(g, 3)
     assert quad(d) == 1.0 + 0.0j
+    rule = Grid1D.uniform(-1.0, 1.0, 2 * _BLOCK + 1)
+    assert quad(discrete_delta(rule, _BLOCK + 2)) == 1.0 + 0.0j
+    assert "weights" not in vars(rule)  # one weight read, none formed
 
 
 def test_discrete_delta_range_check():
@@ -240,7 +257,7 @@ def _criterion_10_fill(grid):
     """exp(-x^2) as criterion 10 filled it before its samples became a rule:
     block by block into one array, in place."""
     gauss = np.empty(grid.size)
-    for s, x, _ in grid._blocks():
+    for s, (x, _) in _slices(grid._slice, grid.size):
         seg = gauss[s:s + x.size]
         np.exp(np.negative(np.square(x, out=seg), out=seg), out=seg)
     return gauss
@@ -251,7 +268,7 @@ def test_rule_samples_are_the_criterion_10_fill_bit_for_bit(n):
     grid = Grid1D.uniform(-20.0, 20.0, n)
     want = _criterion_10_fill(grid)
     f = SampledFunction.of(grid, _gaussian)
-    sliced = [v for *_, v in f._blocks(size=_SP_BLOCK)]
+    sliced = [v for _, (*_, v) in _slices(f._slice, n, _SP_BLOCK)]
     assert "values" not in vars(f) and "points" not in vars(grid)
     assert all(v.dtype == np.float64 for v in sliced)
     assert np.concatenate(sliced).tobytes() == want.tobytes()
@@ -259,7 +276,7 @@ def test_rule_samples_are_the_criterion_10_fill_bit_for_bit(n):
     assert f.values.dtype == np.float64 and not f.values.flags.writeable
     assert "points" not in vars(grid)
     # once formed, the reader yields slices of the formed values
-    assert all(v.base is f.values for *_, v in f._blocks(size=_SP_BLOCK))
+    assert all(v.base is f.values for _, (*_, v) in _slices(f._slice, n, _SP_BLOCK))
 
 
 def test_rule_samples_follow_the_dtype_rule():
@@ -273,10 +290,10 @@ def test_rule_samples_follow_the_dtype_rule():
 def test_a_non_finite_rule_sample_raises_when_read(bad):
     grid = Grid1D.uniform(-1.0, 1.0, 2 * _BLOCK + 1)
     f = SampledFunction.of(grid, lambda x: np.where(x > 0.5, bad, x))
-    first = next(f._blocks())  # x <= 0.5 throughout the first slice
+    first = next(_slices(f._slice, grid.size))  # x <= 0.5 throughout the first slice
     assert first[0] == 0
     with pytest.raises(ValueError, match="samples must be finite"):
-        list(f._blocks())
+        list(_slices(f._slice, grid.size))
     with pytest.raises(ValueError, match="samples must be finite"):
         f.values
 
@@ -285,6 +302,108 @@ def test_a_rule_gives_one_sample_per_point():
     f = SampledFunction.of(Grid1D.uniform(-1.0, 1.0, 9), lambda x: x[:-1])
     with pytest.raises(ValueError, match="value count must equal grid point count"):
         f.values
+
+
+def test_quad_inner_norm2_read_a_rule_a_slice_at_a_time():
+    """On criterion 10's 1.6M-point axis, a rule on a rule grid: each sum
+    holds a slice or two, not the 12.8 MB of points, weights or samples, and
+    forms none of them."""
+    grid = Grid1D.uniform(-20.0, 20.0, 1600001)
+    f = SampledFunction.of(grid, _gaussian)
+    sums = {}
+    for name, call in (("quad", lambda: quad(f)), ("norm2", f.norm2), ("inner", lambda: inner(f, f))):
+        tracemalloc.start()
+        try:
+            sums[name] = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, name
+    assert not {"points", "weights"} & set(vars(grid)) and "values" not in vars(f)
+    assert abs(sums["quad"] - np.sqrt(np.pi)) < 1e-12
+    assert abs(sums["inner"] - np.sqrt(np.pi / 2)) < 1e-12 and abs(sums["norm2"] ** 2 - sums["inner"]) < 1e-12
+
+
+def test_one_slice_sums_are_the_whole_array_sums_bit_for_bit():
+    """A grid of at most _BLOCK points is one slice, so its sums are the
+    whole-array formulas, bit for bit."""
+    rng = np.random.default_rng(5)
+    grid = Grid1D.uniform(-3.0, 3.0, 513)
+    f, g = (SampledFunction(grid, rng.normal(size=513) + 1j * rng.normal(size=513)) for _ in range(2))
+    w = grid.weights
+    assert quad(f) == complex(np.sum(w * f.values))
+    assert inner(f, g) == complex(np.sum(w * np.conj(f.values) * g.values))
+    assert f.norm2() == float(np.sqrt(np.sum(w * np.abs(f.values) ** 2)))
+
+
+def _refusals():
+    """(call, error, message) for refusals no other test reaches.  Grid1D's
+    == leaves a non-grid to the other operand: its entry's error is None and
+    its message the NotImplemented it returns."""
+    basis = build_well_basis(1.0, 4)
+    helmholtz = build_helmholtz_basis(2 * np.pi, 4)
+    grid = Grid1D.uniform(-1.0, 1.0, 101)
+    wave = Kernel(helmholtz, [-1.0, 0.0, 1.0], kind="retarded", order="second")
+    return {
+        "derivative grid": (
+            lambda: derivative_identity_residual("arctan", 0.1, np.linspace(0.0, 0.01, 4)),
+            ValueError, "need an increasing grid with at least five points",
+        ),
+        "zero function": (
+            lambda: sokhotski_plemelj(SampledFunction(grid, np.zeros(101)), 0.1), ValueError, "zero function"
+        ),
+        "delta_ft_check family": (
+            lambda: delta_ft_check(RegularizedFamily("step", "arctan", 0.1), [0.5]),
+            ValueError, "delta_ft_check takes a delta family",
+        ),
+        "step factor": (
+            lambda: step_factor_kernel(Kernel(basis, [0.0, 1.0], kind="retarded"), "retarded"),
+            ValueError, "step factor applies to auxiliary kernels only",
+        ),
+        "density": (lambda: SpectralDensity([1.0, 2.0], [1.0]), ValueError, "omegas and weights must align"),
+        "response": (
+            lambda: FreqResponse(np.linspace(0.0, 1.0, 5), np.ones(4), ((1 - 0.1j, 1.0),)),
+            ValueError, "one value per omega sample",
+        ),
+        "density order": (lambda: spectral_density(basis, 0, 0, order="third"), ValueError, "unknown order 'third'"),
+        "grid arrays": (lambda: Grid1D(np.ones((2, 2)), np.ones(4)), ValueError, "points and weights must be 1-D"),
+        "period": (lambda: Grid1D.periodic(0.0, 4), ValueError, "period must be positive and finite"),
+        "wave step factor": (
+            lambda: wave_step_factor_kernel(Kernel(basis, [0.0, 1.0]), "retarded"),
+            ValueError, "needs a second-order auxiliary kernel",
+        ),
+        "source grid": (
+            lambda: field_from_source(wave, SourceField(grid, [0.0], np.ones((1, 101))), [0.5]),
+            ValueError, "source must live on the kernel grid",
+        ),
+        "wave residual": (
+            lambda: wave_pde_residual(helmholtz, [0.0, 1.0]), ValueError, "need at least three time samples"
+        ),
+        "modes": (
+            lambda: EigenSystem(basis.grid, np.ones(3), np.ones((3, 2)), PhysicalConstants(), "well"),
+            ValueError, "mode count must equal energy count, sampled on the grid",
+        ),
+        "coefficients": (lambda: Coefficients(np.ones(3), basis), ValueError, "one coefficient per retained mode"),
+        "grid kind": (
+            lambda: build_oscillator_basis(n_max=2, grid_kind="chebyshev"), ValueError, "unknown grid_kind 'chebyshev'"
+        ),
+        "hook, Grid1D": (lambda: grid.spline, AttributeError, "'Grid1D' object has no attribute 'spline'"),
+        "hook, FreqResponse": (
+            lambda: FreqResponse([0.0, 1.0], None, ((1 - 0.1j, 1.0),)).spline,
+            AttributeError, "'FreqResponse' object has no attribute 'spline'",
+        ),
+        "grid ==": (lambda: grid.__eq__(3), None, NotImplemented),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_refusals()))
+def test_each_refusal_names_its_rule(entry):
+    call, error, message = _refusals()[entry]
+    if error is None:
+        assert call() is message
+        return
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def _number_entries():
@@ -354,11 +473,14 @@ def test_rule_grid_is_linspace_bit_for_bit(a, b, n, has_zero):
     assert not g.points.flags.writeable and not g.weights.flags.writeable
     assert g.spacing == (b - a) / (n - 1)
     # every slice the reader makes is the same slice of the built arrays
-    for start, stop, size in ((0, n, _BLOCK), (1, n, 7), (0, n - 1, 5), (n - 1, n, 1), (0, 1, _SP_BLOCK)):
-        pieces = list(g._blocks(start, stop, size))
-        assert [s for s, _, _ in pieces] == list(range(start, stop, size))
-        assert np.concatenate([x for _, x, _ in pieces]).tobytes() == g.points[start:stop].tobytes()
-        assert np.concatenate([w for _, _, w in pieces]).tobytes() == g.weights[start:stop].tobytes()
+    for start, stop in ((0, n), (1, n), (0, n - 1), (n - 1, n), (0, 1), (-1, None)):
+        x, w = g._slice(slice(start, stop))
+        assert x.tobytes() == g.points[start:stop].tobytes() and w.tobytes() == g.weights[start:stop].tobytes()
+    for size in (_BLOCK, 7, _SP_BLOCK):
+        pieces = list(_slices(g._slice, n, size))
+        assert [s for s, _ in pieces] == list(range(0, n, size))
+        assert np.concatenate([x for _, (x, _) in pieces]).tobytes() == g.points.tobytes()
+        assert np.concatenate([w for _, (_, w) in pieces]).tobytes() == g.weights.tobytes()
 
 
 @pytest.mark.parametrize(

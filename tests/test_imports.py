@@ -1,7 +1,8 @@
 """The package's import graph: sibling modules are imported at module level
 only; only spectra reads a basis's structure; only grid reads a uniform
-grid's rule; a mode sum's entry and its dense delta defect each have one
-home; and each error message has one home."""
+grid's rule; one hook forms every field kept as a rule; a mode sum's entry
+and its dense delta defect each have one home; and each error message has
+one home."""
 
 import ast
 from collections import defaultdict
@@ -86,7 +87,7 @@ def _rule_reads(tree: ast.Module) -> list:
 
 def test_only_grid_reads_a_uniform_rule():
     """A grid's representation, stored arrays or a rule, stays behind grid.py:
-    every other module reads x and w through points, weights or _blocks."""
+    every other module reads x and w through points, weights or _slice."""
     assert "grid.py" in {p.name for p in SOURCES}
     offenders = {p.name: _rule_reads(ast.parse(p.read_text())) for p in SOURCES if p.name != "grid.py"}
     assert {name: hits for name, hits in offenders.items() if hits} == {}
@@ -94,8 +95,27 @@ def test_only_grid_reads_a_uniform_rule():
 
 def test_the_check_sees_a_rule_read():
     tree = ast.parse("a, b, h = grid._rule\nx = grid.points\nr = getattr(g, '_rule')\n"
-                     "rule = 1\ng._blocks()\nvars(g)['_rule']\n")
+                     "rule = 1\ng._slice(part)\nvars(g)['_rule']\n")
     assert _rule_reads(tree) == [1, 3, 6]
+
+
+def _getattr_hooks(tree: ast.Module) -> list:
+    """Line of every def __getattr__, the hook a type forms a missing field in."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "__getattr__")
+
+
+def test_one_hook_forms_every_field_kept_as_a_rule():
+    """Grid1D, SampledFunction and FreqResponse form their fields on first
+    read through grid._FormedOnRead.__getattr__ and no copy of it."""
+    hooks = {p.name: _getattr_hooks(ast.parse(p.read_text())) for p in SOURCES}
+    assert sum(len(lines) for lines in hooks.values()) == 1
+    assert hooks["grid.py"]
+
+
+def test_the_check_sees_a_second_hook():
+    tree = ast.parse("class A:\n    def __getattr__(self, name):\n        pass\n"
+                     "class B(A):\n    def __getattr__(self, name):\n        pass\n__getattr__ = A.__getattr__\n")
+    assert _getattr_hooks(tree) == [2, 5]
 
 
 def _callers(tree: ast.Module, attr: str) -> list:

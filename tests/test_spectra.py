@@ -352,6 +352,15 @@ def test_one_mode_oscillator_fits_its_uniform_grid():
     assert orthonormality_residual(basis) < 1e-12
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+@pytest.mark.parametrize("mass", [1e6, 1e8, 1e12])
+def test_oscillator_uniform_grid_fits_any_mass(mass, n_max):
+    """phi_n carries a factor sqrt(alpha): the edge bound reads phi_n / sqrt(alpha),
+    so a grid as wide in xi = alpha x as the default one is accepted."""
+    basis = build_oscillator_basis(PhysicalConstants(mass=mass), n_max=n_max)
+    assert orthonormality_residual(basis) <= 1e-13
+
+
 def test_oscillator_gauss_grid_needs_enough_nodes():
     with pytest.raises(ValueError, match="at least"):
         build_oscillator_basis(n_max=16, n_points=8, grid_kind="gauss")
