@@ -81,7 +81,8 @@ def _gaussian(basis, args) -> SampledFunction:
 def cmd_basis(args) -> int:
     basis = _build_basis(args)
     out = args.out
-    for n, mode in enumerate(basis.mode_values):
+    for n in range(basis.size):
+        mode = basis.mode_rows(slice(n, n + 1))[0]
         columns = [basis.grid.points, mode.real, mode.imag]
         io.write_csv(os.path.join(out, f"mode_{n:04d}.csv"), ["x", "re", "im"], columns)
     io.write_json(

@@ -147,10 +147,6 @@ def spectral_density(basis: EigenSystem, i: int, j: int, order: str = "first") -
 # stay small (flat peak memory, cache-resident rows), enough that every numpy
 # call still covers many thousand elements.
 _CONV_ROWS = 8
-# pairs per geomspace of geometric legs (200 kB): a whole multiple of
-# _CONV_ROWS, few enough to keep the legs small, enough that geomspace's
-# per-call cost (about 0.1 ms) stays a small share of the chunks' work
-_LEG_ROWS = 4 * _CONV_ROWS
 
 
 def _shifted_poles(omegas, residues, eta: float, direction: str) -> tuple:
@@ -208,10 +204,10 @@ def _line_integrals(omega, lines, eta: float, direction: str) -> np.ndarray:
     trapezoid grid: fine patches |u| <= 40 eta_b and |u| <= 60 eta around
     the line, geometric legs out to 60 (max(|v|, eta) + eta), and a +-40
     eta_k cluster at the kernel pole u = v when that lies outside the
-    40 eta_b patch.  The legs come from one geomspace per _LEG_ROWS pairs
-    (6.4 kB a pair), and the pairs are evaluated _CONV_ROWS at a time, each
-    as one row of a sorted node array (about 8k nodes) in four (_CONV_ROWS,
-    nodes) buffers allocated once, so the only arrays of the pair count are
+    40 eta_b patch.  The pairs are evaluated _CONV_ROWS at a time, with one
+    geomspace for their legs (6.4 kB a pair), each pair as one row of a
+    sorted node array (about 8k nodes) in four (_CONV_ROWS, nodes) buffers
+    allocated once, so the only arrays of the pair count are
     v = omega - omega_l and the table itself.  Returns the complex
     (omega.size, lines.size) table.
 
@@ -242,14 +238,9 @@ def _line_integrals(omega, lines, eta: float, direction: str) -> np.ndarray:
     j_vals = np.empty(v_all.size, dtype=complex)
     for lo in range(0, v_all.size, _CONV_ROWS):
         v = v_all[lo:lo + _CONV_ROWS, None]
-        # each row's legs depend on its v alone, so legs formed _LEG_ROWS
-        # pairs at a time are bit for bit those of one geomspace over every pair
-        at = lo % _LEG_ROWS
-        if at == 0:
-            legs = np.geomspace(
-                40 * eta_b, 60 * np.maximum(np.abs(v_all[lo:lo + _LEG_ROWS]), eta) + 60 * eta, n_leg, axis=1
-            )
-        leg = legs[at:at + _CONV_ROWS]
+        # each row's legs depend on its v alone, so legs formed a chunk at a
+        # time are bit for bit those of one geomspace over every pair
+        leg = np.geomspace(40 * eta_b, 60 * np.maximum(np.abs(v[:, 0]), eta) + 60 * eta, n_leg, axis=1)
         u, d, w, b = (buf[:v.shape[0]] for buf in (u_buf, d_buf, w_buf, b_buf))
         u[:, :cuts[0]] = patch
         np.negative(leg[:, ::-1], out=u[:, cuts[0]:cuts[1]])
@@ -375,7 +366,8 @@ def inverse_transform_roundtrip(response: FreqResponse, tau: np.ndarray) -> dict
     R = 1.
 
     Both passes go through grid._slices.  The off-grid test reads omega in
-    slices of _BLOCK samples, each against omega_0 + k h.  W is then formed
+    slices of _BLOCK samples, each against omega_0 + k h and the sample
+    before it, refusing first an omega that does not increase.  W is then formed
     a block of rows at a time, in slices of rows * b samples (about _BLOCK):
     the response's values through its slice reader (a stored slice, or the
     pole form's sum over the slice), times np.gradient's weights over the
@@ -385,6 +377,18 @@ def inverse_transform_roundtrip(response: FreqResponse, tau: np.ndarray) -> dict
     the axis length beside omega itself, and its peak does not grow with n.
     """
     om = response.omega
+    n = om.size
+    if n < 2:
+        raise ValueError("need at least two omega samples")
+    h = (om[-1] - om[0]) / (n - 1)
+    # the factored phase of node q b + r is omega_{qb} tau + r h tau, off the
+    # node's own phase by at most 2 |tau| max|omega - ideal grid|; Grid1D's
+    # ulp scale keeps that at the round-off of omega tau itself
+    off_grid = 0.0
+    for s, x in _slices(om.__getitem__, n):
+        if np.any(np.diff(om[max(s - 1, 0):s + x.size]) <= 0):
+            raise ValueError("omega samples must be strictly increasing")
+        off_grid = max(off_grid, np.abs(x - (om[0] + h * np.arange(s, s + x.size, dtype=float))).max())
     re_poles = np.array([p.real for p, _ in response.poles])
     span_lo = re_poles.min() - om[0]
     span_hi = om[-1] - re_poles.max()
@@ -396,14 +400,6 @@ def inverse_transform_roundtrip(response: FreqResponse, tau: np.ndarray) -> dict
         )
     tau = np.asarray(tau, dtype=float)
     _require_finite(tau, "tau")
-    n = om.size
-    h = (om[-1] - om[0]) / (n - 1)
-    # the factored phase of node q b + r is omega_{qb} tau + r h tau, off the
-    # node's own phase by at most 2 |tau| max|omega - ideal grid|; Grid1D's
-    # ulp scale keeps that at the round-off of omega tau itself
-    off_grid = max(
-        np.abs(x - (om[0] + h * np.arange(s, s + x.size, dtype=float))).max() for s, x in _slices(om.__getitem__, n)
-    )
     uniform = off_grid <= 8 * np.finfo(float).eps * max(-om.min(), om.max())
     b = int(np.ceil(np.sqrt(n))) if uniform else 1
     # e^{-i omega (-t)} = conj(e^{-i omega t}) for real omega and t, so one

@@ -73,8 +73,8 @@ class _ModeTable:
     def at(self, point: int) -> np.ndarray:
         return self.table[self.waves * self.offsets[point] % self.table.size]
 
-    def gather(self) -> np.ndarray:
-        index = np.outer(self.waves, self.offsets)
+    def gather(self, part: slice) -> np.ndarray:
+        index = np.outer(self.waves[part], self.offsets)
         index %= self.table.size
         modes = self.table[index]
         modes.flags.writeable = False
@@ -97,8 +97,8 @@ class EigenSystem:
     rebuilds such blocks from their first columns, and the products with
     the modes are transforms (_expand, _project).  A basis without waves,
     whatever its model label, takes the dense path.  No other module reads
-    this structure.  mode_values gathers a table on first read, which no
-    structured path does.  Bases compare by identity, so == gathers nothing.
+    this structure.  mode_values gathers a table on first read; the package
+    reads mode_rows instead.  Bases compare by identity, so == gathers nothing.
     """
 
     grid: Grid1D
@@ -127,7 +127,7 @@ class EigenSystem:
 
     @cached_property
     def mode_values(self) -> np.ndarray:
-        return self.modes if self.waves is None else self.modes.gather()
+        return self.modes if self.waves is None else self.modes.gather(slice(None))
 
     @property
     def waves(self) -> np.ndarray | None:
@@ -136,6 +136,11 @@ class EigenSystem:
     @property
     def size(self) -> int:
         return self.energies.size
+
+    def mode_rows(self, part: slice) -> np.ndarray:
+        """The modes in part, one row each: a view of an array, or those rows
+        gathered off a builder's table."""
+        return self.modes[part] if self.waves is None else self.modes.gather(part)
 
     def modes_at(self, point: int) -> np.ndarray:
         """(n,) values phi_n(x_point) of every mode, read off the table on a
@@ -370,24 +375,26 @@ def build_helmholtz_basis(
     return _plane_wave_system(grid, j, energies, constants, "helmholtz")
 
 
+# entries per chunk of Gram rows or of well block rows (column_max_norm), 1 MB of complex
+_CHUNK = 1 << 16
+
+
 def orthonormality_residual(basis: EigenSystem) -> float:
     """max |<phi_m, phi_n> - delta_mn| over retained pairs.
 
-    For a basis with branches the Gram matrix is taken within each branch
-    it has; cross-branch pairs share spatial modes and are not expected to
-    be orthogonal.
+    Taken _CHUNK // m Gram rows at a time, each block the projection
+    (_project) of its modes, so no table is gathered; pairs across branches
+    share spatial modes, are not expected to be orthogonal, and are skipped.
     """
-    w = basis.grid.weights
-
-    def gram_dev(mv):
-        g = (mv * w) @ mv.conj().T
-        return float(np.max(np.abs(g - np.eye(mv.shape[0]))))
-
-    if basis.branches is None:
-        return gram_dev(basis.mode_values)
-    # the tags present, in np.unique's order, without its numpy.ma import
-    within = (basis.branches == s for s in (-1, 1))
-    return max(gram_dev(basis.mode_values[m]) for m in within if m.any())
+    tags = np.ones(basis.size, dtype=int) if basis.branches is None else basis.branches
+    step = max(1, _CHUNK // basis.grid.size)
+    worst = 0.0
+    for r in range(0, basis.size, step):
+        gram = _project(basis, basis.mode_rows(slice(r, r + step)))
+        gram[:, r:r + step] -= np.eye(gram.shape[0])
+        gram[tags[r:r + step, None] != tags] = 0
+        worst = max(worst, float(np.max(np.abs(gram))))
+    return worst
 
 
 def mode_sum(modes: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
@@ -450,10 +457,10 @@ def _expand(basis: EigenSystem, coefficients: np.ndarray) -> np.ndarray:
     The well's sines are sin(2 pi n (l + 1) / N) with N = 2 (m + 1), so they
     take the sine sums (a DST-I) over the bins waves mod N, which also
     covers grids with m != n.  A basis without waves takes the product with
-    mode_values.
+    its modes.
     """
     if basis.waves is None:
-        return coefficients @ basis.mode_values
+        return coefficients @ basis.modes
     m, scale = basis.grid.size, basis.modes.scale
     if basis.grid.kind == "periodic":
         return scale * np.fft.ifft(_scatter(coefficients, basis.waves, m), norm="forward")
@@ -466,11 +473,11 @@ def _project(basis: EigenSystem, values: np.ndarray) -> np.ndarray:
     On bases with waves one transform per row, read at each mode's bin: an
     FFT on plane waves, and on the well the sine sums of the values placed
     at k = l + 1 of a zero row of length 2 (m + 1).  A basis without waves
-    takes the product with conj(mode_values).
+    takes the product with conj(modes).
     """
     weighted = basis.grid.weights * values
     if basis.waves is None:
-        return weighted @ np.conj(basis.mode_values).T
+        return weighted @ np.conj(basis.modes).T
     m, scale = basis.grid.size, basis.modes.scale
     if basis.grid.kind == "periodic":
         return scale * np.fft.fft(weighted)[..., basis.waves % m]
@@ -555,15 +562,11 @@ def mode_blocks(basis: EigenSystem, amplitudes: np.ndarray, factor: complex = 1)
         columns = _first_columns(basis, rows)
         out = _column_blocks(basis, columns if factor == 1 else factor * columns)
     else:
-        out = mode_sum(basis.mode_values, rows)
+        out = mode_sum(basis.modes, rows)
         if factor != 1:
             out *= factor
         out.flags.writeable = False
     return out if np.ndim(amplitudes) == 2 else out[0]
-
-
-# entries per chunk of well block rows in column_max_norm, 1 MB of complex
-_CHUNK = 1 << 16
 
 
 def column_max_norm(basis: EigenSystem, column: np.ndarray) -> float:
@@ -601,7 +604,7 @@ def block_residual(basis: EigenSystem, amplitudes: np.ndarray, delta: complex = 
     rows = np.atleast_2d(amplitudes)
     shift = delta / basis.grid.weights
     if basis.waves is None:
-        return max(delta_residual(mode_sum(basis.mode_values, a), shift) for a in rows)
+        return max(delta_residual(mode_sum(basis.modes, a), shift) for a in rows)
     columns = _first_columns(basis, rows)
     columns[:, 0] -= shift[0]
     return max(column_max_norm(basis, column) for column in columns)
@@ -618,7 +621,7 @@ def composition_norm(basis: EigenSystem, amplitudes: np.ndarray) -> float:
     hand-built one) forms the dense O(m^3) product.
     """
     if basis.waves is None:
-        lhs, k1, k2 = mode_sum(basis.mode_values, amplitudes)
+        lhs, k1, k2 = mode_sum(basis.modes, amplitudes)
         return float(np.max(np.abs(lhs - k1 @ (basis.grid.weights[:, None] * k2))))
     lhs, k2 = _first_columns(basis, amplitudes[[0, 2]])
     return column_max_norm(basis, lhs - _expand(basis, amplitudes[1] * _project(basis, k2)))

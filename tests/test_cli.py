@@ -45,6 +45,17 @@ def test_large_mass_oscillator_basis_exits_0(tmp_path):
     assert json.loads((out / "basis.json").read_text())["orthonormality_residual"] <= 1e-13
 
 
+def test_a_failed_atomic_write_keeps_the_old_file(tmp_path):
+    """A text UTF-8 cannot encode fails inside the write: the error is
+    raised again, the old bytes stay, and the temporary sibling is removed."""
+    path = tmp_path / "report.txt"
+    io.atomic_write_text(str(path), "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        io.atomic_write_text(str(path), "x\ud800")
+    assert path.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+
 def test_basis_output_is_deterministic(tmp_path):
     for args in (("basis", "--model", "free", "--length", "10", "--n", "4"),
                  ("basis", "--model", "well", "--a", "1", "--n", "6")):

@@ -472,6 +472,26 @@ def test_inverse_transform_span_precondition():
         inverse_transform_roundtrip(ret, np.array([-1.0, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "omega, match",
+    [
+        (np.array([]), "at least two omega samples"),
+        (np.array([0.0]), "at least two omega samples"),
+        (np.linspace(-200.0, 200.0, 4001)[::-1], "strictly increasing"),
+        (np.linspace(-200.0, 200.0, 4001)[np.random.default_rng(3).permutation(4001)], "strictly increasing"),
+        # each slice increases; the second starts below the first one's last sample
+        (np.concatenate([np.linspace(-400.0, 0.0, _BLOCK), np.linspace(-1.0, 400.0, 20000)]), "strictly increasing"),
+    ],
+    ids=["empty", "one-sample", "reversed", "shuffled", "step-back-across-slices"],
+)
+def test_inverse_transform_refuses_an_omega_that_does_not_increase(omega, match):
+    """An empty, one-sample or unordered omega is refused, before the span
+    check, where a shuffled one used to read a wrong transform."""
+    ret = momentum_response_relativistic(1.0, omega, 0.5, "retarded")
+    with pytest.raises(ValueError, match=match):
+        inverse_transform_roundtrip(ret, np.array([-1.0, 1.0]))
+
+
 def test_inverse_transform_needs_pole_inventory():
     """A response without poles cannot be built, so no transform meets one."""
     omega = np.linspace(-1.0, 1.0, 5)

@@ -1,8 +1,8 @@
 """The package's import graph: sibling modules are imported at module level
 only; only spectra reads a basis's structure; only grid reads a uniform
-grid's rule; one hook forms every field kept as a rule; a mode sum's entry
-and its dense delta defect each have one home; and each error message has
-one home."""
+grid's rule; one hook forms every field kept as a rule; no module reads a
+basis's gathered mode matrix; a mode sum's entry and its dense delta defect
+each have one home; and each error message has one home."""
 
 import ast
 from collections import defaultdict
@@ -116,6 +116,34 @@ def test_the_check_sees_a_second_hook():
     tree = ast.parse("class A:\n    def __getattr__(self, name):\n        pass\n"
                      "class B(A):\n    def __getattr__(self, name):\n        pass\n__getattr__ = A.__getattr__\n")
     assert _getattr_hooks(tree) == [2, 5]
+
+
+def _mode_value_reads(tree: ast.Module) -> list:
+    """Line of every read of an attribute `mode_values`, or of the name as a
+    string, as getattr or vars()[...] would take it; its definition is a
+    def, not a read."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "mode_values":
+            found.append(node.lineno)
+        elif isinstance(node, ast.Constant) and node.value == "mode_values":
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_module_reads_the_gathered_modes():
+    """The package reads a basis's modes as rows (mode_rows), columns
+    (modes_at) or transforms; mode_values, which gathers a builder's whole
+    mode matrix, is for callers outside it."""
+    assert "spectra.py" in {p.name for p in SOURCES}
+    offenders = {p.name: _mode_value_reads(ast.parse(p.read_text())) for p in SOURCES}
+    assert {name: hits for name, hits in offenders.items() if hits} == {}
+
+
+def test_the_check_sees_a_mode_values_read():
+    tree = ast.parse("class E:\n    def mode_values(self):\n        pass\nfor m in basis.mode_values:\n    pass\n"
+                     "getattr(b, 'mode_values')\nb.mode_rows(part)\nmode_values = 1\n")
+    assert _mode_value_reads(tree) == [4, 6]
 
 
 def _callers(tree: ast.Module, attr: str) -> list:

@@ -456,9 +456,12 @@ def test_branch_tags_are_plus_or_minus_one(tags):
 
 
 def test_one_branch_basis_checks_its_one_gram_matrix():
+    """One tag on every mode counts every pair, as no tags do, on the same
+    dense modes."""
     basis = build_well_basis(1.0, 4)
-    one = EigenSystem(basis.grid, basis.energies, basis.mode_values, basis.constants, "well", [1, 1, 1, 1])
-    assert orthonormality_residual(one) == orthonormality_residual(basis)
+    plain, one = (EigenSystem(basis.grid, basis.energies, basis.mode_values, basis.constants, "well", tags)
+                  for tags in (None, [1, 1, 1, 1]))
+    assert orthonormality_residual(one) == orthonormality_residual(plain)
 
 
 OTHER_LABEL = {
@@ -501,6 +504,37 @@ def _dense_twin(basis):
 
 def _assert_close(got, ref):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("case", [*STRUCTURED_BASES, "relativistic-twelve-blocks"])
+def test_orthonormality_is_the_dense_gram(case):
+    """The Gram taken a block of projections at a time against one dense
+    Gram of the gathered modes, within each branch: both are round-off, or
+    1 on an aliased grid.  The m = 601 relativistic basis has 1,202 modes,
+    so its Gram takes twelve blocks of 109 rows."""
+    build = STRUCTURED_BASES.get(case, lambda: build_relativistic_branches(PhysicalConstants(), 300, 10.0))
+    basis = build()
+    got = orthonormality_residual(basis)
+    assert "mode_values" not in vars(basis)
+    modes, w = basis.mode_values, basis.grid.weights
+    gram = (modes * w) @ modes.conj().T - np.eye(basis.size)
+    tags = np.ones(basis.size) if basis.branches is None else basis.branches
+    gram[tags[:, None] != tags] = 0
+    assert abs(got - np.max(np.abs(gram))) <= 1e-13
+
+
+def test_orthonormality_holds_row_blocks_only():
+    """At m = 1024 the well's Gram is read 64 rows at a time, under the
+    16.8 MB of its mode matrix."""
+    basis = build_well_basis(1.0, 1024)
+    tracemalloc.start()
+    try:
+        value = orthonormality_residual(basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value <= 1e-14
+    assert peak < 1024 * 1024 * 16
 
 
 @pytest.mark.parametrize("case", STRUCTURED_BASES)
@@ -642,7 +676,8 @@ def test_hot_paths_never_gather_the_modes(build):
     aux = auxiliary_kernel(basis, window)
     ret = step_factor_kernel(aux, "retarded")
     psi = SampledFunction(basis.grid, np.ones(m))
-    aux.values, ret.at(0.5), completeness_residual(basis), composition_residual(aux, 0.25, 0.5)
+    aux.values, ret.at(0.5), completeness_residual(basis), orthonormality_residual(basis)
+    composition_residual(aux, 0.25, 0.5)
     reconstruct(project_state(basis, psi)), propagate(ret, psi, 0.5)
     kernel_entry(basis, 0, 1, 0.5 - 0.1j), spectral_density(basis, 0, 1)
     wave = wave_step_factor_kernel(wave_auxiliary_kernel(basis, window), "retarded")
