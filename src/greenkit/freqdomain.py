@@ -204,12 +204,13 @@ def _line_integrals(omega, lines, eta: float, direction: str) -> np.ndarray:
     trapezoid grid: fine patches |u| <= 40 eta_b and |u| <= 60 eta around
     the line, geometric legs out to 60 (max(|v|, eta) + eta), and a +-40
     eta_k cluster at the kernel pole u = v when that lies outside the
-    40 eta_b patch.  The pairs are evaluated _CONV_ROWS at a time, with one
-    geomspace for their legs (6.4 kB a pair), each pair as one row of a
-    sorted node array (about 8k nodes) in four (_CONV_ROWS, nodes) buffers
-    allocated once, so the only arrays of the pair count are
-    v = omega - omega_l and the table itself.  Returns the complex
-    (omega.size, lines.size) table.
+    40 eta_b patch.  The pairs are evaluated _CONV_ROWS at a time, each pair
+    as one row of a sorted node array (about 8k nodes) in four (_CONV_ROWS,
+    nodes) buffers allocated once, so the only arrays of the pair count are
+    v = omega - omega_l and the table itself.  A row's legs are written in
+    its buffer as start exp(t_k ln(stop / start)), t_k = k / 799, with both
+    ends pinned: start = 40 eta_b, the fine patch's last node, so the joint
+    is a zero-width panel.  Returns the complex (omega.size, lines.size) table.
 
     The products (eta_b^2 + u^2)(d^2 + eta_k^2), 8e-3 eta^4 to 2e8 max(eta,
     |v|)^4, and the weights w / product, up to 1 / eta^3, are normal floats
@@ -231,20 +232,21 @@ def _line_integrals(omega, lines, eta: float, direction: str) -> np.ndarray:
     ]))
     patch = patch[np.concatenate([[True], patch[1:] != patch[:-1]])]
     cluster = np.linspace(-40 * eta_k, 40 * eta_k, 1601)
-    n_leg = 800
+    n_leg, start = 800, 40 * eta_b
+    t = np.arange(n_leg) / (n_leg - 1)
     # row layout before the sort: patch, -legs reversed, legs, pole cluster
     cuts = np.cumsum([patch.size, n_leg, n_leg])
     u_buf, d_buf, w_buf, b_buf = np.empty((4, _CONV_ROWS, cuts[-1] + cluster.size))
     j_vals = np.empty(v_all.size, dtype=complex)
     for lo in range(0, v_all.size, _CONV_ROWS):
         v = v_all[lo:lo + _CONV_ROWS, None]
-        # each row's legs depend on its v alone, so legs formed a chunk at a
-        # time are bit for bit those of one geomspace over every pair
-        leg = np.geomspace(40 * eta_b, 60 * np.maximum(np.abs(v[:, 0]), eta) + 60 * eta, n_leg, axis=1)
         u, d, w, b = (buf[:v.shape[0]] for buf in (u_buf, d_buf, w_buf, b_buf))
         u[:, :cuts[0]] = patch
+        leg, stop = u[:, cuts[1]:cuts[2]], 60 * np.maximum(np.abs(v), eta) + 60 * eta
+        np.exp(np.multiply(np.log(stop / start), t, out=leg), out=leg)
+        leg *= start
+        leg[:, :1], leg[:, -1:] = start, stop
         np.negative(leg[:, ::-1], out=u[:, cuts[0]:cuts[1]])
-        u[:, cuts[1]:cuts[2]] = leg
         # a v inside the line patch has no pole cluster; repeating a node
         # there keeps the row length, and a repeated node only adds a
         # zero-width panel, which leaves the trapezoid sum unchanged

@@ -99,6 +99,7 @@ class Grid1D(_FormedOnRead):
     Grid1D(points, weights, kind, period) stores its arrays.  Grid1D.uniform
     stores only its rule and forms points and weights, read-only, on first
     read; _slice reads either kind a slice at a time without forming them.
+    The checks walk the slices, unless the rule proves them (see _check).
     spacing, set at construction rather than passed in, is the mean point
     spacing (x_last - x_first) / (size - 1), the step of a uniform or
     periodic grid; a one-point open-interval grid takes its point's cell, the
@@ -121,9 +122,17 @@ class Grid1D(_FormedOnRead):
 
     def _check(self) -> None:
         """Check the points and weights in one pass over the slices, so that no
-        array of the grid's length is formed, and set the spacing."""
+        array of the grid's length is formed, and set the spacing.  A rule grid
+        whose step h is a normal float above 8 eps M, M = max(|a|, |b|), passes
+        unread: each point is within 2 eps M of a + k h, so every step is within
+        4 eps M of h, positive and inside the walk's tolerance."""
         size, kind = self.size, self.kind
         _require_points(size, kind)
+        if self._rule is not None:
+            a, b, h = self._rule
+            if np.finfo(float).tiny <= h < np.inf and h > 8 * np.finfo(float).eps * max(abs(a), abs(b)):
+                vars(self)["spacing"] = h
+                return
         # the least and largest step, each slice's first step taken from the
         # previous slice's last point, and the least weight; np.minimum and
         # np.maximum carry a NaN through, so that it fails the checks below

@@ -473,11 +473,12 @@ def _project(basis: EigenSystem, values: np.ndarray) -> np.ndarray:
     On bases with waves one transform per row, read at each mode's bin: an
     FFT on plane waves, and on the well the sine sums of the values placed
     at k = l + 1 of a zero row of length 2 (m + 1).  A basis without waves
-    takes the product with conj(modes).
+    takes the product with conj(modes) as conj(conj(weighted) @ modes.T),
+    which conjugates the small side, not a copy of the modes.
     """
     weighted = basis.grid.weights * values
     if basis.waves is None:
-        return weighted @ np.conj(basis.modes).T
+        return np.conj(np.conj(weighted) @ basis.modes.T)
     m, scale = basis.grid.size, basis.modes.scale
     if basis.grid.kind == "periodic":
         return scale * np.fft.fft(weighted)[..., basis.waves % m]

@@ -56,6 +56,18 @@ def test_a_failed_atomic_write_keeps_the_old_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
 
 
+@pytest.mark.parametrize("rows, cols", [(9, 2), (33, 3), (1_353, 4), (2 * 16_384 + 1, 4)])
+def test_csv_rows_are_savetxts_bytes(tmp_path, rows, cols):
+    """Rows written in blocks of 16,384 are np.savetxt's %.17g bytes, -0.0
+    and a subnormal included, across two block boundaries and a one-row block."""
+    table = np.random.default_rng(rows).standard_normal((rows, cols)) * 10.0 ** np.arange(-150, 150, 300 / cols)
+    table[rows // 2, 0], table[-1, -1] = -0.0, 5e-320
+    header = [f"c{k}" for k in range(cols)]
+    io.write_csv(str(tmp_path / "t.csv"), header, list(table.T))
+    np.savetxt(tmp_path / "ref.csv", table, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 def test_basis_output_is_deterministic(tmp_path):
     for args in (("basis", "--model", "free", "--length", "10", "--n", "4"),
                  ("basis", "--model", "well", "--a", "1", "--n", "6")):

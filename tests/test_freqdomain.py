@@ -188,6 +188,20 @@ def test_convolution_matches_per_element_loop(direction):
     assert np.max(np.abs(conv.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_in_place_legs_match_geomspace_legs():
+    """The legs written in place as start exp(t_k ln(stop / start)) give the
+    table of np.geomspace legs to 1e-12, entry by entry: on a line, inside
+    the 40 eta_b patch, at |v| = 1e4 eta both sides, with 3 x 5 = 15 pairs."""
+    eta = 0.05
+    lines = np.array([-2.0, 0.0, 7.0])
+    omega = np.array([0.0, 0.3 * eta / 10, 1e4 * eta, -2.0 - 1e4 * eta, 7.0 - 4 * eta / 10])
+    assert omega.size * lines.size % _CONV_ROWS != 0
+    for direction in ("retarded", "advanced"):
+        table = _line_integrals(omega, lines, eta, direction)
+        loop = _line_integral_loop(omega, lines, eta, direction)
+        assert np.all(np.abs(table - loop) <= 1e-12 * np.abs(loop))
+
+
 def test_convolution_response_contracts_the_line_table():
     basis = build_well_basis(1.0, 16)
     omega = np.linspace(0.0, 60.0, 31)

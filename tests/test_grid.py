@@ -7,6 +7,8 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from greenkit import (
     Coefficients,
@@ -510,6 +512,52 @@ def test_rule_grid_equals_the_stored_grid_of_its_arrays():
     assert rule != Grid1D(stored.points, other)
     assert rule != Grid1D.uniform(a, b, n + 1) and rule != Grid1D.uniform(a, np.nextafter(b, 9.0), n)
     assert rule != Grid1D(stored.points, stored.weights, kind="open-interval")
+
+
+def _verdict(make):
+    """A grid's spacing, or the message it is refused with."""
+    try:
+        return make().spacing
+    except ValueError as err:
+        return str(err)
+
+
+@st.composite
+def _steps_near_the_ulp(draw):
+    """(a, b, n) whose step is within a factor of 4 of 8 eps max(|a|, |b|)."""
+    a = draw(st.sampled_from([-1.0, 1.0])) * 10 ** draw(st.floats(-3.0, 17.0))
+    n = draw(st.integers(2, 200))
+    h = 2 ** draw(st.floats(-2.0, 2.0)) * 8 * np.finfo(float).eps * abs(a)
+    return a, a + (n - 1) * h, n
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_steps_near_the_ulp())
+@example((1e16, 1e16 + 4, 100))  # a step below the ulp of the ends: points repeat
+@example((0.0, 3 * 5e-324, 3))  # a subnormal step above 8 eps M, unevenly rounded
+def test_a_rule_grid_gets_its_stored_twins_verdict(args):
+    """Whether the rule decides the checks or the slices are walked, a rule
+    grid is accepted or refused as the stored grid of its arrays is, with the
+    same message, and takes the same spacing."""
+    a, b, n = args
+    rule = _verdict(lambda: Grid1D.uniform(a, b, n))
+    assert rule == _verdict(lambda: Grid1D(np.linspace(a, b, n), _trapezoid(a, b, n)))
+    h = (b - a) / (n - 1)
+    if h >= np.finfo(float).tiny and h > 8 * np.finfo(float).eps * max(abs(a), abs(b)):
+        assert rule == h  # the rule's grids are accepted
+
+
+def test_a_rule_proves_criterion_10s_grid_unread(monkeypatch):
+    reads = []
+    read = Grid1D._slice
+    monkeypatch.setattr(Grid1D, "_slice", lambda self, part: reads.append(part) or read(self, part))
+    g = Grid1D.uniform(-20.0, 20.0, 1_600_001)
+    assert reads == [] and "points" not in vars(g) and "weights" not in vars(g)
+    assert g.spacing == 40.0 / 1_600_000
+    # a step below the ulp of the ends is walked, and refused
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Grid1D.uniform(1e16, 1e16 + 4, 100)
+    assert reads
 
 
 def test_grids_are_immutable():

@@ -39,6 +39,7 @@ from greenkit.spectra import (
     _first_columns,
     _gauss_hermite,
     _plane_wave_system,
+    _project,
     _plane_waves,
     block_residual,
     column_max_norm,
@@ -402,6 +403,29 @@ def test_project_requires_matching_grid():
     psi = SampledFunction(other.grid, np.ones(other.grid.size))
     with pytest.raises(ValueError, match="grid"):
         project_state(basis, psi)
+
+
+def test_dense_projection_conjugates_the_small_side():
+    """A dense basis projects with conj(conj(weighted) @ modes.T): the bits of
+    weighted @ conj(modes).T, without a copy of the (n, m) modes, which on
+    the n = 192 uniform oscillator is 7.6 MB."""
+    rng = np.random.default_rng(5)
+    osc = build_oscillator_basis(n_max=192)
+    hand_modes = rng.standard_normal((3, osc.grid.size)) * (1 - 2j)
+    hand = EigenSystem(osc.grid, np.arange(3.0), hand_modes, PhysicalConstants(), "hand")
+    for basis in (osc, hand, build_oscillator_basis(n_max=12, grid_kind="gauss")):
+        m = basis.grid.size
+        rows = rng.standard_normal((8, m)) + 1j * rng.standard_normal((8, m))
+        want = (basis.grid.weights * rows) @ np.conj(basis.modes).T
+        tracemalloc.start()
+        try:
+            got = _project(basis, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        if basis is osc:
+            assert peak < basis.modes.nbytes / 4
 
 
 @pytest.mark.parametrize("array", ["mode_values", "waves"])
