@@ -39,8 +39,8 @@ from greenkit.spectra import (
     _first_columns,
     _gauss_hermite,
     _plane_wave_system,
-    _project,
     _plane_waves,
+    _project,
     block_residual,
     column_max_norm,
     delta_residual,
