@@ -64,9 +64,9 @@ def _require_points(n: int, kind: str) -> None:
 
 
 def _require_interval(a: float, b: float) -> None:
-    """Raise ValueError unless a < b, both finite: the interval a factory spans."""
-    if not -np.inf < a < b < np.inf:
-        raise ValueError("need finite b > a")
+    """Raise ValueError unless a < b with a, b and b - a finite: a factory's interval."""
+    if not (a < b and float(b) - float(a) < np.inf):
+        raise ValueError(f"need finite b > a with a finite span b - a, not the range {a:g} to {b:g}")
 
 
 def _require_finite(values, name: str) -> None:
@@ -117,6 +117,7 @@ class Grid1D(_FormedOnRead):
             raise ValueError("points and weights must be 1-D")
         if pts.size != wts.size:
             raise ValueError("weight count must equal point count")
+        _require_finite([pts, wts], "grid points and weights")
         vars(self).update(kind=kind, period=period, size=pts.size, points=pts, weights=wts)
         self._check()
 
@@ -134,8 +135,7 @@ class Grid1D(_FormedOnRead):
                 vars(self)["spacing"] = h
                 return
         # the least and largest step, each slice's first step taken from the
-        # previous slice's last point, and the least weight; np.minimum and
-        # np.maximum carry a NaN through, so that it fails the checks below
+        # previous slice's last point, and the least weight
         dx_min, dx_max, w_min = np.inf, -np.inf, np.inf
         prev = np.empty(0)
         for _, (x, w) in _slices(self._slice, size):
@@ -261,8 +261,7 @@ class Grid1D(_FormedOnRead):
 
 @dataclass(frozen=True, eq=False)
 class SampledFunction(_FormedOnRead):
-    """Samples of a function on a Grid1D: float64 samples stay float64, and
-    samples of any other dtype become complex.
+    """Samples of a function on a Grid1D, float64 or complex (_float_or_complex).
 
     SampledFunction(grid, values) stores its samples.  SampledFunction.of(grid,
     rule) keeps the rule instead and forms values, read-only, on first read;
@@ -311,12 +310,15 @@ class SampledFunction(_FormedOnRead):
         return float(np.sqrt(np.sum([np.sum(w * np.abs(f) ** 2) for _, (_, w, f) in slices])))
 
 
-def _samples(values, size: int) -> np.ndarray:
-    """values as samples of size points, float64 kept and any other dtype
-    made complex; raises ValueError unless they are 1-D, size long and finite."""
+def _float_or_complex(values) -> np.ndarray:
+    """values as an array, float64 kept and any other dtype made complex."""
     vals = np.asarray(values)
-    if vals.dtype != np.float64:
-        vals = np.asarray(vals, dtype=complex)
+    return vals if vals.dtype == np.float64 else np.asarray(vals, dtype=complex)
+
+
+def _samples(values, size: int) -> np.ndarray:
+    """values as samples of size points (_float_or_complex), 1-D, size long and finite."""
+    vals = _float_or_complex(values)
     if vals.ndim != 1 or vals.size != size:
         raise ValueError("value count must equal grid point count")
     _require_finite(vals, "samples")

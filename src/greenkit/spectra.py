@@ -10,12 +10,12 @@ and the acceptance suite check directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .grid import Grid1D, SampledFunction, _require_finite, _require_scale
+from .grid import Grid1D, SampledFunction, _float_or_complex, _require_finite, _require_scale
 
 __all__ = [
     "PhysicalConstants",
@@ -58,8 +58,8 @@ class _ModeTable:
     sqrt(2/a) sin(n pi x / a) on x_l = (l + 1) a / (m + 1):
     sqrt(2/a) sin(pi k / (m + 1)) for k < 2 (m + 1), offsets l + 1, scale
     sqrt(2/a).  Every entry comes from an argument below 2 pi, not one per
-    (mode, point) pair at up to 2 pi max|waves|.  waves is made read-only,
-    so no write can break the structure it marks.
+    (mode, point) pair at up to 2 pi max|waves|.  table and waves are made
+    read-only, so no write can break the structure they mark.
     """
 
     table: np.ndarray
@@ -68,7 +68,7 @@ class _ModeTable:
     scale: float
 
     def __post_init__(self):
-        self.waves.flags.writeable = False
+        self.table.flags.writeable = self.waves.flags.writeable = False
 
     def at(self, point: int) -> np.ndarray:
         return self.table[self.waves * self.offsets[point] % self.table.size]
@@ -85,11 +85,11 @@ class _ModeTable:
 class EigenSystem:
     """Truncated spectrum {E_n} with grid-sampled modes.
 
-    modes has one row per retained mode: an (n, m) array, or a builder's
-    _ModeTable.  branches is +-1 per mode for the relativistic two-branch
-    spectrum, None otherwise.  For the two-branch case the spatial plane
-    waves repeat across branches, so orthonormality only holds within a
-    branch.
+    modes has one row per retained mode, every value finite: a builder's
+    _ModeTable, or an (n, m) array under grid._float_or_complex's dtype rule,
+    so its dtype says whether the modes are real.  branches is +-1 per mode
+    for the relativistic two-branch spectrum, None otherwise; the plane
+    waves repeat across branches, so orthonormality only holds within one.
 
     waves, a table's only, is each mode's integer wave index: j for plane
     waves on a periodic grid, whose mode sums are circulant, n for the
@@ -97,8 +97,7 @@ class EigenSystem:
     rebuilds such blocks from their first columns, and the products with
     the modes are transforms (_expand, _project).  A basis without waves,
     whatever its model label, takes the dense path.  No other module reads
-    this structure.  mode_values gathers a table on first read; the package
-    reads mode_rows instead.  Bases compare by identity, so == gathers nothing.
+    this structure.  Bases compare by identity, so == gathers nothing.
     """
 
     grid: Grid1D
@@ -112,11 +111,10 @@ class EigenSystem:
         en = np.asarray(self.energies, dtype=float)
         object.__setattr__(self, "energies", en)
         _require_finite(en, "energies")
-        if self.waves is not None:
-            shape = (self.waves.size, self.modes.offsets.size)
-        else:
-            object.__setattr__(self, "modes", np.asarray(self.modes, dtype=complex))
-            shape = self.modes.shape
+        if self.waves is None:
+            object.__setattr__(self, "modes", _float_or_complex(self.modes))
+        _require_finite(self.modes if self.waves is None else self.modes.table, "modes")
+        shape = self.modes.shape if self.waves is None else (self.waves.size, self.modes.offsets.size)
         if shape != (en.size, self.grid.size):
             raise ValueError("mode count must equal energy count, sampled on the grid")
         if self.branches is not None:
@@ -124,10 +122,6 @@ class EigenSystem:
             object.__setattr__(self, "branches", br)
             if br.shape != en.shape or not np.all(np.abs(br) == 1):
                 raise ValueError("one branch tag per mode, +1 or -1")
-
-    @cached_property
-    def mode_values(self) -> np.ndarray:
-        return self.modes if self.waves is None else self.modes.gather(slice(None))
 
     @property
     def waves(self) -> np.ndarray | None:
@@ -143,18 +137,17 @@ class EigenSystem:
         return self.modes[part] if self.waves is None else self.modes.gather(part)
 
     def modes_at(self, point: int) -> np.ndarray:
-        """(n,) values phi_n(x_point) of every mode, read off the table on a
-        builder's basis, so mode_values is not gathered."""
+        """(n,) values phi_n(x_point), read off the table on a builder's basis: no row gathered."""
         return self.modes[:, point] if self.waves is None else self.modes.at(point)
 
     def mode_products(self, i: int, j: int) -> np.ndarray:
-        """(n,) weights phi_n(x_i) phi_n*(x_j) of the mode sum's (i, j) entry.
-        Raises ValueError unless 0 <= i, j < grid.size: a negative index
-        would otherwise wrap silently to the far end."""
+        """(n,) weights phi_n(x_i) phi_n*(x_j) of the mode sum's (i, j) entry,
+        formed in complex, so real modes keep the signed zeros of complex ones.
+        Raises ValueError unless 0 <= i, j < grid.size: no silent wrap."""
         for k in (i, j):
             if not 0 <= k < self.grid.size:
                 raise ValueError(f"grid index {k} outside 0..{self.grid.size - 1}")
-        return self.modes_at(i) * np.conj(self.modes_at(j))
+        return self.modes_at(i).astype(complex) * np.conj(self.modes_at(j).astype(complex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,7 +261,7 @@ def build_well_basis(
     grid = Grid1D.open_interval(0.0, width, m)
     n = np.arange(1, n_max + 1)
     scale = np.sqrt(2.0 / width)
-    table = (scale * np.sin(np.pi * np.arange(2 * (m + 1)) / (m + 1))).astype(complex)
+    table = scale * np.sin(np.pi * np.arange(2 * (m + 1)) / (m + 1))
     energies = np.pi**2 * constants.hbar**2 * n**2 / (2 * constants.mass * width**2)
     return EigenSystem(grid, energies, _ModeTable(table, np.arange(1, m + 1), n, scale), constants, "well")
 
@@ -329,7 +322,7 @@ def build_oscillator_basis(
         grid = Grid1D.uniform(-half, half, m)
     else:
         raise ValueError(f"unknown grid_kind {grid_kind!r}")
-    modes = hermite_modes(grid.points, n_max, alpha).astype(complex)
+    modes = hermite_modes(grid.points, n_max, alpha)
     if grid_kind == "uniform":
         # phi_n carries a factor sqrt(alpha), so bound phi_n / sqrt(alpha), a function of xi = alpha x
         edge = max(abs(modes[-1, 0]), abs(modes[-1, -1])) / np.sqrt(alpha)
@@ -405,27 +398,32 @@ def mode_sum(modes: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     is written in place by one GEMM, so no (k, m, n) temporary is ever held;
     rows of all-zero amplitudes run none and stay exact zeros.
 
-    Real modes (the oscillator's, or any hand-built real set) take one real
-    GEMM per block: S = phi^T (a phi), where the complex (n, m) factor a phi,
-    seen as floats, is its interleaved (n, 2m) real and imaginary parts, and
-    the (m, 2m) real product is the block's own float view.  That is half
-    the flops of the complex GEMM.  Complex modes take phi^T a times conj(phi).
+    float64 modes take S = phi^T (a phi), one real GEMM per block (_dense)
+    with the complex (n, m) factor a phi; complex modes take phi^T a times
+    conj(phi), conjugated once per call.
     """
-    rows = np.atleast_2d(amplitudes)
+    rows = np.atleast_2d(amplitudes).astype(complex, copy=False)
     m = modes.shape[1]
     out = np.zeros((rows.shape[0], m, m), dtype=complex)
-    live = np.flatnonzero(np.any(rows != 0, axis=1))
-    if np.any(modes.imag):
-        conj = np.conj(modes)
-        for k in live:
+    conj = None if modes.dtype == np.float64 else np.conj(modes)
+    for k in np.flatnonzero(np.any(rows != 0, axis=1)):
+        if conj is None:
+            _dense(modes.T, rows[k][:, None] * modes, out=out[k])
+        else:
             np.matmul(modes.T * rows[k], conj, out=out[k])
-    else:
-        phi = np.ascontiguousarray(modes.real)
-        # complex amplitudes, so that a phi has the (n, 2m) float view
-        rows = rows.astype(complex, copy=False)
-        for k in live:
-            np.matmul(phi.T, (rows[k][:, None] * phi).view(float), out=out[k].view(float))
     return out if np.ndim(amplitudes) == 2 else out[0]
+
+
+def _dense(left: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """left @ z, left the modes or their transpose, z complex (1-D or 2-D).
+    float64 modes take one real GEMM on z's interleaved float view (into out's
+    if given): half the flops, with no copy or complex cast of the modes as in
+    numpy's mixed product.  Complex: (z^T left^T)^T, the bit-pinned operand order."""
+    if left.dtype != np.float64:
+        return np.matmul(z.T, left.T, out=None if out is None else out.T).T
+    flat = np.ascontiguousarray(np.reshape(z, (z.shape[0], -1)), dtype=complex)
+    product = np.matmul(left, flat.view(float), out=None if out is None else out.view(float))
+    return product.view(complex).reshape(left.shape[0], *z.shape[1:])
 
 
 def _scatter(rows: np.ndarray, waves: np.ndarray, size: int) -> np.ndarray:
@@ -457,10 +455,10 @@ def _expand(basis: EigenSystem, coefficients: np.ndarray) -> np.ndarray:
     The well's sines are sin(2 pi n (l + 1) / N) with N = 2 (m + 1), so they
     take the sine sums (a DST-I) over the bins waves mod N, which also
     covers grids with m != n.  A basis without waves takes the product with
-    its modes.
+    its modes (_dense).
     """
     if basis.waves is None:
-        return coefficients @ basis.modes
+        return _dense(basis.modes.T, coefficients.T).T
     m, scale = basis.grid.size, basis.modes.scale
     if basis.grid.kind == "periodic":
         return scale * np.fft.ifft(_scatter(coefficients, basis.waves, m), norm="forward")
@@ -473,12 +471,12 @@ def _project(basis: EigenSystem, values: np.ndarray) -> np.ndarray:
     On bases with waves one transform per row, read at each mode's bin: an
     FFT on plane waves, and on the well the sine sums of the values placed
     at k = l + 1 of a zero row of length 2 (m + 1).  A basis without waves
-    takes the product with conj(modes) as conj(conj(weighted) @ modes.T),
-    which conjugates the small side, not a copy of the modes.
+    takes the product with conj(modes) as conj(modes @ conj(weighted)^T)
+    (_dense), which conjugates the small side in place, not the modes.
     """
     weighted = basis.grid.weights * values
     if basis.waves is None:
-        return np.conj(np.conj(weighted) @ basis.modes.T)
+        return np.conj(_dense(basis.modes, np.conjugate(weighted, out=weighted).T)).T
     m, scale = basis.grid.size, basis.modes.scale
     if basis.grid.kind == "periodic":
         return scale * np.fft.fft(weighted)[..., basis.waves % m]
@@ -547,7 +545,7 @@ def _column_blocks(basis: EigenSystem, columns: np.ndarray) -> np.ndarray:
 
 
 def mode_blocks(basis: EigenSystem, amplitudes: np.ndarray, factor: complex = 1) -> np.ndarray:
-    """factor * mode_sum over basis.mode_values, one amplitude per basis mode,
+    """factor * mode_sum over the basis modes, one amplitude per basis mode,
     built from the basis structure, returned read-only.
 
     On bases with waves every block is rebuilt from its first column

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+from basis_modes import all_modes
 import greenkit
 from greenkit import build_oscillator_basis, build_well_basis, io, spectral_density
 from greenkit.cli import _BUILDERS, _build_basis, build_parser, main
@@ -292,7 +293,8 @@ def test_freq_second_order_per_model(tmp_path, capsys, model, build):
     # the well and the oscillator keep every mode, at +-sqrt(E_n) c
     basis = build()
     root = np.sqrt(basis.energies)
-    w = basis.mode_values[:, 1] * np.conj(basis.mode_values[:, 2]) / (2j * root)
+    modes = all_modes(basis)
+    w = modes[:, 1] * np.conj(modes[:, 2]) / (2j * root)
     assert [p["position"] for p in poles] == [[om, -0.05] for om in np.concatenate([root, -root])]
     assert [p["residue"] for p in poles] == [[r.real, r.imag] for r in np.concatenate([w, -w])]
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from basis_modes import all_modes
 from greenkit import (
     EigenSystem,
     Kernel,
@@ -126,7 +127,7 @@ def _admission_calls(basis, order):
 
 def _hand_built(energies):
     free = build_free_basis(10.0, 2)
-    return EigenSystem(free.grid, energies, free.mode_values[: len(energies)], free.constants, "free")
+    return EigenSystem(free.grid, energies, all_modes(free)[: len(energies)], free.constants, "free")
 
 
 ADMISSION_BASES = {
@@ -399,7 +400,7 @@ def _copied_circulant_blocks(basis, amplitudes):
     each block copied out of sliding windows over the wrapped generating row,
     the first column, which matches the dense product with the modes."""
     m = basis.grid.size
-    modes = basis.mode_values
+    modes = all_modes(basis)
     out = np.zeros((amplitudes.shape[0], m, m), dtype=complex)
     live = np.flatnonzero(np.any(amplitudes != 0, axis=1))
     gen = _first_columns(basis, amplitudes[live])
@@ -442,7 +443,7 @@ def _dense_composition_residual(kernel, tau1, tau2):
     basis = kernel.basis
     taus = np.array([tau1 + tau2, tau1, tau2])
     phases = np.exp(-1j * basis.energies * taus[:, None] / basis.constants.hbar)
-    lhs, k1, k2 = mode_sum(basis.mode_values, phases)
+    lhs, k1, k2 = mode_sum(all_modes(basis), phases)
     residual = float(np.max(np.abs(lhs - k1 @ (basis.grid.weights[:, None] * k2))))
     return residual, float(np.max(np.abs(lhs)))
 

@@ -94,6 +94,33 @@ def test_grid_validation_errors(points, weights, match):
         Grid1D(points, weights)
 
 
+@pytest.mark.parametrize(
+    "points, weights, kind, match",
+    [
+        ([0.0, 1.0, 2.0], [1.0, np.inf, 1.0], "uniform", "grid points and weights must be finite"),
+        ([0.0, 1.0], [np.nan, 1.0], "open-interval", "grid points and weights must be finite"),
+        ([0.0, 1.0, np.inf], [1.0, 1.0, 1.0], "open-interval", "grid points and weights must be finite"),
+        ([-np.inf, 0.0], [1.0, 1.0], "open-interval", "grid points and weights must be finite"),
+        ([np.inf], [1.0], "open-interval", "grid points and weights must be finite"),
+    ],
+)
+def test_grid_refuses_non_finite_points_and_weights(points, weights, kind, match):
+    """An infinite step or weight is not a quadrature rule, though it is
+    increasing and positive."""
+    with pytest.raises(ValueError, match=match):
+        Grid1D(np.array(points), np.array(weights), kind=kind)
+
+
+@pytest.mark.parametrize("factory", [Grid1D.uniform, Grid1D.open_interval])
+@pytest.mark.parametrize("a, b", [(-1e308, 1e308), (np.float64(-1.5e308), np.float64(0.5e308))])
+def test_a_span_past_the_float_range_is_refused(factory, a, b):
+    """b - a overflows: the range is refused, and named, before numpy warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"finite span b - a, not the range {a:g} to {b:g}")):
+            factory(a, b, 5)
+
+
 @pytest.mark.parametrize("n", [-1, 0, 1])
 @pytest.mark.parametrize(
     "make, least",

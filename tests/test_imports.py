@@ -133,11 +133,14 @@ def _mode_value_reads(tree: ast.Module) -> list:
 
 def test_no_module_reads_the_gathered_modes():
     """The package reads a basis's modes as rows (mode_rows), columns
-    (modes_at) or transforms; mode_values, which gathers a builder's whole
-    mode matrix, is for callers outside it."""
+    (modes_at), transforms or one dense product (spectra._dense): nothing
+    reads a gathered copy (mode_values, which is gone), scans modes.imag
+    for realness (the dtype says it) or conjugates the whole mode matrix."""
     assert "spectra.py" in {p.name for p in SOURCES}
     offenders = {p.name: _mode_value_reads(ast.parse(p.read_text())) for p in SOURCES}
     assert {name: hits for name, hits in offenders.items() if hits} == {}
+    for p in SOURCES:
+        assert "modes.imag" not in p.read_text() and "np.conj(basis.modes)" not in p.read_text(), p.name
 
 
 def test_the_check_sees_a_mode_values_read():

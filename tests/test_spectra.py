@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from basis_modes import all_modes
 from greenkit import (
     Coefficients,
     EigenSystem,
@@ -36,8 +37,10 @@ from greenkit import (
 )
 from greenkit.spectra import (
     _column_blocks,
+    _expand,
     _first_columns,
     _gauss_hermite,
+    _ModeTable,
     _plane_wave_system,
     _plane_waves,
     _project,
@@ -93,7 +96,7 @@ def test_plane_waves_match_the_exponential(length, n_max, n_points):
     basis = _plane_wave_system(grid, j, j.astype(float), PhysicalConstants(), "free")
     assert np.array_equal(np.sort(basis.energies), j)
     assert np.array_equal(basis.waves, basis.energies)
-    modes = basis.mode_values
+    modes = all_modes(basis)
     phase = np.outer(2 * np.pi * basis.energies / length, grid.points)
     direct = np.exp(1j * phase) / np.sqrt(length)
     # the direct form's own phase round-off grows with |k x|
@@ -128,8 +131,8 @@ def test_mislabelled_basis_takes_the_dense_path():
     assert basis.waves is None
     assert orthonormality_residual(basis) <= 1e-14
     a = rng.normal(size=m) + 1j * rng.normal(size=m)
-    assert np.max(np.abs(mode_blocks(basis, a) - mode_sum(basis.mode_values, a))) <= 1e-12
-    dense = mode_sum(basis.mode_values, np.ones(m))
+    assert np.max(np.abs(mode_blocks(basis, a) - mode_sum(all_modes(basis), a))) <= 1e-12
+    dense = mode_sum(all_modes(basis), np.ones(m))
     assert completeness_residual(basis) == delta_residual(dense, 1.0 / basis.grid.weights) * np.min(basis.grid.weights)
     kern = auxiliary_kernel(basis, TimeWindow(np.linspace(0.0, 1.0, 5)))
     assert composition_residual(kern, 0.25, 0.25) <= 1e-14
@@ -166,7 +169,7 @@ def test_periodic_completeness_residual_reads_the_generating_column(build):
 )
 def test_well_completeness_residual_matches_the_dense_block(build):
     basis = build()
-    dense = mode_sum(basis.mode_values, np.ones(basis.size))
+    dense = mode_sum(all_modes(basis), np.ones(basis.size))
     # the residual is normalized to the delta's scale 1/w
     err = abs(completeness_residual(basis) - delta_residual(dense, 1.0 / basis.grid.weights) * np.min(basis.grid.weights))
     assert err <= basis.grid.size * np.finfo(float).eps
@@ -177,13 +180,14 @@ def test_large_well_blocks_match_mode_sum(n_points):
     """512 sine modes on the complete, an aliased and a finer grid; the
     property tests stop at 24 modes."""
     basis = build_well_basis(1.0, 512, n_points=n_points)
+    modes = all_modes(basis)
     rng = np.random.default_rng(0)
     for amps in (
         rng.normal(size=(2, basis.size)) + 1j * rng.normal(size=(2, basis.size)),
         auxiliary_kernel(basis, TimeWindow(np.linspace(0.0, 1.0, 3))).amplitudes,
     ):
         for a, block in zip(amps, mode_blocks(basis, amps)):
-            ref = mode_sum(basis.mode_values, a)
+            ref = mode_sum(modes, a)
             assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -195,36 +199,53 @@ def _complex_path(modes, a):
 @pytest.mark.parametrize("amplitude", ["real", "complex"])
 @pytest.mark.parametrize("n, m", [(5, 9), (7, 7), (9, 4)])
 def test_real_modes_take_the_real_gemm(n, m, amplitude):
-    """Real modes, stored complex as the builders store them: each block is
+    """float64 modes, as the oscillator builder stores them: each block is
     one real GEMM, within round-off of the complex product, for real and
-    complex amplitudes, and a 1-D result is its 2-D row exactly."""
+    complex amplitudes, and a 1-D result is its 2-D row exactly.  The same
+    modes stored complex take the complex product: the dtype decides."""
     rng = np.random.default_rng(n * m)
-    modes = rng.normal(size=(n, m)).astype(complex)
+    phi = rng.normal(size=(n, m))
     amps = rng.normal(size=(3, n))
     if amplitude == "complex":
         amps = amps + 1j * rng.normal(size=(3, n))
-    phi = modes.real
-    blocks = mode_sum(modes, amps)
+    blocks = mode_sum(phi, amps)
     assert blocks.shape == (3, m, m)
     for a, block in zip(amps, blocks):
-        ref = _complex_path(modes, a)
+        ref = _complex_path(phi.astype(complex), a)
         assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
         real_gemm = phi.T @ (a.astype(complex)[:, None] * phi).view(float)
         assert np.array_equal(block, real_gemm.view(complex))
-        assert np.array_equal(mode_sum(modes, a), block)
-        assert np.array_equal(mode_sum(phi, a), block)  # float modes too
+        assert np.array_equal(mode_sum(phi, a), block)
+        assert np.array_equal(mode_sum(phi.astype(complex), a), ref)
+
+
+def test_real_mode_sum_forms_one_factor_per_block():
+    """On the oscillator's float64 modes mode_sum holds its blocks and one
+    complex (n, m) factor a phi at a time, plus numpy's fixed cast buffer
+    (about 0.26 MB): no copy of the modes, whose real parts a complex store
+    had to copy out first (8 n m bytes, here 0.82 MB)."""
+    basis = build_oscillator_basis(n_max=128, n_points=801)
+    n, m = basis.modes.shape
+    amps = np.exp(-1j * np.outer([0.3, 0.7], basis.energies))
+    tracemalloc.start()
+    try:
+        blocks = mode_sum(basis.modes, amps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < blocks.nbytes + 16 * n * m + 4 * n * m
 
 
 def test_complex_modes_keep_the_complex_gemm():
     rng = np.random.default_rng(3)
     modes = rng.normal(size=(6, 8)).astype(complex)
-    modes[2, 5] += 1e-3j  # one complex entry is enough
+    modes[2, 5] += 1e-3j
     amps = rng.normal(size=(2, 6)) + 1j * rng.normal(size=(2, 6))
     for a, block in zip(amps, mode_sum(modes, amps)):
         assert np.array_equal(block, _complex_path(modes, a))
     basis = build_free_basis(10.0, 3)
     a = np.ones(basis.size)
-    assert np.array_equal(mode_sum(basis.mode_values, a), _complex_path(basis.mode_values, a))
+    assert np.array_equal(mode_sum(all_modes(basis), a), _complex_path(all_modes(basis), a))
 
 
 @pytest.mark.parametrize("convention", ["eq24", "minus-i"])
@@ -241,7 +262,7 @@ def test_well_kernel_blocks_vanish_off_the_causal_side(direction, convention):
     assert not values[s * t < 0].any()
     factor = -1j if convention == "minus-i" else 1
     for block, a in zip(values[s * t >= 0], kern.amplitudes[s * t >= 0]):
-        ref = factor * mode_sum(basis.mode_values, a)
+        ref = factor * mode_sum(all_modes(basis), a)
         assert np.max(np.abs(block - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert not values.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
@@ -274,7 +295,7 @@ def test_dense_blocks_are_one_mode_sum_per_live_row(direction):
         kernels = [step_factor_kernel(k, direction) for k in kernels]
     eq24, minus_i = kernels
     for block, a in zip(eq24.values, eq24.amplitudes):
-        assert np.array_equal(block, mode_sum(basis.mode_values, a) if a.any() else np.zeros_like(block))
+        assert np.array_equal(block, mode_sum(all_modes(basis), a) if a.any() else np.zeros_like(block))
     assert np.array_equal(minus_i.values, -1j * eq24.values)
 
 
@@ -309,7 +330,7 @@ def test_column_max_norm_is_the_block_max(build):
     basis = build()
     rng = np.random.default_rng(5)
     for a in rng.normal(size=(4, basis.size)) + 1j * rng.normal(size=(4, basis.size)):
-        block = mode_sum(basis.mode_values, a)
+        block = mode_sum(all_modes(basis), a)
         expect = np.max(np.abs(block))
         assert abs(column_max_norm(basis, block[:, 0]) - expect) <= 1e-13 * expect
 
@@ -390,7 +411,7 @@ def test_project_reconstruct_roundtrip():
     basis = build_well_basis(1.0, 12)
     rng = np.random.default_rng(11)
     c_in = rng.normal(size=12) + 1j * rng.normal(size=12)
-    psi = SampledFunction(basis.grid, c_in @ basis.mode_values)
+    psi = SampledFunction(basis.grid, c_in @ all_modes(basis))
     c_out = project_state(basis, psi)
     assert np.allclose(c_out.values, c_in, atol=1e-12)
     back = reconstruct(c_out)
@@ -406,9 +427,10 @@ def test_project_requires_matching_grid():
 
 
 def test_dense_projection_conjugates_the_small_side():
-    """A dense basis projects with conj(conj(weighted) @ modes.T): the bits of
-    weighted @ conj(modes).T, without a copy of the (n, m) modes, which on
-    the n = 192 uniform oscillator is 7.6 MB."""
+    """A dense basis projects with conj(modes @ conj(weighted).T): the bits of
+    weighted @ conj(modes).T on complex modes, and that product to round-off
+    on real ones, without a copy of the (n, m) modes, which on the n = 192
+    uniform oscillator is 3.8 MB."""
     rng = np.random.default_rng(5)
     osc = build_oscillator_basis(n_max=192)
     hand_modes = rng.standard_normal((3, osc.grid.size)) * (1 - 2j)
@@ -423,12 +445,73 @@ def test_dense_projection_conjugates_the_small_side():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(got, want)
+        if basis is hand:
+            assert np.array_equal(got, want)
+        else:
+            _assert_close(got, want)
         if basis is osc:
             assert peak < basis.modes.nbytes / 4
 
 
-@pytest.mark.parametrize("array", ["mode_values", "waves"])
+@pytest.mark.parametrize("grid_kind", ["uniform", "gauss"])
+def test_real_modes_take_real_dense_products(grid_kind):
+    """Expansion and projection on the oscillator's float64 modes match the
+    same modes stored complex, and on the uniform grid (m = 2459) peak under
+    a quarter of the modes."""
+    osc = build_oscillator_basis(n_max=192, grid_kind=grid_kind)
+    twin = EigenSystem(osc.grid, osc.energies, osc.modes.astype(complex), osc.constants, "oscillator")
+    assert osc.modes.dtype == np.float64 and twin.modes.dtype == complex
+    rng = np.random.default_rng(8)
+    n, m = osc.modes.shape
+    for call, size in ((_expand, n), (_project, m)):
+        for shape in ((size,), (8, size)):
+            rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            tracemalloc.start()
+            try:
+                got = call(osc, rows)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert grid_kind == "gauss" or peak < osc.modes.nbytes / 4
+            _assert_close(got, call(twin, rows))
+
+
+def test_builders_store_real_modes_as_float64():
+    """The dtype says whether modes are real: the oscillator's and the
+    well's sine table are float64, plane-wave tables complex, and a
+    hand-built basis keeps float64 and makes any other dtype complex."""
+    assert build_oscillator_basis(n_max=8).modes.dtype == np.float64
+    assert build_oscillator_basis(n_max=8, grid_kind="gauss").modes.dtype == np.float64
+    assert build_well_basis(1.0, 6).modes.table.dtype == np.float64
+    assert build_free_basis(10.0, 3).modes.table.dtype == complex
+    free = build_free_basis(10.0, 1)
+    for modes, dtype in ((np.eye(3), np.float64), (np.eye(3, dtype=int), complex), (np.eye(3, dtype=np.float32), complex)):
+        assert EigenSystem(free.grid, free.energies, modes, free.constants, "hand").modes.dtype == dtype
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.nan])
+def test_modes_must_be_finite(bad):
+    """A non-finite mode value is refused, on a dense basis and in a table:
+    a NaN would read as orthonormal, since max(0.0, nan) keeps 0.0."""
+    well = build_well_basis(1.0, 4)
+    modes = all_modes(well).real.astype(type(bad))
+    modes[1, 2] = bad
+    with pytest.raises(ValueError, match="modes must be finite"):
+        EigenSystem(well.grid, well.energies, modes, well.constants, "well")
+    table = well.modes.table.real.astype(type(bad))
+    table[3] = bad
+    with pytest.raises(ValueError, match="modes must be finite"):
+        dataclasses.replace(well, modes=dataclasses.replace(well.modes, table=table))
+
+
+READ_ONLY = {
+    "table": lambda basis: basis.modes.table,
+    "rows": lambda basis: basis.mode_rows(slice(None)),
+    "waves": lambda basis: basis.waves,
+}
+
+
+@pytest.mark.parametrize("array", READ_ONLY)
 @pytest.mark.parametrize(
     "build",
     [
@@ -439,17 +522,18 @@ def test_dense_projection_conjugates_the_small_side():
     ids=["free", "well", "relativistic"],
 )
 def test_builder_structure_is_read_only(build, array):
-    """The modes and the wave indices that mark their structure cannot be
-    rewritten after the build, so mode_blocks cannot drift from mode_sum."""
+    """The table, its gathered rows and the wave indices that mark their
+    structure cannot be rewritten after the build, so mode_blocks cannot
+    drift from mode_sum."""
     basis = build()
     with pytest.raises(ValueError, match="read-only"):
-        getattr(basis, array)[:] = 0
+        READ_ONLY[array](basis)[:] = 0
 
 
 def _with_energies(e):
     """A hand-built copy of a well basis with its last energy replaced."""
     basis = build_well_basis(1.0, 4)
-    return EigenSystem(basis.grid, [*basis.energies[:-1], e], basis.mode_values, basis.constants, "well")
+    return EigenSystem(basis.grid, [*basis.energies[:-1], e], all_modes(basis), basis.constants, "well")
 
 
 @pytest.mark.parametrize(
@@ -476,14 +560,14 @@ def test_builder_validation(call, match):
 def test_branch_tags_are_plus_or_minus_one(tags):
     basis = build_well_basis(1.0, 4)
     with pytest.raises(ValueError, match=r"one branch tag per mode, \+1 or -1"):
-        EigenSystem(basis.grid, basis.energies, basis.mode_values, basis.constants, "well", tags)
+        EigenSystem(basis.grid, basis.energies, all_modes(basis), basis.constants, "well", tags)
 
 
 def test_one_branch_basis_checks_its_one_gram_matrix():
     """One tag on every mode counts every pair, as no tags do, on the same
     dense modes."""
     basis = build_well_basis(1.0, 4)
-    plain, one = (EigenSystem(basis.grid, basis.energies, basis.mode_values, basis.constants, "well", tags)
+    plain, one = (EigenSystem(basis.grid, basis.energies, all_modes(basis), basis.constants, "well", tags)
                   for tags in (None, [1, 1, 1, 1]))
     assert orthonormality_residual(one) == orthonormality_residual(plain)
 
@@ -500,7 +584,7 @@ OTHER_LABEL = {
 def test_second_order_modes_follow_structure_not_label(case):
     build, label = OTHER_LABEL[case]
     basis = build()
-    twin, odd = (EigenSystem(basis.grid, basis.energies, basis.mode_values, basis.constants, model, basis.branches)
+    twin, odd = (EigenSystem(basis.grid, basis.energies, all_modes(basis), basis.constants, model, basis.branches)
                  for model in (basis.model, label))
     window = TimeWindow(np.array([-0.4, 0.0, 0.7]))
     assert np.array_equal(wave_auxiliary_kernel(odd, window).values, wave_auxiliary_kernel(twin, window).values)
@@ -523,7 +607,7 @@ STRUCTURED_BASES = {
 def _dense_twin(basis):
     """A hand-built copy of a builder's basis: no waves, so every product
     with its modes is the dense one."""
-    return EigenSystem(basis.grid, basis.energies, basis.mode_values, basis.constants, basis.model, basis.branches)
+    return EigenSystem(basis.grid, basis.energies, all_modes(basis), basis.constants, basis.model, basis.branches)
 
 
 def _assert_close(got, ref):
@@ -539,8 +623,7 @@ def test_orthonormality_is_the_dense_gram(case):
     build = STRUCTURED_BASES.get(case, lambda: build_relativistic_branches(PhysicalConstants(), 300, 10.0))
     basis = build()
     got = orthonormality_residual(basis)
-    assert "mode_values" not in vars(basis)
-    modes, w = basis.mode_values, basis.grid.weights
+    modes, w = all_modes(basis), basis.grid.weights
     gram = (modes * w) @ modes.conj().T - np.eye(basis.size)
     tags = np.ones(basis.size) if basis.branches is None else basis.branches
     gram[tags[:, None] != tags] = 0
@@ -563,11 +646,11 @@ def test_orthonormality_holds_row_blocks_only():
 
 @pytest.mark.parametrize("case", STRUCTURED_BASES)
 def test_transforms_match_the_dense_products(case):
-    """Each FFT or DST-I against the GEMM with mode_values it replaces."""
+    """Each FFT or DST-I against the GEMM with the gathered modes it replaces."""
     basis = STRUCTURED_BASES[case]()
     twin = _dense_twin(basis)
     assert twin.waves is None
-    modes, w = basis.mode_values, basis.grid.weights
+    modes, w = all_modes(basis), basis.grid.weights
     n, m = basis.size, basis.grid.size
     rng = np.random.default_rng(2)
     rows = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
@@ -607,7 +690,7 @@ def test_block_residual_is_the_dense_residual(case, delta):
     rng = np.random.default_rng(4)
     rows = rng.normal(size=(3, basis.size)) + 1j * rng.normal(size=(3, basis.size))
     shift = delta * np.diag(1.0 / basis.grid.weights)
-    ref = max(np.max(np.abs(block - shift)) for block in mode_sum(basis.mode_values, rows))
+    ref = max(np.max(np.abs(block - shift)) for block in mode_sum(all_modes(basis), rows))
     assert abs(block_residual(basis, rows, delta) - ref) <= 1e-13 * ref
 
 
@@ -632,31 +715,39 @@ def test_block_residuals_form_no_block(case):
     assert peak < 8e6
 
 
-def test_replace_keeps_the_table_and_gathers_nothing():
+def _refuse_gathers(monkeypatch):
+    """From here on, gathering rows of a builder's table fails the test."""
+    def refuse(table, part):
+        raise AssertionError(f"gathered the table rows {part}")
+    monkeypatch.setattr(_ModeTable, "gather", refuse)
+
+
+def test_replace_keeps_the_table_and_gathers_nothing(monkeypatch):
+    _refuse_gathers(monkeypatch)
     basis = build_free_basis(10.0, 4)
     twin = dataclasses.replace(basis, model="free")
     assert np.array_equal(twin.waves, basis.waves)
     assert twin.modes is basis.modes
     assert completeness_residual(twin) == completeness_residual(basis)
-    assert "mode_values" not in vars(basis) and "mode_values" not in vars(twin)
 
 
-def test_bases_compare_by_identity_and_gather_nothing():
+def test_bases_compare_by_identity_and_gather_nothing(monkeypatch):
+    _refuse_gathers(monkeypatch)
     a, b = build_well_basis(1.0, 6), build_well_basis(1.0, 6)
     assert a == a and a != b
-    assert "mode_values" not in vars(a) and "mode_values" not in vars(b)
 
 
 def test_builder_modes_are_the_exact_table_gather():
-    """mode_values, gathered on first read, is the exact table read at
-    (waves * offsets) mod len(table)."""
+    """mode_rows gathers the exact table read at (waves * offsets)
+    mod len(table), in the table's dtype: float64 on the well."""
     well = build_well_basis(1.0, 6, n_points=11)
     sines = np.sqrt(2.0) * np.sin(np.pi * np.arange(24) / 12)
-    assert np.array_equal(well.mode_values, sines[np.outer(np.arange(1, 7), np.arange(1, 12)) % 24])
-    assert well.mode_values.dtype == well.modes_at(0).dtype == complex
+    assert well.modes.table.dtype == np.float64
+    assert np.array_equal(all_modes(well), sines[np.outer(np.arange(1, 7), np.arange(1, 12)) % 24])
+    assert all_modes(well).dtype == well.modes_at(0).dtype == np.float64
     free = build_free_basis(10.0, 5, n_points=7)
     roots = np.exp(2j * np.pi * np.arange(7) / 7) / np.sqrt(10.0)
-    assert np.array_equal(free.mode_values, roots[np.outer(free.waves, np.arange(7)) % 7])
+    assert np.array_equal(all_modes(free), roots[np.outer(free.waves, np.arange(7)) % 7])
 
 
 @pytest.mark.parametrize(
@@ -668,17 +759,19 @@ def test_builder_modes_are_the_exact_table_gather():
     ],
     ids=["free", "well", "oscillator"],
 )
-def test_mode_products_are_the_entry_weights(build):
+def test_mode_products_are_the_entry_weights(build, monkeypatch):
     """mode_products(i, j) is phi_n(x_i) phi_n*(x_j) of the gathered modes,
-    gathers nothing, and refuses an index off the grid."""
-    basis, dense = build(), build().mode_values
+    complex on real modes too, gathers nothing, and refuses an index off
+    the grid."""
+    basis, dense = build(), all_modes(build())
+    _refuse_gathers(monkeypatch)
     m = basis.grid.size
     for i, j in ((0, 0), (1, m - 1), (m // 2, 2)):
         assert np.array_equal(basis.mode_products(i, j), dense[:, i] * np.conj(dense[:, j]))
+        assert basis.mode_products(i, j).dtype == complex
     for i, j in ((-1, 0), (0, m)):
         with pytest.raises(ValueError, match="grid index"):
             basis.mode_products(i, j)
-    assert basis.waves is None or "mode_values" not in vars(basis)
 
 
 @pytest.mark.parametrize(
@@ -691,30 +784,30 @@ def test_mode_products_are_the_entry_weights(build):
     ],
     ids=["free", "well", "relativistic", "helmholtz"],
 )
-def test_hot_paths_never_gather_the_modes(build):
-    """Transforms and table columns serve every hot path; a builder's
-    mode_values is gathered only when it is read, and read-only then."""
+def test_hot_paths_never_gather_the_modes(build, monkeypatch):
+    """Transforms and table columns serve every hot path.  The Gram of
+    orthonormality_residual is the one reader of gathered rows, a block at
+    a time (test_orthonormality_holds_row_blocks_only)."""
     basis = build()
+    _refuse_gathers(monkeypatch)
     m = basis.grid.size
     window = TimeWindow(np.linspace(-1.0, 1.0, 5))
     aux = auxiliary_kernel(basis, window)
     ret = step_factor_kernel(aux, "retarded")
     psi = SampledFunction(basis.grid, np.ones(m))
-    aux.values, ret.at(0.5), completeness_residual(basis), orthonormality_residual(basis)
+    aux.values, ret.at(0.5), completeness_residual(basis)
     composition_residual(aux, 0.25, 0.5)
     reconstruct(project_state(basis, psi)), propagate(ret, psi, 0.5)
     kernel_entry(basis, 0, 1, 0.5 - 0.1j), spectral_density(basis, 0, 1)
     wave = wave_step_factor_kernel(wave_auxiliary_kernel(basis, window), "retarded")
     wave.values, field_from_source(wave, SourceField(basis.grid, [0.0, 0.5], np.ones((2, m))), [0.5, 1.0])
-    assert "mode_values" not in vars(basis)
-    assert not basis.mode_values.flags.writeable
-    assert "mode_values" in vars(basis)
 
 
-def test_closed_form_check_never_gathers_the_modes():
+def test_closed_form_check_never_gathers_the_modes(monkeypatch):
     """Criterion 4's free half reads 21 kernel entries on the m = 1025 basis:
     two table columns each, where the gathered modes would take 16.8 MB and
     their index 8.4 MB."""
+    _refuse_gathers(monkeypatch)
     tracemalloc.start()
     try:
         free = build_free_basis(40.0, 512)
@@ -725,7 +818,6 @@ def test_closed_form_check_never_gathers_the_modes():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
-    assert "mode_values" not in vars(free)
 
 
 def test_well_column_max_norm_holds_row_chunks_only():
