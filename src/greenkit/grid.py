@@ -134,23 +134,27 @@ class Grid1D(_FormedOnRead):
             if np.finfo(float).tiny <= h < np.inf and h > 8 * np.finfo(float).eps * max(abs(a), abs(b)):
                 vars(self)["spacing"] = h
                 return
+        x0, x1 = (float(self._slice(slice(k, k + 1))[0][0]) for k in (0, size - 1))
+        if not abs(x1 - x0) < np.inf:
+            raise ValueError(f"the span x_last - x_first of the points must be finite, not {x1:g} - {x0:g}")
         # the least and largest step, each slice's first step taken from the
-        # previous slice's last point, and the least weight
+        # previous slice's last point, and the least weight; inside a finite
+        # span a step overflows only where the points also descend
         dx_min, dx_max, w_min = np.inf, -np.inf, np.inf
         prev = np.empty(0)
-        for _, (x, w) in _slices(self._slice, size):
-            dx = np.diff(x, prepend=prev)
-            dx_min = np.minimum(dx_min, dx.min(initial=np.inf))
-            dx_max = np.maximum(dx_max, dx.max(initial=-np.inf))
-            w_min = np.minimum(w_min, w.min())
-            prev = x[-1:]
+        with np.errstate(over="ignore"):
+            for _, (x, w) in _slices(self._slice, size):
+                dx = np.diff(x, prepend=prev)
+                dx_min = np.minimum(dx_min, dx.min(initial=np.inf))
+                dx_max = np.maximum(dx_max, dx.max(initial=-np.inf))
+                w_min = np.minimum(w_min, w.min())
+                prev = x[-1:]
         if not dx_min > 0:
             raise ValueError("points must be strictly increasing")
         if not w_min > 0:
             raise ValueError("weights must be strictly positive")
         if kind not in ("uniform", "open-interval", "periodic"):
             raise ValueError(f"unknown grid kind {kind!r}")
-        x0, x1 = float(self._slice(slice(0, 1))[0][0]), float(prev[0])
         h = (x1 - x0) / (size - 1) if size > 1 else float(w_min)
         if kind in ("uniform", "periodic"):
             # successive differences jitter at the ulp of the coordinates,

@@ -93,11 +93,12 @@ class EigenSystem:
 
     waves, a table's only, is each mode's integer wave index: j for plane
     waves on a periodic grid, whose mode sums are circulant, n for the
-    well's sines, whose mode sums are Toeplitz minus Hankel.  mode_blocks
-    rebuilds such blocks from their first columns, and the products with
-    the modes are transforms (_expand, _project).  A basis without waves,
-    whatever its model label, takes the dense path.  No other module reads
-    this structure.  Bases compare by identity, so == gathers nothing.
+    well's sines, whose mode sums are Toeplitz minus Hankel.  Such a block
+    is fixed by its first column, and the products with the modes are
+    transforms (_expand, _project).  A basis without waves, whatever its
+    model label, is dense: all its columns fix a block, and its products are
+    GEMMs (_dense).  No other module reads this structure.  Bases compare
+    by identity, so == gathers nothing.
     """
 
     grid: Grid1D
@@ -395,22 +396,19 @@ def mode_sum(modes: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
 
     modes is (n, m), one grid-sampled mode per row.  Amplitudes of shape (n,)
     give one (m, m) block; shape (k, n) gives k blocks, (k, m, m).  Each block
-    is written in place by one GEMM, so no (k, m, n) temporary is ever held;
-    rows of all-zero amplitudes run none and stay exact zeros.
-
-    float64 modes take S = phi^T (a phi), one real GEMM per block (_dense)
-    with the complex (n, m) factor a phi; complex modes take phi^T a times
-    conj(phi), conjugated once per call.
+    is S = phi^T (a conj(phi)), one _dense product written in place, its
+    factor a conj(phi) formed in one (n, m) buffer that every block reuses:
+    no copy of the modes and no (k, m, n) temporary is ever held.  Rows of
+    all-zero amplitudes run none and stay exact zeros.
     """
     rows = np.atleast_2d(amplitudes).astype(complex, copy=False)
     m = modes.shape[1]
     out = np.zeros((rows.shape[0], m, m), dtype=complex)
-    conj = None if modes.dtype == np.float64 else np.conj(modes)
+    factor = np.empty(modes.shape, dtype=complex)
     for k in np.flatnonzero(np.any(rows != 0, axis=1)):
-        if conj is None:
-            _dense(modes.T, rows[k][:, None] * modes, out=out[k])
-        else:
-            np.matmul(modes.T * rows[k], conj, out=out[k])
+        np.conjugate(modes, out=factor)
+        factor *= rows[k][:, None]
+        _dense(modes.T, factor, out=out[k])
     return out if np.ndim(amplitudes) == 2 else out[0]
 
 
@@ -418,7 +416,8 @@ def _dense(left: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np
     """left @ z, left the modes or their transpose, z complex (1-D or 2-D).
     float64 modes take one real GEMM on z's interleaved float view (into out's
     if given): half the flops, with no copy or complex cast of the modes as in
-    numpy's mixed product.  Complex: (z^T left^T)^T, the bit-pinned operand order."""
+    numpy's mixed product.  Complex: (z^T left^T)^T, the bit-pinned operand
+    order, which numpy takes as left @ z into a C-ordered out."""
     if left.dtype != np.float64:
         return np.matmul(z.T, left.T, out=None if out is None else out.T).T
     flat = np.ascontiguousarray(np.reshape(z, (z.shape[0], -1)), dtype=complex)
@@ -486,10 +485,14 @@ def _project(basis: EigenSystem, values: np.ndarray) -> np.ndarray:
 
 
 def _first_columns(basis: EigenSystem, rows: np.ndarray) -> np.ndarray:
-    """(k, m) first columns c[i] = sum_n phi_n(x_i) a_n phi_n*(x_0) of the mode
-    sums, one _expand of the rows a_n phi_n*(x_0); rows of all-zero
-    amplitudes give exact zero columns."""
-    return _expand(basis, rows * np.conj(basis.modes_at(0)))
+    """(..., c, m) columns that fix the mode sum S of each (..., n) amplitude
+    row a: entry [j, i] is S_ij, so column j meets row j at its entry j.  A
+    builder's S is fixed by its first column (c = 1), one _expand of the rows
+    a_n phi_n*(x_0); a dense S by all its columns (c = m), mode_sum's blocks
+    transposed, a view.  Rows of all-zero amplitudes give exact zero columns."""
+    if basis.waves is None:
+        return np.swapaxes(mode_sum(basis.modes, rows), -1, -2)
+    return _expand(basis, rows * np.conj(basis.modes_at(0)))[..., None, :]
 
 
 def _well_generators(columns: np.ndarray) -> np.ndarray:
@@ -511,8 +514,10 @@ def _well_rows(g: np.ndarray, rows: slice, out: np.ndarray | None = None) -> np.
 
 
 def _column_blocks(basis: EigenSystem, columns: np.ndarray) -> np.ndarray:
-    """Read-only (k, m, m) blocks of the basis algebra from their (k, m) first
-    columns c (see EigenSystem for the structure the builders' waves mark).
+    """Read-only (k, m, m) blocks of the basis algebra from their (k, c, m)
+    columns (_first_columns; EigenSystem says what structure the builders'
+    waves mark).  A dense basis's blocks are its columns transposed, a view;
+    a builder's are fixed by their first columns c.
 
     Periodic plane waves give the circulant block[i, j] = c[(i - j) mod m].
     Row i of a block is the window of the reversed, wrapped column that
@@ -531,6 +536,11 @@ def _column_blocks(basis: EigenSystem, columns: np.ndarray) -> np.ndarray:
     stay the untouched pages of np.zeros, such as the wrong side of a
     retarded or advanced kernel.
     """
+    if basis.waves is None:
+        blocks = np.swapaxes(columns, 1, 2)
+        blocks.flags.writeable = False
+        return blocks
+    columns = columns[:, 0]
     k, m = columns.shape
     if basis.grid.kind == "periodic":
         wrapped = np.concatenate([columns[:, ::-1], columns[:, :0:-1]], axis=1)
@@ -546,82 +556,68 @@ def _column_blocks(basis: EigenSystem, columns: np.ndarray) -> np.ndarray:
 
 def mode_blocks(basis: EigenSystem, amplitudes: np.ndarray, factor: complex = 1) -> np.ndarray:
     """factor * mode_sum over the basis modes, one amplitude per basis mode,
-    built from the basis structure, returned read-only.
-
-    On bases with waves every block is rebuilt from its first column
-    c[i] = block[i, 0], one transform per block (_first_columns), in O(m^2)
-    per block instead of O(m^2 n): a zero-copy circulant view on periodic
-    bases, Toeplitz minus Hankel on the well (_column_blocks).  Bases without
-    waves use mode_sum, scaled in place.  factor scales the columns (or the
-    dense blocks), so every entry is exactly factor times its unscaled
-    value.  Rows of all-zero amplitudes give exact zero blocks.
-    """
+    returned read-only: the columns that fix each block (_first_columns),
+    scaled in place, so every entry is exactly factor times its unscaled
+    value, then the blocks they fix (_column_blocks), in O(m^2) per builder
+    block instead of O(m^2 n), and a dense basis's mode_sum array itself.
+    Rows of all-zero amplitudes give exact zero blocks."""
     rows = np.atleast_2d(amplitudes)
-    if basis.waves is not None:
-        columns = _first_columns(basis, rows)
-        out = _column_blocks(basis, columns if factor == 1 else factor * columns)
-    else:
-        out = mode_sum(basis.modes, rows)
-        if factor != 1:
-            out *= factor
-        out.flags.writeable = False
+    columns = _first_columns(basis, rows)
+    if factor != 1:
+        np.multiply(factor, columns, out=columns)
+    out = _column_blocks(basis, columns)
     return out if np.ndim(amplitudes) == 2 else out[0]
 
 
-def column_max_norm(basis: EigenSystem, column: np.ndarray) -> float:
-    """max_ij |B_ij| of the block B of the basis algebra whose first column
-    is `column`, in O(m^2) time from that column alone.
-
-    On periodic bases B is circulant, so its entries are the column's and
-    the max takes O(m).  On the well B's rows are built by _well_rows, the
-    code that builds every mode_blocks block, one chunk of rows at a time,
-    so the memory is O(m) per chunk row instead of B's m^2.  A basis without
-    waves has no such algebra and raises ValueError.
-    """
-    if basis.waves is None:
-        raise ValueError(f"{basis.model!r} basis without waves has no structured block algebra")
-    if basis.grid.kind == "periodic":
-        return float(np.max(np.abs(column)))
-    m = column.size
-    g = _well_generators(column[None])[0]
+def column_max_norm(basis: EigenSystem, columns: np.ndarray) -> float:
+    """max_ij |B_ij| of the block B of the basis algebra that its (c, m)
+    columns fix (_first_columns), in O(m^2) time from them alone.  A dense
+    basis's columns are B, and a periodic B is circulant, so either way the
+    max is the columns'.  On the well B's rows are built by _well_rows, the
+    code that builds every mode_blocks block, a chunk of rows at a time, so
+    the memory is O(m) per chunk row instead of B's m^2."""
+    if basis.waves is None or basis.grid.kind == "periodic":
+        return float(np.max(np.abs(columns)))
+    m = columns.shape[-1]
+    g = _well_generators(columns[:1])[0]
     step = max(1, _CHUNK // m)
     return max(float(np.max(np.abs(_well_rows(g, slice(r, r + step))))) for r in range(0, m, step))
+
+
+def _minus_diagonal(columns: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """columns less shift_j where column j meets row j (entry [j, j] of (c, m)
+    columns or of a block), in place: the one home of a block minus delta / w."""
+    j = np.arange(columns.shape[-2])
+    columns[..., j, j] -= shift[j]
+    return columns
 
 
 def delta_residual(block: np.ndarray, shift: np.ndarray) -> float:
     """max_ij |B_ij - delta_ij shift_j|, the dense distance of a block from a
     diagonal: with shift = delta / w, from delta times the grid delta."""
-    return float(np.max(np.abs(block - np.diag(shift))))
+    return float(np.max(np.abs(_minus_diagonal(np.array(block, dtype=complex), shift))))
 
 
 def block_residual(basis: EigenSystem, amplitudes: np.ndarray, delta: complex = 0) -> float:
     """max over the (k, n) amplitude rows a of max_ij |S(a) - delta diag(1/w)|,
     S(a) the mode sum: the residual of every check whose source is delta
-    times the grid delta.  On bases with waves the weights are uniform, so
-    that source lies in the basis algebra and each difference is fixed by its
-    first column (column_max_norm); other bases form each dense block."""
-    rows = np.atleast_2d(amplitudes)
+    times the grid delta, from the columns that fix S(a) (_first_columns),
+    one row's at a time, less delta / w_j where column j meets row j.  On a
+    builder's basis the weights are uniform, so the difference lies in the
+    basis algebra and its first column fixes it (column_max_norm)."""
     shift = delta / basis.grid.weights
-    if basis.waves is None:
-        return max(delta_residual(mode_sum(basis.modes, a), shift) for a in rows)
-    columns = _first_columns(basis, rows)
-    columns[:, 0] -= shift[0]
-    return max(column_max_norm(basis, column) for column in columns)
+    rows = np.atleast_2d(amplitudes)
+    return max(column_max_norm(basis, _minus_diagonal(_first_columns(basis, a), shift)) for a in rows)
 
 
 def composition_norm(basis: EigenSystem, amplitudes: np.ndarray) -> float:
     """max-norm of S(a) - S(b) o S(c) for the amplitude rows (a, b, c), o the
-    quadrature-weighted spatial contraction.  On bases with waves each block
-    lies in the basis algebra (circulant, or Toeplitz minus Hankel: a sine
-    mode past m aliases onto +- a retained one, and the weights are
-    uniform), where it is fixed by its first column: S(a)'s minus
-    sum_n phi_n b_n <phi_n, S(c) column>, a few transforms and no block
-    (column_max_norm).  A basis without waves (the oscillator, any
-    hand-built one) forms the dense O(m^3) product.
-    """
-    if basis.waves is None:
-        lhs, k1, k2 = mode_sum(basis.modes, amplitudes)
-        return float(np.max(np.abs(lhs - k1 @ (basis.grid.weights[:, None] * k2))))
+    quadrature-weighted spatial contraction, from the columns that fix each
+    block (_first_columns): S(a)'s minus sum_n phi_n b_n <phi_n, S(c) column>.
+    On a builder's basis that is one column and a few transforms (circulant,
+    or Toeplitz minus Hankel: a sine mode past m aliases onto +- a retained
+    one, and the weights are uniform); a dense basis forms S(a) and S(c) and
+    two O(m^2 n) products with its modes, not S(b) or an (m, m) @ (m, m) one."""
     lhs, k2 = _first_columns(basis, amplitudes[[0, 2]])
     return column_max_norm(basis, lhs - _expand(basis, amplitudes[1] * _project(basis, k2)))
 

@@ -121,6 +121,26 @@ def test_a_span_past_the_float_range_is_refused(factory, a, b):
             factory(a, b, 5)
 
 
+@pytest.mark.parametrize(
+    "points, kind, match",
+    [
+        ([-1e308, 1e308], "open-interval", "span x_last - x_first of the points must be finite, not 1e+308 - -1e+308"),
+        ([-1e308, 0.0, 1e308], "uniform", "span x_last - x_first of the points must be finite, not 1e+308 - -1e+308"),
+        ([1e308, -1e308], "open-interval", "span x_last - x_first of the points must be finite, not -1e+308 - 1e+308"),
+        ([0.0, 1e308, -1e308, 1.0], "open-interval", "points must be strictly increasing"),
+    ],
+    ids=["two-points", "uniform", "descending", "step-overflows"],
+)
+def test_stored_points_whose_span_overflows_are_refused(points, kind, match):
+    """Finite points whose span x_last - x_first overflows are refused, and
+    the span named, before numpy warns, not taken as a grid of spacing inf;
+    a step that overflows inside a finite span is a descent."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(match)):
+            Grid1D(np.array(points), np.ones(len(points)), kind=kind)
+
+
 @pytest.mark.parametrize("n", [-1, 0, 1])
 @pytest.mark.parametrize(
     "make, least",

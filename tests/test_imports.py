@@ -1,5 +1,6 @@
 """The package's import graph: sibling modules are imported at module level
-only; only spectra reads a basis's structure; only grid reads a uniform
+only; only spectra reads a basis's structure, and within it only the
+functions that pick a route; only grid reads a uniform
 grid's rule; one hook forms every field kept as a rule; no module reads a
 basis's gathered mode matrix; a mode sum's entry and its dense delta defect
 each have one home; and each error message has one home."""
@@ -66,10 +67,30 @@ def test_only_spectra_reads_a_basis_structure():
     assert {name: hits for name, hits in offenders.items() if hits} == {}
 
 
+def _top_level_owners(tree: ast.Module, lines: list) -> set:
+    """Name of the module-level def or class around each line, "<module>"
+    outside every one."""
+    spans = [(node.lineno, node.end_lineno, node.name) for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    return {next((name for lo, hi, name in spans if lo <= line <= hi), "<module>") for line in lines}
+
+
+def test_spectra_picks_a_route_in_five_functions():
+    """Inside spectra, besides the types that hold the structure (EigenSystem
+    and its _ModeTable), only _expand and _project (which transform) and
+    _first_columns, _column_blocks and column_max_norm (which columns fix a
+    block, and what they mean) read it: mode_blocks, block_residual and
+    composition_norm take one route on every basis, dense ones included."""
+    tree = ast.parse((Path(greenkit.__file__).parent / "spectra.py").read_text())
+    assert _top_level_owners(tree, _structure_reads(tree)) == {
+        "_ModeTable", "EigenSystem", "_expand", "_project", "_first_columns", "_column_blocks", "column_max_norm"}
+
+
 def test_the_check_sees_a_structure_read():
     tree = ast.parse("if basis.waves is None:\n    pass\nkern.kind\nperiodic = b.grid.kind == 'periodic'\n"
-                     "waves = 1\ngrid.size\n")
-    assert _structure_reads(tree) == [1, 4]
+                     "waves = 1\ngrid.size\ndef f():\n    return b.waves\nclass A:\n    w = b.grid.kind\n")
+    assert _structure_reads(tree) == [1, 4, 8, 10]
+    assert _top_level_owners(tree, _structure_reads(tree)) == {"<module>", "f", "A"}
 
 
 def _rule_reads(tree: ast.Module) -> list:
@@ -150,12 +171,12 @@ def test_the_check_sees_a_mode_values_read():
 
 
 def _callers(tree: ast.Module, attr: str) -> list:
-    """(function, line) of every call x.attr(...), function the innermost
-    def around it, "<module>" outside every def."""
+    """(function, line) of every call x.attr(...) or attr(...), function the
+    innermost def around it, "<module>" outside every def."""
     spans = [(fn.lineno, fn.end_lineno, fn.name) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == attr:
+        if isinstance(node, ast.Call) and attr in (getattr(node.func, "attr", None), getattr(node.func, "id", None)):
             around = [span for span in spans if span[0] <= node.lineno <= span[1]]
             found.append((max(around)[2] if around else "<module>", node.lineno))
     return sorted(found, key=lambda hit: hit[1])
@@ -163,20 +184,26 @@ def _callers(tree: ast.Module, attr: str) -> list:
 
 def test_entry_products_and_the_dense_defect_have_one_home_each():
     """Only spectra reads a single mode's values (modes_at), and so forms
-    phi_n(x_i) phi_n*(x_j); only spectra.delta_residual forms a diagonal."""
+    phi_n(x_i) phi_n*(x_j); a block minus delta / w_j has one home,
+    spectra._minus_diagonal, which block_residual (on the columns that fix
+    a block) and delta_residual (on a kernel's own block) call, and no
+    module forms a diagonal matrix."""
     homes = defaultdict(set)
     for p in SOURCES:
         tree = ast.parse(p.read_text())
-        for attr in ("modes_at", "diag"):
+        for attr in ("modes_at", "diag", "_minus_diagonal"):
             homes[attr] |= {(p.name, fn) for fn, _ in _callers(tree, attr)}
     assert {name for name, _ in homes["modes_at"]} == {"spectra.py"}
-    assert homes["diag"] == {("spectra.py", "delta_residual")}
+    assert homes["diag"] == set()
+    assert homes["_minus_diagonal"] == {("spectra.py", "block_residual"), ("spectra.py", "delta_residual")}
 
 
 def test_the_check_names_the_caller():
-    tree = ast.parse("np.diag(w)\ndef f():\n    def g():\n        return b.modes_at(0)\n    return np.diag(v)\n")
+    tree = ast.parse("np.diag(w)\ndef f():\n    def g():\n        return b.modes_at(0)\n    return np.diag(v)\n"
+                     "def h():\n    return _minus_diagonal(c, s)\n")
     assert _callers(tree, "diag") == [("<module>", 1), ("f", 5)]
     assert _callers(tree, "modes_at") == [("g", 4)]
+    assert _callers(tree, "_minus_diagonal") == [("h", 7)]
 
 
 def _value_error_texts(tree: ast.Module) -> list:

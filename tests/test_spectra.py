@@ -136,8 +136,6 @@ def test_mislabelled_basis_takes_the_dense_path():
     assert completeness_residual(basis) == delta_residual(dense, 1.0 / basis.grid.weights) * np.min(basis.grid.weights)
     kern = auxiliary_kernel(basis, TimeWindow(np.linspace(0.0, 1.0, 5)))
     assert composition_residual(kern, 0.25, 0.25) <= 1e-14
-    with pytest.raises(ValueError, match="without waves"):
-        column_max_norm(basis, dense[:, 0])
 
 
 @pytest.mark.parametrize(
@@ -192,8 +190,9 @@ def test_large_well_blocks_match_mode_sum(n_points):
 
 
 def _complex_path(modes, a):
-    """The complex-mode mode_sum of one block: phi^T a times conj(phi)."""
-    return (modes.T * a) @ np.conj(modes)
+    """The complex-mode mode_sum of one block in _dense's operand order into
+    a block: phi^T times the factor a conj(phi)."""
+    return modes.T @ (np.conj(modes) * a[:, None])
 
 
 @pytest.mark.parametrize("amplitude", ["real", "complex"])
@@ -202,7 +201,8 @@ def test_real_modes_take_the_real_gemm(n, m, amplitude):
     """float64 modes, as the oscillator builder stores them: each block is
     one real GEMM, within round-off of the complex product, for real and
     complex amplitudes, and a 1-D result is its 2-D row exactly.  The same
-    modes stored complex take the complex product: the dtype decides."""
+    modes stored complex take the complex product: the dtype decides, in
+    _dense alone."""
     rng = np.random.default_rng(n * m)
     phi = rng.normal(size=(n, m))
     amps = rng.normal(size=(3, n))
@@ -234,6 +234,23 @@ def test_real_mode_sum_forms_one_factor_per_block():
     finally:
         tracemalloc.stop()
     assert peak < blocks.nbytes + 16 * n * m + 4 * n * m
+
+
+def test_complex_mode_sum_forms_one_factor_for_all_blocks():
+    """On complex modes mode_sum holds its blocks and one complex (n, m)
+    factor a conj(phi), reused by every block: no conjugated copy of the
+    modes and no per-block (m, n) temporary, 16 n m bytes each."""
+    rng = np.random.default_rng(8)
+    n, m = 96, 400
+    modes = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+    amps = np.exp(-1j * np.outer([0.3, 0.7, 1.1], np.arange(n)))
+    tracemalloc.start()
+    try:
+        blocks = mode_sum(modes, amps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < blocks.nbytes + 1.5 * 16 * n * m
 
 
 def test_complex_modes_keep_the_complex_gemm():
@@ -324,20 +341,19 @@ def test_oscillator_gauss_rule_is_cached_per_size():
         lambda: build_well_basis(1.0, 30, n_points=7),
         lambda: build_free_basis(10.0, 5),
         lambda: build_relativistic_branches(PhysicalConstants(), 4, 10.0, n_points=6),
+        lambda: build_oscillator_basis(n_max=4, grid_kind="gauss"),
+        lambda: build_oscillator_basis(n_max=6, n_points=9, grid_kind="gauss"),
     ],
 )
 def test_column_max_norm_is_the_block_max(build):
+    """From a builder's first column, or from every column of a dense block."""
     basis = build()
     rng = np.random.default_rng(5)
     for a in rng.normal(size=(4, basis.size)) + 1j * rng.normal(size=(4, basis.size)):
         block = mode_sum(all_modes(basis), a)
+        columns = block.T if basis.waves is None else block[:, :1].T
         expect = np.max(np.abs(block))
-        assert abs(column_max_norm(basis, block[:, 0]) - expect) <= 1e-13 * expect
-
-
-def test_column_max_norm_needs_a_block_algebra():
-    with pytest.raises(ValueError, match="oscillator"):
-        column_max_norm(build_oscillator_basis(n_max=4, grid_kind="gauss"), np.ones(4))
+        assert abs(column_max_norm(basis, columns) - expect) <= 1e-13 * expect
 
 
 def test_oscillator_gauss_grid_complete():
@@ -654,7 +670,7 @@ def test_transforms_match_the_dense_products(case):
     n, m = basis.size, basis.grid.size
     rng = np.random.default_rng(2)
     rows = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
-    _assert_close(_first_columns(basis, rows), (rows * np.conj(modes[:, 0])) @ modes)
+    _assert_close(_first_columns(basis, rows)[:, 0], (rows * np.conj(modes[:, 0])) @ modes)
     psi = SampledFunction(basis.grid, rng.normal(size=m) + 1j * rng.normal(size=m))
     _assert_close(project_state(basis, psi).values, np.conj(modes) @ (w * psi.values))
     _assert_close(reconstruct(Coefficients(rows[0], basis)).values, rows[0] @ modes)
@@ -667,7 +683,7 @@ def test_transforms_match_the_dense_products(case):
     # composition: the residual's first column, here from three dense blocks
     lhs, k1, k2 = mode_sum(modes, aux.amplitude(np.array([0.7, 0.3, 0.4])))
     column = lhs[:, 0] - k1 @ (w * k2[:, 0])
-    assert abs(composition_residual(aux, 0.3, 0.4) - column_max_norm(basis, column)) <= 1e-13 * np.max(np.abs(lhs))
+    assert abs(composition_residual(aux, 0.3, 0.4) - column_max_norm(basis, column[None])) <= 1e-13 * np.max(np.abs(lhs))
 
     source = SourceField(basis.grid, np.linspace(0.0, 0.5, 4), rng.normal(size=(4, m)) + 1j * rng.normal(size=(4, m)))
     eval_times = np.linspace(0.0, 1.0, 6)
@@ -827,11 +843,11 @@ def test_well_column_max_norm_holds_row_chunks_only():
     rng = np.random.default_rng(9)
     amps = np.concatenate([rng.normal(size=(2, basis.size)) + 1j * rng.normal(size=(2, basis.size)),
                            np.ones((1, basis.size))])
-    for column in _first_columns(basis, amps):
-        block = _column_blocks(basis, column[None])[0]
+    for columns in _first_columns(basis, amps):
+        block = _column_blocks(basis, columns[None])[0]
         tracemalloc.start()
         try:
-            got = column_max_norm(basis, column)
+            got = column_max_norm(basis, columns)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
