@@ -23,6 +23,14 @@ REFERENCE = json.loads(
 )
 VALUE_RTOL = 1e-9
 VALUE_ATOL = 1e-12
+# Every (value, tolerance) check of every criterion, float.hex-encoded, as the
+# measurements returned them at one BLAS thread; not only the reported one.
+CHECKS = {
+    int(number): [tuple(map(float.fromhex, check)) for check in checks]
+    for number, checks in json.loads((Path(__file__).resolve().parent / "criterion_checks.json").read_text()).items()
+}
+ROUNDOFF = 1e-12  # a recorded value at or below this is round-off ...
+ROUNDOFF_CAP = 100  # ... and may grow to at most this many times itself
 
 IDS = [
     "c01-initial-condition",
@@ -69,6 +77,43 @@ def test_criterion_tolerance_is_pinned(results, number):
     ref = REFERENCE[str(number)]
     r = results[number]
     assert abs(r.tolerance - ref["tolerance"]) <= VALUE_RTOL * abs(ref["tolerance"]) + VALUE_ATOL, r.line()
+
+
+def _check_moved(check, ref) -> bool:
+    """Whether a check left its pin: an exact check (tolerance 0) and its
+    tolerance stay exact; a substantive value and every computed tolerance
+    keep the value rule; a round-off value stays within ROUNDOFF_CAP times
+    its recorded value."""
+    (v, t), (v_ref, t_ref) = check, ref
+    if t_ref == 0:
+        return (v, t) != (v_ref, t_ref)
+    if abs(t - t_ref) > VALUE_RTOL * t_ref + VALUE_ATOL:
+        return True
+    if v_ref <= ROUNDOFF:
+        return not 0 <= v <= ROUNDOFF_CAP * v_ref
+    return abs(v - v_ref) > VALUE_RTOL * v_ref + VALUE_ATOL
+
+
+def test_every_check_of_every_criterion_is_pinned():
+    """All 26 checks, 3, 1, 3, 2, 2, 3, 1, 4, 1, 4 and 2 of them from criterion
+    1 to 11, hold their recorded values: a check that no criterion reports
+    (such as criterion 10's S-P offset under its step transform's 0.99995)
+    is pinned too, and a dropped check fails the count."""
+    measured = {fn.number: [(float(v), float(t)) for v, t in fn.__wrapped__()[0]] for fn in CRITERIA}
+    assert {n: len(checks) for n, checks in CHECKS.items()} == dict(zip(range(1, 12), (3, 1, 3, 2, 2, 3, 1, 4, 1, 4, 2)))
+    assert {n: len(checks) for n, checks in measured.items()} == {n: len(checks) for n, checks in CHECKS.items()}
+    moved = {(n, k): (check, CHECKS[n][k]) for n, checks in measured.items()
+             for k, check in enumerate(checks) if _check_moved(check, CHECKS[n][k])}
+    assert moved == {}
+
+
+def test_the_pin_sees_a_moved_check():
+    assert not _check_moved((1e-3 * (1 + 5e-10), 1e-3), (1e-3, 1e-3))
+    assert _check_moved((1e-3 * (1 + 1e-8), 1e-3), (1e-3, 1e-3))
+    assert not _check_moved((99e-16, 1e-6), (1e-16, 1e-6)) and _check_moved((101e-16, 1e-6), (1e-16, 1e-6))
+    assert _check_moved((1e-300, 1e-12), (0.0, 1e-12)) and _check_moved((-1e-16, 1e-6), (1e-16, 1e-6))
+    assert _check_moved((5e-324, 0.0), (0.0, 0.0)) and _check_moved((0.0, 1e-9), (0.0, 0.0))
+    assert _check_moved((1e-3, 1.1e-3), (1e-3, 1e-3))
 
 
 def test_negative_control_eta_sign_flip():
