@@ -16,13 +16,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import SampledFunction, _require_finite
+from .grid import SampledFunction, _require_finite, _require_scale
 from .spectra import (
     Coefficients,
     EigenSystem,
     PhysicalConstants,
-    _wave_modes,
-    _wave_phases,
     block_residual,
     composition_norm,
     mode_blocks,
@@ -78,6 +76,104 @@ def _prefactor(convention: str) -> complex:
     return -1j if convention == "minus-i" else 1
 
 
+def _ranged(law):
+    """The laws' one range rule: every amplitude and phase a law returns is
+    finite, or a ValueError names tau before numpy warns."""
+
+    def ranged(basis: EigenSystem, tau):
+        with np.errstate(over="ignore", invalid="ignore"):  # a value past the range is refused below
+            values = law(basis, tau)
+        for part in values if isinstance(values, tuple) else (values,):
+            _require_finite(part, "amplitudes and phases of the law at tau")
+        return values
+
+    return staticmethod(ranged)
+
+
+class _FirstOrder:
+    """i hbar dG/dtau = H G: every mode, at omega_n = E_n / hbar."""
+
+    @staticmethod
+    def modes(basis: EigenSystem) -> tuple:
+        """(mode indices, E_n, hbar): every mode of any basis."""
+        return np.arange(basis.size), basis.energies, basis.constants.hbar
+
+    @_ranged
+    def amplitude(basis: EigenSystem, tau):
+        """e^{-i E_n tau / hbar}, of shape tau.shape + (basis.size,)."""
+        return np.exp(-1j * basis.energies * tau[..., None] / basis.constants.hbar)
+
+    @staticmethod
+    def lines(basis: EigenSystem, products: np.ndarray) -> tuple:
+        """(omega_n, weights): a line per mode at E_n / hbar, of weight phi_n(x_i) phi_n*(x_j)."""
+        return basis.energies / basis.constants.hbar, products
+
+
+class _SecondOrder:
+    """-(1/c^2) d^2G/dtau^2 = H G: the modes of eigenvalue lambda_n >= 0, at omega_n = sqrt(lambda_n) c."""
+
+    @staticmethod
+    def modes(basis: EigenSystem) -> tuple:
+        """(mode indices, sqrt(lambda_n), c): every mode, lambda = E_n, or on a
+        basis with branches (Klein-Gordon, hbar = c = 1) the positive branch,
+        lambda = E_k^2; rejects negative eigenvalues."""
+        if basis.branches is not None:
+            if not (basis.constants.hbar == 1.0 and basis.constants.c == 1.0):
+                raise ValueError("Klein-Gordon kernel assumes hbar = c = 1 units")
+            index = np.flatnonzero(basis.branches > 0)
+            e = basis.energies[index] ** 2
+        else:
+            index = np.arange(basis.size)
+            e = basis.energies
+        if np.any(e < 0):
+            raise ValueError("second-order modes need non-negative eigenvalues")
+        return index, np.sqrt(e), basis.constants.c
+
+    @_ranged
+    def phases(basis: EigenSystem, t) -> tuple:
+        """(c S, C) = (c sin(r c t) / r, cos(r c t)) per mode r = sqrt(lambda_n), t
+        broadcast against the modes, (c t, 1) on a zero mode: c S is the
+        amplitude, and c S(t - t') = c S(t) C(t') - C(t) c S(t')."""
+        _, root, c = _SecondOrder.modes(basis)
+        zero = root == 0
+        r = np.where(zero, 1.0, root)
+        return np.where(zero, c * t, c * np.sin(r * c * t) / r), np.where(zero, 1.0, np.cos(r * c * t))
+
+    @staticmethod
+    def amplitude(basis: EigenSystem, tau):
+        """c S(tau) on the law's modes, 0 on the others, of shape tau.shape + (basis.size,)."""
+        a = np.zeros(np.shape(tau) + (basis.size,), dtype=complex)
+        a[..., _SecondOrder.modes(basis)[0]] = _SecondOrder.phases(basis, tau[..., None])[0]
+        return a
+
+    @staticmethod
+    def lines(basis: EigenSystem, products: np.ndarray) -> tuple:
+        """(omega_n, weights): a pair per mode at +-sqrt(lambda_n) c, of weights
+        +-c phi_n(x_i) phi_n*(x_j) / (2 i sqrt(lambda_n)), none for a zero mode."""
+        index, root, c = _SecondOrder.modes(basis)
+        if np.any(root == 0):
+            raise ValueError("second-order lines need positive eigenvalues: a zero mode has no finite-frequency line")
+        w_plus = c * products[index] / (2j * root)
+        return np.concatenate([root, -root]) * c, np.concatenate([w_plus, -w_plus])
+
+
+# Each order's law, its one home: the modes it sums, their frequencies, the
+# amplitude in tau and the lines in omega, where its retarded transform has
+# its poles, shifted by -i eta.
+_LAWS = {"first": _FirstOrder, "second": _SecondOrder}
+
+
+def _law(order: str, basis: EigenSystem):
+    """The law of an order string, "first" or "second", once it admits basis:
+    a non-empty one, at second order one its modes take."""
+    if order not in _LAWS:
+        raise ValueError(f"unknown order {order!r}")
+    if basis.size == 0:
+        raise ValueError("empty basis")
+    _LAWS[order].modes(basis)  # raises on a basis outside the law's domain
+    return _LAWS[order]
+
+
 @dataclass(frozen=True, eq=False)
 class TimeWindow:
     """Ordered tau = t - t' samples; the one time-axis rule (1-D, at least one
@@ -102,9 +198,8 @@ class Kernel:
     Block k is sum_n phi_n(x_i) amplitude(times[k])[n] phi_n*(x_j), times -i
     under the minus-i convention.  kind: auxiliary | retarded | advanced;
     convention: "eq24" or "minus-i" (printed literature form); order:
-    "first" (phase sum) or "second" (wave kernel at c = basis.constants.c).
-    Any basis in the law's domain is admitted, and only here: a non-empty one,
-    at second order also one that spectra._wave_modes takes.
+    "first" (phase sum) or "second" (wave kernel at c = basis.constants.c),
+    whose law (_law) admits the basis.
     """
 
     basis: EigenSystem
@@ -118,33 +213,20 @@ class Kernel:
         if self.kind not in ("auxiliary", "retarded", "advanced"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         _prefactor(self.convention)  # raises on an unknown convention
-        if self.order not in ("first", "second"):
-            raise ValueError(f"unknown kernel order {self.order!r}")
-        if self.basis.size == 0:
-            raise ValueError("empty basis")
-        if self.order == "second":
-            _wave_modes(self.basis)  # raises on a basis the wave law cannot take
+        object.__setattr__(self, "_law", _law(self.order, self.basis))
 
     def amplitude(self, tau) -> np.ndarray:
-        """The law without the minus-i prefactor: amplitudes of shape
-        tau.shape + (basis.size,), for real or complex tau.
-
-        s theta(s Re tau) (1 for the auxiliary kind) times e^{-i E_n tau / hbar}
-        at first order; at second order c sin(sqrt(lambda_n) c tau) /
-        sqrt(lambda_n) (c tau on a zero mode) on spectra._wave_modes, and
-        0 on every other mode.  A zero step factor gives exact zero blocks.
+        """The law's amplitude without the minus-i prefactor, of shape
+        tau.shape + (basis.size,), for real or complex tau, times
+        s theta(s Re tau) (1 for the auxiliary kind).  A zero step factor
+        gives exact zero blocks.
         """
-        tau = np.asarray(tau)[..., None]
-        if self.order == "first":
-            a = np.exp(-1j * self.basis.energies * tau / self.basis.constants.hbar)
-        else:
-            index, root_e, c = _wave_modes(self.basis)
-            a = np.zeros(tau.shape[:-1] + (self.basis.size,), dtype=complex)
-            a[..., index] = _wave_phases(root_e, c, tau)[0]
+        tau = np.asarray(tau)
+        a = self._law.amplitude(self.basis, tau)
         if self.kind == "auxiliary":
             return a
         s = _SIGNS[self.kind]
-        return a * (s * theta(s * tau.real))
+        return a * (s * theta(s * tau.real))[..., None]
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
@@ -207,9 +289,8 @@ def kernel_entry(basis: EigenSystem, i: int, j: int, tau: complex, convention: s
     """
     products = basis.mode_products(i, j)
     _require_finite(tau, "tau")
-    # the law does not read the window, so one sample stands in for it
-    amps = Kernel(basis, [0.0], convention=convention).amplitude(tau)
-    return complex(_prefactor(convention) * np.sum(products * amps))
+    factor = _prefactor(convention)
+    return complex(factor * np.sum(products * _law("first", basis).amplitude(basis, np.asarray(tau))))
 
 
 def propagate(kernel: Kernel, psi0: SampledFunction, tau: float) -> SampledFunction:
@@ -298,10 +379,11 @@ def pde_jump_residual(basis: EigenSystem, convention: str, dtau: float) -> float
     convention; the minus-i form leaves an O(1/dtau) mismatch, which is the
     artifact's demonstration of the printed normalization inconsistency.
     """
-    hbar = basis.constants.hbar
+    _require_scale(dtau, "dtau")
     ret = Kernel(basis, [-dtau, 0.0, dtau], kind="retarded", convention=convention)
     before, now, after = ret.amplitudes
+    _, energies, hbar = _FirstOrder.modes(basis)
     # the operator i hbar d/dtau - H acts on each mode's amplitude: the
     # central difference of G^R across the jump, and E times G^R(0): one row
-    row = _prefactor(convention) * (1j * hbar * (after - before) / (2 * dtau) - basis.energies * now)
+    row = _prefactor(convention) * (1j * hbar * (after - before) / (2 * dtau) - energies * now)
     return block_residual(basis, row, 1j * hbar / (2 * dtau))

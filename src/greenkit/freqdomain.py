@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .firstorder import _sign, _suppressed
+from .firstorder import _law, _sign, _suppressed
 from .grid import _BLOCK, _FormedOnRead, _require_finite, _slices
-from .spectra import EigenSystem, PhysicalConstants, _relativistic_energy, _wave_modes
+from .spectra import EigenSystem, PhysicalConstants, _relativistic_energy
 
 __all__ = [
     "SpectralDensity",
@@ -121,26 +121,12 @@ def _width(poles) -> float:
 
 
 def spectral_density(basis: EigenSystem, i: int, j: int, order: str = "first") -> SpectralDensity:
-    """Density of the kernel entry (x_i, x_j).
-
-    order "first": one line per mode at E_n/hbar with weight phi_n(x_i)
-    phi_n*(x_j).  order "second": a mirrored pair at +-sqrt(E_n) c with
-    weights +-c phi phi* / (2 i sqrt(E_n)) per mode of the wave kernel
-    (spectra._wave_modes): every mode, or on the relativistic two-branch
-    basis one pair per momentum at +-E_k c.  A zero mode (Helmholtz k = 0)
-    has no finite-frequency line and is rejected here.  Indices outside the
-    grid raise ValueError.
-    """
+    """Density of the kernel entry (x_i, x_j): the lines of the order's law
+    (firstorder._law), one per mode at E_n/hbar, or a mirrored pair per
+    mode at +-sqrt(lambda_n) c, where a zero mode (Helmholtz k = 0) is
+    rejected.  Indices outside the grid raise ValueError."""
     phi = basis.mode_products(i, j)
-    if order == "first":
-        return SpectralDensity(basis.energies / basis.constants.hbar, phi)
-    if order == "second":
-        index, root, c = _wave_modes(basis)
-        if np.any(root == 0):
-            raise ValueError("second-order lines need positive eigenvalues: a zero mode has no finite-frequency line")
-        w_plus = c * phi[index] / (2j * root)
-        return SpectralDensity(np.concatenate([root, -root]) * c, np.concatenate([w_plus, -w_plus]))
-    raise ValueError(f"unknown order {order!r}")
+    return SpectralDensity(*_law(order, basis).lines(basis, phi))
 
 
 # v values per convolution chunk: few enough rows that a chunk's temporaries

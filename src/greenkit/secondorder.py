@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .firstorder import Kernel, TimeWindow, _sign, step_factor_kernel, theta
+from .firstorder import Kernel, TimeWindow, _SecondOrder, _sign, step_factor_kernel, theta
 from .grid import Grid1D, _require_finite, _require_scale
-from .spectra import EigenSystem, _expand, _project, _wave_modes, _wave_phases, block_residual
+from .spectra import EigenSystem, _expand, _project, block_residual
 
 __all__ = [
     "SourceField",
@@ -70,20 +70,16 @@ class PulseDescriptor:
 
 
 def wave_auxiliary_kernel(basis: EigenSystem, window: TimeWindow) -> Kernel:
-    """G = c sum_n phi_n phi_n* sin(sqrt(E_n) c tau) / sqrt(E_n), c = basis.constants.c.
-
-    The zero mode uses the removable-singularity limit sin(0 * )/0 -> c tau.
-    Odd in tau by construction, zero at tau = 0 exactly.  On the relativistic
-    two-branch basis this is the Klein-Gordon kernel, a box-normalized sum of
-    e^{ik dx} sin(E_k tau)/E_k with E_k = +sqrt(k^2 + m^2) (hbar = c = 1),
-    and the negative branch's amplitudes are zero.
-    """
+    """G = c sum_n phi_n phi_n* sin(sqrt(E_n) c tau) / sqrt(E_n), c = basis.constants.c,
+    the second-order law (firstorder._SecondOrder): odd in tau, zero at tau = 0
+    exactly, and on the relativistic two-branch basis the Klein-Gordon kernel,
+    a box-normalized sum of e^{ik dx} sin(E_k tau)/E_k (hbar = c = 1)."""
     return Kernel(basis, window.samples, order="second")
 
 
 def wave_step_factor_kernel(aux: Kernel, direction: str) -> Kernel:
     """theta(tau) G (retarded) or -theta(-tau) G (advanced) for wave kernels."""
-    if aux.order != "second":
+    if aux._law is not _SecondOrder:
         raise ValueError("needs a second-order auxiliary kernel")
     return step_factor_kernel(aux, direction)
 
@@ -126,7 +122,7 @@ def field_from_source(kernel: Kernel, source: SourceField, eval_times: np.ndarra
     yields exactly zero, and so does the field at the source's first time.
     Returns an array of shape (eval_times, grid points).
     """
-    if kernel.kind != "retarded" or kernel.order != "second":
+    if kernel.kind != "retarded" or kernel._law is not _SecondOrder:
         raise ValueError("field convolution uses the retarded second-order kernel")
     basis = kernel.basis
     if source.grid != basis.grid:
@@ -139,14 +135,14 @@ def field_from_source(kernel: Kernel, source: SourceField, eval_times: np.ndarra
         kernel._check_window(lag, f"lag t - t' = {lag:g} exceeds the kernel window end {kernel.times[-1]:g}", None)
     dt = np.diff(ts)  # trapezoid weights, 1 for a single source sample
     wt = np.concatenate([dt[:1], dt[:-1] + dt[1:], dt[-1:]]) / 2 if ts.size > 1 else np.ones(1)
-    index, root_e, c = _wave_modes(basis)
+    index = _SecondOrder.modes(basis)[0]
     # project the source once: s_n(t') = <phi_n, f(., t')>, one row per t'
     s_modes = _project(basis, source.values)[:, index]
-    # the law c S(t - t') = c S(t) C(t') - C(t) c S(t') (_wave_phases), both
-    # times measured from ts[0] so that the onset's lag-0 terms are exact zeros
+    # the law c S(t - t') = c S(t) C(t') - C(t) c S(t') (_SecondOrder.phases),
+    # both times measured from ts[0] so that the onset's lag-0 terms are exact zeros
     t, tp = eval_times[:, None] - ts[0], ts[:, None] - ts[0]
-    s_t, c_t = _wave_phases(root_e, c, t)
-    s_tp, c_tp = _wave_phases(root_e, c, tp)
+    s_t, c_t = _SecondOrder.phases(basis, t)
+    s_tp, c_tp = _SecondOrder.phases(basis, tp)
     src = np.concatenate([c_tp * s_modes, s_tp * s_modes], axis=1)
     causal = theta(t - tp.T) * wt  # (eval, source): theta(t - t') w_t'
     both = (causal @ src.view(float)).view(complex)
@@ -221,7 +217,7 @@ def wave_pde_residual(basis: EigenSystem, tau_grid: np.ndarray) -> float:
     t = kern.times
     if t.size < 3:
         raise ValueError("need at least three time samples")
-    index, root_e, c = _wave_modes(basis)
+    index, root_e, c = _SecondOrder.modes(basis)
     # -(1/c^2) d^2/dtau^2 - H acts on each mode's amplitude: the centered
     # second difference of the law's amplitudes, and E = root_e^2 times them
     g = kern.amplitudes[:, index].real

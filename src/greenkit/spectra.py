@@ -199,36 +199,6 @@ def _relativistic_energy(k, constants: PhysicalConstants):
     return np.sqrt(constants.mass**2 * constants.c**4 + constants.c**2 * constants.hbar**2 * k**2)
 
 
-def _wave_modes(basis: EigenSystem) -> tuple:
-    """(mode indices, sqrt(E_n), c) of the second-order law, which the wave
-    kernels and the second-order density share; rejects negative eigenvalues.
-
-    A basis with branches is the Klein-Gordon case: it repeats each
-    momentum at +-E_k, so only the positive branch is kept, with E = E_k^2.
-    Any other basis, whatever its model label, keeps every mode.
-    """
-    if basis.branches is not None:
-        if not (basis.constants.hbar == 1.0 and basis.constants.c == 1.0):
-            raise ValueError("Klein-Gordon kernel assumes hbar = c = 1 units")
-        index = np.flatnonzero(basis.branches > 0)
-        e = basis.energies[index] ** 2
-    else:
-        index = np.arange(basis.size)
-        e = basis.energies
-    if np.any(e < 0):
-        raise ValueError("second-order modes need non-negative eigenvalues")
-    return index, np.sqrt(e), basis.constants.c
-
-
-def _wave_phases(root_e: np.ndarray, c: float, t) -> tuple:
-    """(c S, C) = (c sin(r c t) / r, cos(r c t)) of each mode r = sqrt(E_n)
-    of _wave_modes at the times t (broadcast against root_e), with the zero
-    mode's limit (c t, 1); c S is the wave law."""
-    zero = root_e == 0
-    r = np.where(zero, 1.0, root_e)
-    return np.where(zero, c * t, c * np.sin(r * c * t) / r), np.where(zero, 1.0, np.cos(r * c * t))
-
-
 def build_free_basis(
     length: float,
     n_max: int,

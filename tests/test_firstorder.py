@@ -163,6 +163,34 @@ def test_every_entry_point_admits_the_bases_of_the_law(model, order):
             call()
 
 
+def _range_escapes():
+    """Each call asks the law for an amplitude or a phase past the float
+    range, at a tau that the window and the samples accept."""
+    well = build_well_basis(1.0, 4)
+    far = Kernel(well, [0.0, 1e308])
+    fast = build_well_basis(1.0, 4, PhysicalConstants(c=1e50))
+    wave = Kernel(well, [-1.0, 0.0, 1.0], kind="retarded", order="second")
+    return {
+        "at": (lambda: far.at(1e308), "tau"),
+        "kernel_entry": (lambda: kernel_entry(well, 0, 1, 1e308), "tau"),
+        "composition_residual": (lambda: composition_residual(far, 5e307, 5e307), "tau"),
+        "second-order at": (lambda: Kernel(fast, [0.0, 1e300], order="second").at(1e300), "tau"),
+        "pde_jump_residual": (lambda: pde_jump_residual(well, "eq24", 1e-320), "dtau"),
+        "kernel_entry at complex tau": (lambda: kernel_entry(well, 0, 1, 1000j), "tau"),
+        "field_from_source": (
+            lambda: field_from_source(wave, SourceField(well.grid, [0.0, 1e308], np.ones((2, 4))), [0.0]), "tau"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_range_escapes()))
+def test_the_law_refuses_a_tau_past_its_range(name):
+    """Every amplitude and phase the law returns is finite: a tau past that
+    range raises a ValueError naming tau (or dtau) before numpy warns."""
+    call, names = _range_escapes()[name]
+    with pytest.raises(ValueError, match=rf"\b{names}\b"):
+        call()
+
+
 def test_time_window_validation():
     with pytest.raises(ValueError, match="increasing"):
         TimeWindow(np.array([0.0, 1.0, 0.5]))
@@ -217,7 +245,7 @@ def test_amplitude_is_the_law():
 
 @pytest.mark.parametrize(
     "field, value, match",
-    [("kind", "causal", "unknown kernel kind"), ("order", "third", "unknown kernel order")],
+    [("kind", "causal", "unknown kernel kind"), ("order", "third", "unknown order 'third'")],
 )
 def test_kernel_rejects_unknown_fields(field, value, match):
     with pytest.raises(ValueError, match=match):

@@ -11,12 +11,15 @@ import greenkit
 from greenkit import (
     FreqResponse,
     Grid1D,
+    Kernel,
     PhysicalConstants,
     RegularizedFamily,
     SampledFunction,
     SpectralDensity,
     TimeWindow,
+    build_free_basis,
     build_helmholtz_basis,
+    build_oscillator_basis,
     build_relativistic_branches,
     build_well_basis,
     convolution_response,
@@ -96,8 +99,49 @@ def test_second_order_poles_reproduce_the_klein_gordon_kernel():
         resp = response_from_density(spectral_density(basis, i, j, order="second"), np.zeros(1), eta, "retarded")
         assert len(resp.poles) == 14
         lhs = np.array([sum(-1j * r * np.exp(-1j * p * t) for p, r in resp.poles) for t in taus])
-        rhs = 1j * np.exp(-eta * taus) * aux.values[:, i, j]
+        rhs = 1j * np.exp(-eta * taus) * np.array([aux.at(t)[i, j] for t in taus])
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
+
+
+# The bases each order's law takes, for the time-frequency bridge
+BRIDGE_BASES = {
+    "well": lambda: build_well_basis(1.0, 8),
+    "free": lambda: build_free_basis(10.0, 4),
+    "oscillator": lambda: build_oscillator_basis(n_max=12, grid_kind="gauss"),
+    "relativistic": lambda: build_relativistic_branches(PhysicalConstants(), 4, 5.0),
+}
+BRIDGE_ROWS = [("first", model) for model in BRIDGE_BASES] + [
+    ("second", model) for model in ("well", "oscillator", "relativistic")]
+KAPPA = {"first": -1j, "second": 1j}  # the factor between the two halves, in either direction
+
+
+@pytest.mark.parametrize("direction", ["retarded", "advanced"])
+@pytest.mark.parametrize("order, model", BRIDGE_ROWS)
+def test_the_frequency_lines_are_the_time_law(order, model, direction):
+    """The residue form -i s theta(s tau) sum r e^{-i p tau} of the pole
+    form of an entry's lines (inverse_transform_roundtrip's reference) is
+    kappa e^{-eta |tau|} G(tau) of the kernel of the same law and direction,
+    on both sides of tau = 0: kappa = -i at first order, +i at second."""
+    basis = BRIDGE_BASES[model]()
+    taus, eta = np.array([-1.1, -0.3, 0.3, 1.1]), 0.5
+    kern = Kernel(basis, taus, kind=direction, order=order)
+    worst, scale = 0.0, 0.0
+    for i, j in [(3, 5), (0, 0), (7, 2)]:
+        density = spectral_density(basis, i, j, order=order)
+        omega = np.linspace(density.omegas.min() - 25.0, density.omegas.max() + 25.0, 401)
+        resp = response_from_density(density, omega, eta, direction)
+        residue = inverse_transform_roundtrip(resp, taus)["reference"]
+        time = KAPPA[order] * np.exp(-eta * np.abs(taus)) * np.array([kern.at(t)[i, j] for t in taus])
+        worst, scale = max(worst, np.max(np.abs(residue - time))), max(scale, np.max(np.abs(time)))
+    assert scale > 0 and worst <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("model", ["helmholtz", "free"])
+def test_second_order_lines_refuse_a_zero_mode(model):
+    """Helmholtz k = 0 and the free particle's k = 0 have no finite-frequency line."""
+    basis = build_helmholtz_basis(10.0, 4) if model == "helmholtz" else BRIDGE_BASES["free"]()
+    with pytest.raises(ValueError, match="zero mode"):
+        spectral_density(basis, 0, 0, order="second")
 
 
 def test_response_pole_placement_is_exact():

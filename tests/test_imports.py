@@ -234,3 +234,72 @@ def test_the_check_sees_a_message_twice():
     tree = ast.parse("raise ValueError('bad n')\nraise ValueError(f'{x} must be finite')\n"
                      "ValueError('bad n')\nraise TypeError('bad n')\nraise ValueError(msg)\n")
     assert _value_error_texts(tree) == [("bad n", 1), (" must be finite", 2), ("bad n", 3)]
+
+
+ORDERS = ("first", "second")
+LAW_TABLE = {"_ranged", "_FirstOrder", "_SecondOrder", "_LAWS", "_law"}  # firstorder's law table
+
+
+def _order_compares(tree: ast.Module) -> list:
+    """Line of every comparison with the string "first" or "second", as an
+    operand or inside a tuple, list or set operand, and of every match case
+    on one: each is a branch on an equation order."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            items = [e for op in operands for e in (op.elts if isinstance(op, (ast.Tuple, ast.List, ast.Set)) else [op])]
+            if any(isinstance(e, ast.Constant) and e.value in ORDERS for e in items):
+                found.append(node.lineno)
+        elif isinstance(node, ast.MatchValue) and isinstance(node.value, ast.Constant) and node.value.value in ORDERS:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def _law_reads(tree: ast.Module) -> list:
+    """Line of every def of, or reference to, _wave_modes or _wave_phases,
+    and of every call x.modes(...), x.phases(...) or x.lines(...) whose x is
+    not the table: an entry, the _law a Kernel keeps, _law(...) or _LAWS[...]."""
+    def is_table(x):
+        return ((isinstance(x, ast.Name) and x.id in LAW_TABLE) or (isinstance(x, ast.Attribute) and x.attr == "_law")
+                or (isinstance(x, ast.Call) and isinstance(x.func, ast.Name) and x.func.id == "_law")
+                or (isinstance(x, ast.Subscript) and isinstance(x.value, ast.Name) and x.value.id == "_LAWS"))
+
+    found = []
+    for node in ast.walk(tree):
+        # a def's or an import's name, a name read, or an attribute read
+        if (getattr(node, "name", None) or getattr(node, "id", None) or getattr(node, "attr", None)) in (
+                "_wave_modes", "_wave_phases"):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("modes", "phases", "lines") and not is_table(node.func.value)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_each_order_law_has_one_home():
+    """Only firstorder's law table and the CLI's parser and report compare a
+    value with "first" or "second": Kernel, spectral_density,
+    wave_step_factor_kernel and field_from_source ask the table.  The law's
+    modes and phases (spectra._wave_modes and _wave_phases before) are
+    reached only through the table's entries."""
+    branches, reads = {}, {}
+    for p in SOURCES:
+        tree = ast.parse(p.read_text())
+        owners = _top_level_owners(tree, _order_compares(tree)) - (LAW_TABLE if p.name == "firstorder.py" else set())
+        if owners:
+            branches[p.name] = owners
+        if _law_reads(tree):
+            reads[p.name] = _law_reads(tree)
+    assert set(branches) == {"cli.py"}
+    assert reads == {}
+
+
+def test_the_check_sees_an_order_branch_and_a_law_read():
+    tree = ast.parse("if order == 'first':\n    pass\nk.order != 'second'\nx in ('first', 'second')\nf('first')\n"
+                     "match order:\n    case 'second':\n        pass\nd = {'first': 1}\n")
+    assert _order_compares(tree) == [1, 3, 4, 7]
+    tree = ast.parse("def _wave_modes(b):\n    pass\nfrom .spectra import _wave_phases\nspectra._wave_modes(b)\n"
+                     "law.modes(b)\n_SecondOrder.phases(b, t)\nkernel._law.amplitude(b, t)\n_law(o, b).lines(b, p)\n"
+                     "_LAWS[o].modes(b)\nother.lines(b, p)\n")
+    assert _law_reads(tree) == [1, 3, 4, 5, 10]
