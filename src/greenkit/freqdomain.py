@@ -124,9 +124,12 @@ def spectral_density(basis: EigenSystem, i: int, j: int, order: str = "first") -
     """Density of the kernel entry (x_i, x_j): the lines of the order's law
     (firstorder._law), one per mode at E_n/hbar, or a mirrored pair per
     mode at +-sqrt(lambda_n) c, where a zero mode (Helmholtz k = 0) is
-    rejected.  Indices outside the grid raise ValueError."""
+    rejected.  Indices outside the grid raise ValueError, and so do lines
+    past the float range (SpectralDensity's rule)."""
     phi = basis.mode_products(i, j)
-    return SpectralDensity(*_law(order, basis).lines(basis, phi))
+    with np.errstate(over="ignore", invalid="ignore"):  # a line past the float range is refused below
+        lines = _law(order, basis).lines(basis, phi)
+    return SpectralDensity(*lines)
 
 
 # v values per convolution chunk: few enough rows that a chunk's temporaries

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from basis_modes import all_modes
 
 import greenkit
 from greenkit import (
@@ -421,10 +422,23 @@ def test_both_response_routes_share_one_axis_check(bad):
                 route(dens, np.array([1.0, bad]), 0.05, "retarded")
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_spectral_density_rejects_non_finite_lines(bad):
+def _lines_past_the_float_range(order):
+    """The lines of a basis whose E_n / hbar (first order) and c phi_n phi_n*
+    (second order) overflow."""
+    well = build_well_basis(1.0, 4, PhysicalConstants(hbar=1e-50, c=1e50))
+    hand = greenkit.EigenSystem(well.grid, [1e300, 2e300, 3e300, 4e300], 1e150 * all_modes(well), well.constants, "well")
+    return spectral_density(hand, 0, 1, order)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: SpectralDensity([math.nan], [1.0]), lambda: SpectralDensity([math.inf], [1.0]),
+     lambda: _lines_past_the_float_range("first"), lambda: _lines_past_the_float_range("second")],
+    ids=["nan", "inf", "first-order law past the float range", "second-order law past the float range"],
+)
+def test_spectral_density_rejects_non_finite_lines(make):
     with pytest.raises(ValueError, match="line frequencies and weights must be finite"):
-        SpectralDensity([bad], [1.0])
+        make()
 
 
 def test_relativistic_response_equals_combined_rational_form():
